@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 I/O or schema error, 2 infeasible instance,
 3 budget condition violated (or a requested verification failed),
-4 brute-force scale guard tripped.
+4 brute-force scale guard tripped, 5 internal failure (a broken invariant
+or another library error; always a bug, never bad input).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from .errors import (
     BudgetError,
     InfeasibleInstanceError,
     InvalidInstanceError,
+    InvariantViolation,
     NearFairError,
     NoDominatingVertexError,
     RefinementInfeasibleError,
@@ -57,6 +60,7 @@ EXIT_SCHEMA = 1
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
 EXIT_SCALE = 4
+EXIT_INTERNAL = 5
 
 
 def _alpha(text: str) -> tuple[int, ...]:
@@ -353,7 +357,11 @@ def _batch_worker(payload):
     argv = list(argv)
     idx = argv.index("@INSTANCE@")
     argv[idx] = path
-    code = main(argv)
+    try:
+        code = main(argv)
+    except Exception:  # one broken file must not take down the batch
+        traceback.print_exc()
+        code = EXIT_INTERNAL
     return path, code
 
 
@@ -481,6 +489,12 @@ def main(argv=None) -> int:
     except ScaleExceededError as exc:
         print(f"scale: {exc}", file=sys.stderr)
         return EXIT_SCALE
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except NearFairError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

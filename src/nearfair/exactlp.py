@@ -2,7 +2,10 @@
 
 Two-phase primal simplex over `fractions.Fraction` with bounded variables:
 the box bounds are handled implicitly (nonbasic variables rest at a bound)
-instead of as constraint rows, which keeps the working basis small.  Pricing
+instead of as constraint rows, which keeps the working basis small.  The
+working rows are sparse (column -> nonzero coefficient) and every row
+reduction here, in the vertex certificate and in ``nearfair.oracle`` goes
+through the one in-place helper ``eliminate``.  Pricing
 is largest-coefficient with a smallest-index tie-break; after a long
 degenerate streak the solver switches permanently to Bland's rule, so
 termination is guaranteed and identical inputs give identical outputs.
@@ -90,18 +93,41 @@ class VertexSolution:
 
 
 # ---------------------------------------------------------------------------
+# sparse exact elimination
+# ---------------------------------------------------------------------------
+
+SparseRow = dict[int, Fraction]  # column -> nonzero coefficient
+
+
+def eliminate(row: SparseRow, f: Fraction, pivot_row: SparseRow) -> None:
+    """In place ``row -= f * pivot_row``, dropping entries that cancel."""
+    g = -f
+    for k, v in pivot_row.items():
+        a = row.get(k)
+        if a is None:
+            row[k] = g * v
+        else:
+            a += g * v
+            if a:
+                row[k] = a
+            else:
+                del row[k]
+
+
+# ---------------------------------------------------------------------------
 # simplex core
 # ---------------------------------------------------------------------------
 
 
 class _Tableau:
-    """Dense working matrix with implicit variable bounds.
+    """Sparse working rows with implicit variable bounds.
 
     Columns: structural variables, then one slack per inequality row, then
-    one artificial per row.  ``T`` is kept row-reduced so that every live
-    row's basic column is a unit vector; ``beta[i]`` holds the current
-    *value* of the basic variable of row i, and ``x[j]`` the value of every
-    nonbasic variable (always at one of its bounds).
+    one artificial per row.  Each row of ``T`` maps a column to its nonzero
+    coefficient and is kept row-reduced so that every live row's basic
+    column is a unit vector; ``beta[i]`` holds the current *value* of the
+    basic variable of row i, and ``x[j]`` the value of every nonbasic
+    variable (always at one of its bounds).
     """
 
     def __init__(self, lp: LinearProgram):
@@ -109,7 +135,7 @@ class _Tableau:
         n = lp.n
         self.lb: list[Optional[Fraction]] = [v.lb for v in lp.variables]
         self.ub: list[Optional[Fraction]] = [v.ub for v in lp.variables]
-        rows: list[dict[int, Fraction]] = []
+        rows: list[SparseRow] = []
         col = n
         for c in lp.constraints:
             row = dict(c.coeffs)
@@ -132,27 +158,21 @@ class _Tableau:
         self.x: list[Fraction] = [
             self.lb[j] if self.lb[j] is not None else ZERO for j in range(self.ncols)
         ]
-        dense = [[ZERO] * self.ncols for _ in range(self.m)]
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                dense[i][j] = v
-        self.beta: list[Fraction] = [ZERO] * self.m
+        self.beta: list[Fraction] = []
         self.basis: list[int] = []
-        for i in range(self.m):
+        for i, row in enumerate(rows):
             resid = self.lp.constraints[i].rhs - sum(
-                dense[i][j] * self.x[j]
-                for j in range(self.n_struct_slack)
-                if dense[i][j]
+                (v * self.x[j] for j, v in row.items()), ZERO
             )
             if resid < 0:
                 # flip the working row so the artificial basis column is +e_i
-                dense[i] = [-v for v in dense[i]]
+                row = rows[i] = {j: -v for j, v in row.items()}
                 resid = -resid
             a = self.art_of_row[i]
-            dense[i][a] = ONE
+            row[a] = ONE
             self.basis.append(a)
-            self.beta[i] = resid
-        self.T = dense
+            self.beta.append(resid)
+        self.T = rows
         self.live = [True] * self.m
         self.basic_set = set(self.basis)
 
@@ -161,50 +181,52 @@ class _Tableau:
     def _pivot_matrix(self, i: int, j: int) -> None:
         """Row-reduce so column j becomes the unit vector of row i."""
         row = self.T[i]
-        piv = row[j]
-        if piv == 0:
+        piv = row.get(j)
+        if not piv:
             raise InvariantViolation("zero pivot")
         if piv != 1:
             inv = ONE / piv
-            self.T[i] = row = [v * inv for v in row]
+            self.T[i] = row = {k: v * inv for k, v in row.items()}
         for k in range(self.m):
             if k == i or not self.live[k]:
                 continue
-            f = self.T[k][j]
+            f = self.T[k].get(j)
             if f:
-                rk = self.T[k]
-                self.T[k] = [a - f * b for a, b in zip(rk, row)]
+                eliminate(self.T[k], f, row)
+        self.basic_set.discard(self.basis[i])
         self.basis[i] = j
-        self.basic_set = set(self.basis)
+        self.basic_set.add(j)
 
-    def _reduced_costs(self, c: list[Fraction]) -> list[Fraction]:
-        z = list(c)
+    def _reduced_costs(self, c: Mapping[int, Fraction]) -> SparseRow:
+        """Nonzero reduced costs ``c - c_B T``, keyed by column."""
+        z = {j: v for j, v in c.items() if v}
         for i in range(self.m):
             if not self.live[i]:
                 continue
-            cb = c[self.basis[i]]
+            cb = c.get(self.basis[i])
             if cb:
-                ti = self.T[i]
-                for j in range(self.ncols):
-                    if ti[j]:
-                        z[j] -= cb * ti[j]
+                eliminate(z, cb, self.T[i])
         return z
 
-    def _simplex(self, c: list[Fraction], forbidden: frozenset[int]) -> str:
+    def _simplex(self, c: Mapping[int, Fraction], forbidden: frozenset[int]) -> str:
         degenerate_streak = 0
         bland = False
         switch_at = 4 * (self.m + self.ncols) + 20
+        # a fixed variable can never move
+        skip = forbidden | {
+            j
+            for j in range(self.ncols)
+            if self.lb[j] is not None and self.lb[j] == self.ub[j]
+        }
         z = self._reduced_costs(c)
         while True:
+            # largest |z_j| among improving columns, smallest index on ties;
+            # Bland's rule takes the smallest improving index
             enter = -1
             best = ZERO
-            for j in range(self.ncols):
-                if j in forbidden or j in self.basic_set:
+            for j, zj in z.items():
+                if j in skip or j in self.basic_set:
                     continue
-                lo, hi = self.lb[j], self.ub[j]
-                if lo is not None and hi is not None and lo == hi:
-                    continue  # fixed variable can never move
-                zj = z[j]
                 if self.status[j] == _L and zj < 0:
                     score = -zj
                 elif self.status[j] == _U and zj > 0:
@@ -212,23 +234,25 @@ class _Tableau:
                 else:
                     continue
                 if bland:
-                    enter = j
-                    break
-                if score > best:
+                    if enter == -1 or j < enter:
+                        enter = j
+                elif score > best or (j < enter and score == best):
                     best, enter = score, j
             if enter == -1:
                 return "optimal"
             direction = 1 if self.status[enter] == _L else -1
+            # the live rows with a nonzero in the entering column
+            col = [
+                (i, a)
+                for i in range(self.m)
+                if self.live[i] and (a := self.T[i].get(enter)) is not None
+            ]
 
             t_best: Optional[Fraction] = None
             leave_row = -1
             leave_to = _L
-            for i in range(self.m):
-                if not self.live[i]:
-                    continue
-                a = self.T[i][enter] * direction
-                if a == 0:
-                    continue
+            for i, a in col:
+                a = a * direction
                 b = self.basis[i]
                 if a > 0:
                     lo = self.lb[b]
@@ -256,9 +280,8 @@ class _Tableau:
             if span is not None and (t_best is None or span <= t_best):
                 # entering runs all the way to its other bound: no basis change
                 if span > 0:
-                    for i in range(self.m):
-                        if self.live[i] and self.T[i][enter]:
-                            self.beta[i] -= direction * self.T[i][enter] * span
+                    for i, a in col:
+                        self.beta[i] -= direction * a * span
                     degenerate_streak = 0
                 else:
                     degenerate_streak += 1
@@ -275,9 +298,8 @@ class _Tableau:
 
             t = t_best
             if t > 0:
-                for i in range(self.m):
-                    if self.live[i] and self.T[i][enter]:
-                        self.beta[i] -= direction * self.T[i][enter] * t
+                for i, a in col:
+                    self.beta[i] -= direction * a * t
                 degenerate_streak = 0
             else:
                 degenerate_streak += 1
@@ -290,19 +312,16 @@ class _Tableau:
             new_value = enter_bound + direction * t
             self._pivot_matrix(leave_row, enter)
             self.beta[leave_row] = new_value
-            # keep the reduced costs in step with the basis change
-            f = z[enter]
+            # keep the reduced costs in step with the basis change; z[enter]
+            # cancels against the pivot row's unit entry
+            f = z.get(enter)
             if f:
-                prow = self.T[leave_row]
-                z = [a - f * b for a, b in zip(z, prow)]
-                z[enter] = ZERO
+                eliminate(z, f, self.T[leave_row])
 
     # -- phases -------------------------------------------------------------
 
     def phase1(self) -> bool:
-        c = [ZERO] * self.ncols
-        for a in self.art_of_row:
-            c[a] = ONE
+        c = dict.fromkeys(self.art_of_row, ONE)
         status = self._simplex(c, forbidden=frozenset())
         if status != "optimal":
             raise InvariantViolation("phase-1 objective is bounded by construction")
@@ -320,11 +339,14 @@ class _Tableau:
         for i in range(self.m):
             if not self.live[i] or self.basis[i] not in self.arts:
                 continue
-            piv_col = -1
-            for j in range(self.n_struct_slack):
-                if j not in self.basic_set and self.T[i][j] != 0:
-                    piv_col = j
-                    break
+            piv_col = min(
+                (
+                    j
+                    for j in self.T[i]
+                    if j < self.n_struct_slack and j not in self.basic_set
+                ),
+                default=-1,
+            )
             if piv_col >= 0:
                 old = self.basis[i]
                 new_value = self.x[piv_col]  # degenerate swap, values unchanged
@@ -337,10 +359,7 @@ class _Tableau:
         return True
 
     def phase2(self, objective: Mapping[int, Fraction]) -> str:
-        c = [ZERO] * self.ncols
-        for j, v in objective.items():
-            c[j] = v
-        return self._simplex(c, forbidden=self.arts)
+        return self._simplex(objective, forbidden=self.arts)
 
     # -- extraction ---------------------------------------------------------
 
@@ -366,46 +385,50 @@ def _tight_constraints(lp: LinearProgram, values: Sequence[Fraction]) -> frozens
     return frozenset(tight)
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = ONE / prow[col]
-        prow = rows[rank] = [v * inv for v in prow]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def _rank(rows: Sequence[SparseRow]) -> int:
+    """Rank of sparse rows by forward elimination; the inputs are not modified.
+
+    Each kept pivot row starts at its pivot column (its smallest key), so
+    eliminating a row's smallest key against a pivot row only ever moves
+    the row's smallest key to the right.
+    """
+    pivots: dict[int, SparseRow] = {}
+    for r in rows:
+        r = dict(r)
+        while r:
+            col = min(r)
+            prow = pivots.get(col)
+            if prow is None:
+                pivots[col] = r
+                break
+            eliminate(r, r[col] / prow[col], prow)
+    return len(pivots)
 
 
-def vertex_rank(lp: LinearProgram, values: Sequence[Fraction]) -> int:
-    """Rank of the rows tight at a feasible point (bounds and constraints)."""
-    n = lp.n
-    rows: list[list[Fraction]] = []
-    for j, var in enumerate(lp.variables):
-        if values[j] == var.lb or values[j] == var.ub:
-            row = [ZERO] * n
-            row[j] = ONE
-            rows.append(row)
-    for idx in _tight_constraints(lp, values):
-        c = lp.constraints[idx]
-        row = [ZERO] * n
-        for j, v in c.coeffs.items():
-            row[j] = v
-        rows.append(row)
-    if not rows:
-        return 0
-    return _rank(rows)
+def vertex_rank(
+    lp: LinearProgram,
+    values: Sequence[Fraction],
+    tight: Optional[frozenset[int]] = None,
+) -> int:
+    """Rank of the rows tight at a feasible point (bounds and constraints).
+
+    Every tight bound row is a unit vector, so the rank is the number of
+    at-bound columns plus the rank of the tight constraint rows with those
+    columns deleted.  ``tight`` is the point's tight constraint set when
+    the caller already has it.
+    """
+    at_bound = {
+        j
+        for j, var in enumerate(lp.variables)
+        if values[j] == var.lb or values[j] == var.ub
+    }
+    if tight is None:
+        tight = _tight_constraints(lp, values)
+    rest = [
+        {j: v for j, v in lp.constraints[idx].coeffs.items() if j not in at_bound}
+        for idx in tight
+    ]
+    return len(at_bound) + _rank(rest)
 
 
 def _check_feasible(lp: LinearProgram, values: Sequence[Fraction]) -> None:
@@ -424,14 +447,15 @@ def _check_feasible(lp: LinearProgram, values: Sequence[Fraction]) -> None:
 def _finish(lp: LinearProgram, tab: _Tableau) -> VertexSolution:
     values = tab.solution_values()
     _check_feasible(lp, values)
-    if vertex_rank(lp, values) != lp.n:
+    tight = _tight_constraints(lp, values)
+    if vertex_rank(lp, values, tight) != lp.n:
         raise InvariantViolation("optimal point is not a vertex: tight rows rank-deficient")
     obj = sum((v * values[j] for j, v in lp.objective.items()), ZERO)
     return VertexSolution(
         status="optimal",
         values=values,
         objective=obj,
-        tight_constraints=_tight_constraints(lp, values),
+        tight_constraints=tight,
     )
 
 

@@ -27,7 +27,7 @@ from .errors import (
     InvariantViolation,
     RefinementInfeasibleError,
 )
-from .exactlp import LinearProgram, feasible_vertex, solve_vertex
+from .exactlp import LinearProgram, VertexSolution, feasible_vertex, solve_vertex
 from .model import (
     Allocation,
     AgentSpec,
@@ -146,18 +146,26 @@ def _group_keys(instance: Instance) -> list[tuple[str, str]]:
     return [(dim, g) for dim in instance.dimensions for g in instance.groups_in(dim)]
 
 
-def max_group_utility(
-    instance: Instance, utilities: UtilityModel, dim: str, group_id: str
-) -> Fraction:
-    """Exact maximum of one group's utility over fractional allocations."""
+def _group_optimum(
+    instance: Instance, utilities: UtilityModel, members: frozenset[str]
+) -> tuple[VertexSolution, list[Pair], dict[Pair, int]]:
+    """Vertex maximizing the members' utility over fractional allocations;
+    its objective is minus that maximum."""
     lp, pairs, col = allocation_polytope(instance)
-    members = instance.group_members(dim, group_id)
     lp.set_objective(
         {col[e]: -utilities.of(*e) for e in pairs if e[0] in members}
     )
     sol = solve_vertex(lp)
     if not sol.optimal:
         raise InfeasibleInstanceError("no fractional allocation exists")
+    return sol, pairs, col
+
+
+def max_group_utility(
+    instance: Instance, utilities: UtilityModel, dim: str, group_id: str
+) -> Fraction:
+    """Exact maximum of one group's utility over fractional allocations."""
+    sol, _, _ = _group_optimum(instance, utilities, instance.group_members(dim, group_id))
     return -sol.objective
 
 
@@ -193,18 +201,12 @@ def solve_fair_fractional(
         kept = []
         vertices = []
         for key in keys:
-            best = max_group_utility(instance, utilities, *key)
-            if best > 0:
+            sol, g_pairs, g_col = _group_optimum(instance, utilities, members[key])
+            if -sol.objective > 0:
                 kept.append(key)
+                vertices.append([float(sol.value(g_col[e])) for e in g_pairs])
         if not kept:
             return Allocation({e: start.value(col[e]) for e in pairs})
-        for key in kept:
-            g_lp, g_pairs, g_col = allocation_polytope(instance)
-            g_lp.set_objective(
-                {g_col[e]: -utilities.of(*e) for e in g_pairs if e[0] in members[key]}
-            )
-            sol = solve_vertex(g_lp)
-            vertices.append([float(sol.value(g_col[e])) for e in g_pairs])
         x = [sum(vs) / len(vertices) for vs in zip(*vertices)]
         keys = kept
     else:

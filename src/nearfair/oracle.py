@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import ScaleExceededError
-from .exactlp import LinearProgram
+from .exactlp import LinearProgram, eliminate
 from .model import Allocation, Bundle, Instance, UtilityModel, enumerate_bundles
 from .rationals import ONE, ZERO
 
@@ -54,24 +54,34 @@ def enumerate_integral(instance: Instance) -> Iterator[Allocation]:
 # ---------------------------------------------------------------------------
 
 
+_RHS = -1  # sparse-row key holding the right-hand side
+
+
 def _try_add(state, vec, rhs):
-    """Gauss-Jordan insertion: returns ('ok', new_state) | ('dep', _) | ('incons', _)."""
-    row = list(vec) + [rhs]
+    """Gauss-Jordan insertion: returns ('ok', new_state) | ('dep', _) | ('incons', _).
+
+    ``state`` is a list of (pivot column, sparse row) in reduced row echelon
+    form; rows are shared between search nodes, so they are never mutated.
+    """
+    row = dict(vec)
+    if rhs:
+        row[_RHS] = rhs
     for pivcol, prow in state:
-        f = row[pivcol]
+        f = row.get(pivcol)
         if f:
-            row = [a - f * b for a, b in zip(row, prow)]
-    pivcol = next((k for k in range(len(vec)) if row[k] != 0), None)
+            eliminate(row, f, prow)
+    pivcol = min((k for k in row if k != _RHS), default=None)
     if pivcol is None:
-        return ("dep" if row[-1] == 0 else "incons"), state
+        return ("dep" if _RHS not in row else "incons"), state
     inv = ONE / row[pivcol]
     if inv != 1:
-        row = [v * inv for v in row]
+        row = {k: v * inv for k, v in row.items()}
     new_state = []
     for pc, prow in state:
-        f = prow[pivcol]
+        f = prow.get(pivcol)
         if f:
-            prow = [a - f * b for a, b in zip(prow, row)]
+            prow = dict(prow)
+            eliminate(prow, f, row)
         new_state.append((pc, prow))
     new_state.append((pivcol, row))
     return "ok", new_state
@@ -119,21 +129,14 @@ def vertex_enumerate(lp: LinearProgram, max_vertices: int = MAX_VERTICES) -> lis
     eq_rows = []
     pool = []
     for c in lp.constraints:
-        vec = [ZERO] * n
-        for jj, v in c.coeffs.items():
-            vec[jj] = v
         if c.rel == "=":
-            eq_rows.append((vec, c.rhs))
+            eq_rows.append((c.coeffs, c.rhs))
         else:
-            pool.append((vec, c.rhs))
+            pool.append((c.coeffs, c.rhs))
     for j, var in enumerate(lp.variables):
-        vec = [ZERO] * n
-        vec[j] = ONE
-        pool.append((vec, var.lb))
+        pool.append(({j: ONE}, var.lb))
         if var.ub != var.lb and not _redundant_upper_bound(lp, j):
-            vec2 = [ZERO] * n
-            vec2[j] = ONE
-            pool.append((vec2, var.ub))
+            pool.append(({j: ONE}, var.ub))
 
     state0 = []
     for vec, rhs in eq_rows:
@@ -161,7 +164,7 @@ def vertex_enumerate(lp: LinearProgram, max_vertices: int = MAX_VERTICES) -> lis
     def emit(state) -> None:
         x = [ZERO] * n
         for pc, row in state:
-            x[pc] = row[-1]
+            x[pc] = row.get(_RHS, ZERO)
         key = tuple(x)
         if key not in found and feasible(x):
             if len(found) >= max_vertices:

@@ -282,3 +282,48 @@ def test_scale_guard_exit_code(tmp_path):
     path.write_text(json.dumps(serialize_couples(ci, u)))
     code = main(["solve", "couples", "--instance", str(path), "--delta", "2"])
     assert code == 4
+
+
+def test_internal_failure_exit_code(tmp_path, monkeypatch, capsys):
+    from nearfair import fairness
+    from nearfair.errors import InvariantViolation
+
+    def broken(*args, **kwargs):
+        raise InvariantViolation("rounder lost an entry (iteration 3)")
+
+    monkeypatch.setattr(fairness, "approx_fair_allocation", broken)
+    inst, u = demo_instance()
+    inst_file = write(tmp_path, "inst.json", serialize_instance(inst, u))
+    code = main(
+        ["solve", "assignment", "--instance", inst_file, "--alpha", "3", "--delta", "6"]
+    )
+    assert code == 5
+    assert "internal error: rounder lost an entry (iteration 3)" in capsys.readouterr().err
+
+
+def test_batch_isolates_failing_file(tmp_path, monkeypatch, capsys):
+    from nearfair import fairness
+
+    real = fairness.approx_fair_allocation
+    calls = []
+
+    def first_call_breaks(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise KeyError("untyped bug")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fairness, "approx_fair_allocation", first_call_breaks)
+    inst, u = demo_instance()
+    for name in ("one.json", "two.json"):
+        write(tmp_path, name, serialize_instance(inst, u))
+    code = main(
+        ["solve", "assignment", "--instance", str(tmp_path),
+         "--alpha", "3", "--delta", "6", "--jobs", "1",
+         "--out", str(tmp_path / "ignored.json")]
+    )
+    err = capsys.readouterr().err
+    assert code == 5
+    assert f"{tmp_path / 'one.json'}: exit 5" in err
+    assert f"{tmp_path / 'two.json'}: exit 0" in err
+    assert len(calls) == 2

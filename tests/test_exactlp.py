@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearfair.exactlp import (
     LinearProgram,
+    _rank,
+    eliminate,
     feasible_vertex,
     solve_vertex,
     vertex_rank,
@@ -118,3 +121,106 @@ def test_negative_lower_bounds():
     lp.set_objective({x: 1, y: 1})
     sol = solve_vertex(lp)
     assert sol.optimal and sol.values == [-2, Fraction(-1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination kernel
+# ---------------------------------------------------------------------------
+
+
+def dense_rank(rows, ncols):
+    """Reference: dense Fraction Gauss-Jordan."""
+    m = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [v * inv for v in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_eliminate_drops_cancelled_entries():
+    row = {0: Fraction(2), 3: Fraction(1)}
+    eliminate(row, Fraction(2), {0: Fraction(1), 5: Fraction(1, 2)})
+    assert row == {3: 1, 5: -1}
+    eliminate(row, Fraction(1), dict(row))
+    assert row == {}
+
+
+@st.composite
+def sparse_rows(draw):
+    ncols = draw(st.integers(1, 6))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    base = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["duplicate", "multiple", "sum", "zero", "cancel"]))
+        a = draw(st.sampled_from(base))
+        b = draw(st.sampled_from(base))
+        if kind == "duplicate":
+            rows.append(dict(a))
+        elif kind == "multiple":
+            f = draw(entry)
+            rows.append({j: f * v for j, v in a.items()})
+        elif kind == "sum":
+            # a + b with explicit cancellation wherever the entries sum to 0
+            s = dict(a)
+            eliminate(s, Fraction(-1), b)
+            rows.append(s)
+        elif kind == "zero":
+            rows.append({})
+        else:
+            s = dict(a)
+            eliminate(s, Fraction(1), a)
+            rows.append(s)
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows())
+def test_rank_matches_dense_gauss_jordan(case):
+    rows, ncols = case
+    before = [dict(r) for r in rows]
+    assert _rank(rows) == dense_rank(rows, ncols)
+    assert rows == before  # inputs are not modified
+
+
+def test_vertex_rank_edge_midpoint_is_not_a_vertex():
+    # triangle x + y <= 1: the hypotenuse midpoint has one tight row
+    lp = LinearProgram()
+    x = lp.add_variable("x")
+    y = lp.add_variable("y")
+    lp.add_constraint({x: 1, y: 1}, "<=", 1)
+    half = Fraction(1, 2)
+    assert vertex_rank(lp, [half, half]) == lp.n - 1
+    assert vertex_rank(lp, [1, 0]) == lp.n
+    # a tight row that repeats an at-bound column must not count twice
+    lp2 = LinearProgram()
+    x = lp2.add_variable("x")
+    y = lp2.add_variable("y")
+    lp2.add_constraint({y: 1}, "<=", 0)
+    lp2.add_constraint({y: 2}, "=", 0)
+    assert vertex_rank(lp2, [half, 0]) == lp2.n - 1
+    # simplex edge in three variables: one bound plus the equality
+    lp3 = LinearProgram()
+    for name in "xyz":
+        lp3.add_variable(name)
+    lp3.add_constraint({0: 1, 1: 1, 2: 1}, "=", 1)
+    assert vertex_rank(lp3, [half, half, 0]) == lp3.n - 1
+    assert vertex_rank(lp3, [0, 1, 0]) == lp3.n
+

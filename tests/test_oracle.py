@@ -69,6 +69,50 @@ def test_vertex_degenerate_redundant_row():
     assert len(vertex_enumerate(lp)) == 4
 
 
+def _degenerate_lps():
+    """LPs with vertices where more than n rows are tight."""
+    pyramid = LinearProgram()  # apex (1/2, 1/2, 1/2) has four tight rows
+    x, y, z = (pyramid.add_variable(v) for v in "xyz")
+    pyramid.add_constraint({z: 1, x: -1}, "<=", 0)
+    pyramid.add_constraint({z: 1, y: -1}, "<=", 0)
+    pyramid.add_constraint({z: 1, x: 1}, "<=", 1)
+    pyramid.add_constraint({z: 1, y: 1}, "<=", 1)
+
+    duplicates = LinearProgram()  # dependent equalities, repeated inequality
+    x, y, z = (duplicates.add_variable(v) for v in "xyz")
+    duplicates.add_constraint({x: 1, y: 1, z: 1}, "=", 1)
+    duplicates.add_constraint({x: 2, y: 2, z: 2}, "=", 2)
+    duplicates.add_constraint({x: 1, y: -1}, "<=", 0)
+    duplicates.add_constraint({x: 1, y: -1}, "<=", 0)
+
+    negative = LinearProgram()  # origin is tight on three rows in 2-d
+    x = negative.add_variable("x", -1, 1)
+    y = negative.add_variable("y", -1, 1)
+    negative.add_constraint({x: 1, y: 1}, "<=", 0)
+    negative.add_constraint({x: 1, y: -1}, "<=", 0)
+    negative.add_constraint({x: 1}, "<=", 0)
+    negative.add_constraint({x: 2, y: Fraction(1, 2)}, ">=", Fraction(-5, 2))
+
+    half_cube = LinearProgram()
+    for i in range(4):
+        half_cube.add_variable(f"x{i}")
+    half_cube.add_constraint({0: 1, 1: 1, 2: 1, 3: 1}, "=", 2)
+    half_cube.add_constraint({0: 1, 1: 1}, "<=", 1)
+    half_cube.add_constraint({2: 1, 3: 1}, ">=", 1)
+    return [pyramid, duplicates, negative, half_cube]
+
+
+def test_vertex_degenerate_lps_pinned():
+    h = Fraction(1, 2)
+    expected = [
+        [[0, 0, 0], [0, 1, 0], [h, h, h], [1, 0, 0], [1, 1, 0]],
+        [[0, 0, 1], [0, 1, 0], [h, h, 0]],
+        [[-1, -1], [-1, 1], [0, 0]],
+        [[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 1, 0]],
+    ]
+    assert [vertex_enumerate(lp) for lp in _degenerate_lps()] == expected
+
+
 def test_vertex_guard():
     lp = LinearProgram()
     for i in range(21):
