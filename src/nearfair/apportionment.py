@@ -19,9 +19,9 @@ synthetic resource.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from .errors import BudgetError, InfeasibleInstanceError, InvalidInstanceError, InvariantViolation
 from .exactlp import LinearProgram, solve_vertex

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 import traceback
@@ -33,7 +32,6 @@ from .errors import (
     ScaleExceededError,
     SchemaError,
 )
-from .model import Allocation
 from .rationals import rat_str
 from .rounding import (
     DeviationBudget,
@@ -52,7 +50,6 @@ from .schema import (
     parse_ma,
     serialize_allocation,
     serialize_instance,
-    serialize_ma,
 )
 
 EXIT_OK = 0

@@ -13,9 +13,19 @@ termination is guaranteed and identical inputs give identical outputs.
 Linearly dependent equality rows are tolerated: rows whose artificial cannot
 be pivoted out after phase 1 are provably redundant and get dropped.
 
+Phase 1 reads only the bounds and the constraint rows, never the objective,
+and it is deterministic, so its final tableau is a function of the polytope
+alone.  ``phase_one(lp)`` runs it once and returns that tableau as a
+snapshot; ``solve_vertex(lp, start)`` runs phase 2 on a copy of it, so a
+caller that optimizes several objectives over one polytope pays for phase 1
+once and still gets exactly the answer a fresh solve would give.  A snapshot
+belongs to one ``LinearProgram`` object: using it with another one, or after
+a variable or constraint was added, raises ``InvariantViolation``; the
+objective may change freely.
+
 Every optimal answer is a vertex: the tight bounds and tight constraint rows
 have full column rank, and ``solve_vertex``/``feasible_vertex`` verify that
-rank certificate before returning.
+rank certificate, together with feasibility, before returning.
 """
 
 from __future__ import annotations
@@ -132,6 +142,8 @@ class _Tableau:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
+        self.shape = (lp.n, len(lp.constraints))
+        self.feasible: Optional[bool] = None  # set by ``phase_one``
         n = lp.n
         self.lb: list[Optional[Fraction]] = [v.lb for v in lp.variables]
         self.ub: list[Optional[Fraction]] = [v.ub for v in lp.variables]
@@ -175,6 +187,20 @@ class _Tableau:
         self.T = rows
         self.live = [True] * self.m
         self.basic_set = set(self.basis)
+
+    def copy(self) -> "_Tableau":
+        """Independent working state; the bounds and the artificial columns,
+        which no pivot changes, are shared."""
+        new = object.__new__(_Tableau)
+        new.__dict__.update(self.__dict__)
+        new.T = [dict(row) for row in self.T]
+        new.beta = list(self.beta)
+        new.x = list(self.x)
+        new.status = list(self.status)
+        new.basis = list(self.basis)
+        new.live = list(self.live)
+        new.basic_set = set(self.basic_set)
+        return new
 
     # -- pivoting ---------------------------------------------------------
 
@@ -431,23 +457,27 @@ def vertex_rank(
     return len(at_bound) + _rank(rest)
 
 
-def _check_feasible(lp: LinearProgram, values: Sequence[Fraction]) -> None:
+def _check_feasible(lp: LinearProgram, values: Sequence[Fraction]) -> frozenset[int]:
+    """Raise unless ``values`` meets every bound and constraint; return the
+    constraints it meets with equality."""
     for j, var in enumerate(lp.variables):
         if not (var.lb <= values[j] <= var.ub):
             raise InvariantViolation(
                 f"solver returned {values[j]} outside [{var.lb},{var.ub}] for {var.name!r}"
             )
+    tight = set()
     for idx, c in enumerate(lp.constraints):
         lhs = sum((v * values[j] for j, v in c.coeffs.items()), ZERO)
-        ok = lhs <= c.rhs if c.rel == "<=" else lhs >= c.rhs if c.rel == ">=" else lhs == c.rhs
-        if not ok:
+        if lhs == c.rhs:
+            tight.add(idx)
+        elif not ((c.rel == "<=" and lhs < c.rhs) or (c.rel == ">=" and lhs > c.rhs)):
             raise InvariantViolation(f"solver violated constraint {idx}: {lhs} {c.rel} {c.rhs}")
+    return frozenset(tight)
 
 
 def _finish(lp: LinearProgram, tab: _Tableau) -> VertexSolution:
     values = tab.solution_values()
-    _check_feasible(lp, values)
-    tight = _tight_constraints(lp, values)
+    tight = _check_feasible(lp, values)
     if vertex_rank(lp, values, tight) != lp.n:
         raise InvariantViolation("optimal point is not a vertex: tight rows rank-deficient")
     obj = sum((v * values[j] for j, v in lp.objective.items()), ZERO)
@@ -459,20 +489,46 @@ def _finish(lp: LinearProgram, tab: _Tableau) -> VertexSolution:
     )
 
 
-def solve_vertex(lp: LinearProgram) -> VertexSolution:
-    """Minimize the objective; any optimal answer is an extreme point."""
+def phase_one(lp: LinearProgram) -> _Tableau:
+    """Run phase 1 once; the returned snapshot's ``feasible`` says whether
+    the polytope is empty.  Pass it as ``start`` to ``solve_vertex`` or
+    ``feasible_vertex`` for any objective on the same, unchanged ``lp``."""
     tab = _Tableau(lp)
-    if not tab.phase1():
+    tab.feasible = tab.phase1()
+    return tab
+
+
+def _after_phase_one(lp: LinearProgram, start: Optional[_Tableau]) -> Optional[_Tableau]:
+    """The feasible tableau phase 2 may pivot (a fresh one, or ``start``
+    itself), or None when the polytope is empty."""
+    if start is None:
+        start = phase_one(lp)
+    elif start.lp is not lp or start.shape != (lp.n, len(lp.constraints)):
+        raise InvariantViolation("phase-1 snapshot belongs to another polytope")
+    return start if start.feasible else None
+
+
+def solve_vertex(lp: LinearProgram, start: Optional[_Tableau] = None) -> VertexSolution:
+    """Minimize the objective; any optimal answer is an extreme point.
+
+    ``start`` is a ``phase_one(lp)`` snapshot; phase 2 runs on a copy of it
+    and the answer equals a fresh solve's.
+    """
+    tab = _after_phase_one(lp, start)
+    if tab is None:
         return VertexSolution(status="infeasible")
+    if start is not None:
+        tab = tab.copy()
     status = tab.phase2(lp.objective)
     if status == "unbounded":
         return VertexSolution(status="unbounded")
     return _finish(lp, tab)
 
 
-def feasible_vertex(lp: LinearProgram) -> VertexSolution:
-    """Any vertex of the feasible region (phase-1 only)."""
-    tab = _Tableau(lp)
-    if not tab.phase1():
+def feasible_vertex(lp: LinearProgram, start: Optional[_Tableau] = None) -> VertexSolution:
+    """Any vertex of the feasible region (phase-1 only); ``start`` as in
+    ``solve_vertex``."""
+    tab = _after_phase_one(lp, start)
+    if tab is None:
         return VertexSolution(status="infeasible")
     return _finish(lp, tab)

@@ -16,7 +16,7 @@ total capacity excess within an explicit cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -27,11 +27,10 @@ from .errors import (
     InvariantViolation,
     RefinementInfeasibleError,
 )
-from .exactlp import LinearProgram, VertexSolution, feasible_vertex, solve_vertex
+from .exactlp import LinearProgram, VertexSolution, feasible_vertex, phase_one, solve_vertex
 from .model import (
     Allocation,
     AgentSpec,
-    Bundle,
     Instance,
     Pair,
     UtilityModel,
@@ -147,26 +146,28 @@ def _group_keys(instance: Instance) -> list[tuple[str, str]]:
 
 
 def _group_optimum(
-    instance: Instance, utilities: UtilityModel, members: frozenset[str]
-) -> tuple[VertexSolution, list[Pair], dict[Pair, int]]:
-    """Vertex maximizing the members' utility over fractional allocations;
-    its objective is minus that maximum."""
-    lp, pairs, col = allocation_polytope(instance)
+    lp: LinearProgram, pairs: list[Pair], col: dict[Pair, int],
+    utilities: UtilityModel, members: frozenset[str], start=None,
+) -> VertexSolution:
+    """Vertex maximizing the members' utility over the allocation polytope
+    ``lp`` (``start`` is its ``phase_one`` snapshot, if any); its objective
+    is minus that maximum."""
     lp.set_objective(
         {col[e]: -utilities.of(*e) for e in pairs if e[0] in members}
     )
-    sol = solve_vertex(lp)
+    sol = solve_vertex(lp, start)
     if not sol.optimal:
         raise InfeasibleInstanceError("no fractional allocation exists")
-    return sol, pairs, col
+    return sol
 
 
 def max_group_utility(
     instance: Instance, utilities: UtilityModel, dim: str, group_id: str
 ) -> Fraction:
     """Exact maximum of one group's utility over fractional allocations."""
-    sol, _, _ = _group_optimum(instance, utilities, instance.group_members(dim, group_id))
-    return -sol.objective
+    lp, pairs, col = allocation_polytope(instance)
+    members = instance.group_members(dim, group_id)
+    return -_group_optimum(lp, pairs, col, utilities, members).objective
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +190,9 @@ def solve_fair_fractional(
     instance = _assignment_instance(instance)
     objective.spot_check()
     lp, pairs, col = allocation_polytope(instance)
-    start = feasible_vertex(lp)
+    # every LP below optimizes over this one polytope: one phase 1 serves all
+    snapshot = phase_one(lp)
+    start = feasible_vertex(lp, snapshot)
     if not start.optimal:
         raise InfeasibleInstanceError("no fractional allocation exists")
 
@@ -201,10 +204,10 @@ def solve_fair_fractional(
         kept = []
         vertices = []
         for key in keys:
-            sol, g_pairs, g_col = _group_optimum(instance, utilities, members[key])
+            sol = _group_optimum(lp, pairs, col, utilities, members[key], snapshot)
             if -sol.objective > 0:
                 kept.append(key)
-                vertices.append([float(sol.value(g_col[e])) for e in g_pairs])
+                vertices.append([float(sol.value(col[e])) for e in pairs])
         if not kept:
             return Allocation({e: start.value(col[e]) for e in pairs})
         x = [sum(vs) / len(vertices) for vs in zip(*vertices)]
@@ -235,7 +238,7 @@ def solve_fair_fractional(
         lp.set_objective(
             {col[e]: -snap(grad[i], 10**9) for i, e in enumerate(pairs) if grad[i]}
         )
-        sol = solve_vertex(lp)
+        sol = solve_vertex(lp, snapshot)
         v = [float(sol.value(col[e])) for e in pairs]
         us_v = group_utils(v)
 
@@ -440,10 +443,14 @@ def check_proportionality(
     groups = instance.groups_in(dim)
     k = len(groups)
     out = {}
+    if not groups:
+        return out
+    lp, pairs, col = allocation_polytope(instance)
+    snapshot = phase_one(lp)
     for g in groups:
-        best = max_group_utility(instance, utilities, dim, g)
-        ustar = utilities.group_max(instance, dim, g)
         mem = instance.group_members(dim, g)
+        best = -_group_optimum(lp, pairs, col, utilities, mem, snapshot).objective
+        ustar = utilities.group_max(instance, dim, g)
         got = sum(
             (utilities.of(*e) * v for e, v in y.values.items() if e[0] in mem), ZERO
         )

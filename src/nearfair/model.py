@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidInstanceError
-from .rationals import ONE, ZERO, rat
+from .rationals import ZERO, rat
 
 # ---------------------------------------------------------------------------
 # Bundles

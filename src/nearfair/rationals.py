@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .errors import SchemaError
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -58,8 +56,3 @@ def snap(x: float, max_denominator: int = 10**6) -> Fraction:
 def ceil_frac(value: Fraction) -> int:
     """Exact ceiling of a rational."""
     return -((-value.numerator) // value.denominator)
-
-
-def floor_frac(value: Fraction) -> int:
-    """Exact floor of a rational."""
-    return value.numerator // value.denominator

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import BudgetError, InvalidInstanceError, InvariantViolation
 from .exactlp import LinearProgram, feasible_vertex
-from .model import Allocation, Bundle, Instance, Pair, UtilityModel
+from .model import Allocation, Instance, Pair, UtilityModel
 from .rationals import ONE, ZERO, ceil_frac, rat_str
 
 # ---------------------------------------------------------------------------

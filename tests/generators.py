@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from nearfair.couples import CouplesInstance
 from nearfair.envyfree import HomogeneousInstance
-from nearfair.exactlp import LinearProgram, feasible_vertex, solve_vertex
+from nearfair.exactlp import LinearProgram, feasible_vertex, phase_one, solve_vertex
 from nearfair.apportionment import MAInstance
 from nearfair.fairness import allocation_polytope
 from nearfair.model import (
@@ -68,14 +68,15 @@ def fractional_allocation(rng: random.Random, inst: Instance) -> Allocation | No
     Returns None when the instance is infeasible.
     """
     lp, pairs, col = allocation_polytope(inst)
-    if feasible_vertex(lp).status != "optimal":
+    snapshot = phase_one(lp)  # shared by the feasibility check and all three objectives
+    if feasible_vertex(lp, snapshot).status != "optimal":
         return None
     points = []
     for _ in range(3):
         lp.set_objective(
             {col[e]: Fraction(rng.randint(-6, 6)) for e in pairs}
         )
-        sol = solve_vertex(lp)
+        sol = solve_vertex(lp, snapshot)
         points.append([sol.value(col[e]) for e in pairs])
     weights = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
     values = {}
@@ -335,6 +336,34 @@ def random_lp(rng: random.Random, max_vars: int = 6) -> LinearProgram:
         rhs = Fraction(rng.randint(-2, 6))
         lp.add_constraint(coeffs, rel, rhs)
     lp.set_objective({j: Fraction(rng.randint(-5, 5)) for j in range(n)})
+    return lp
+
+
+def degenerate_lp(rng: random.Random, max_vars: int = 5) -> LinearProgram:
+    """LP whose rows all pass through one 0/1 point: many bases share that
+    vertex, and some rows repeat, scale or sum earlier ones."""
+    n = rng.randint(2, max_vars)
+    point = [rng.randint(0, 1) for _ in range(n)]
+    lp = LinearProgram()
+    for j in range(n):
+        lp.add_variable(f"x{j}", 0, 1)
+    rows = []
+    for _ in range(rng.randint(2, 2 * n)):
+        kind = rng.choice(("fresh", "fresh", "repeat", "scale", "sum")) if rows else "fresh"
+        if kind == "fresh":
+            coeffs = {j: Fraction(rng.randint(-2, 2)) for j in range(n) if rng.random() < 0.7}
+        elif kind == "repeat":
+            coeffs = dict(rng.choice(rows))
+        elif kind == "scale":
+            f = Fraction(rng.choice((-2, 2, 3)), rng.choice((1, 2)))
+            coeffs = {j: f * v for j, v in rng.choice(rows).items()}
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            coeffs = {j: a.get(j, ZERO) + b.get(j, ZERO) for j in set(a) | set(b)}
+        rows.append(coeffs)
+        rhs = sum((v * point[j] for j, v in coeffs.items()), ZERO)
+        lp.add_constraint(coeffs, rng.choice(("<=", ">=", "=")), rhs)
+    lp.set_objective({j: Fraction(rng.randint(-3, 3)) for j in range(n)})
     return lp
 
 

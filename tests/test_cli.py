@@ -1,7 +1,11 @@
 """CLI surface: schema round-trips, subcommands, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -327,3 +331,30 @@ def test_batch_isolates_failing_file(tmp_path, monkeypatch, capsys):
     assert f"{tmp_path / 'one.json'}: exit 5" in err
     assert f"{tmp_path / 'two.json'}: exit 0" in err
     assert len(calls) == 2
+
+
+def test_pipelines_never_import_scipy(tmp_path):
+    # scipy serves only the float cross-check in the tests
+    script = """
+import sys
+from nearfair.cli import main
+inst = sys.argv[1]
+assert main(["gen", "lowerbound", "--kind", "capacity", "-n", "4", "--out", inst]) == 0
+for objective in ("utilitarian", "proportional"):
+    assert main(["solve", "assignment", "--instance", inst, "--alpha", "3",
+                 "--delta", "6", "--objective", objective]) == 0
+assert main(["apportion", "--csv", sys.argv[2], "--house", "10"]) == 0
+assert "scipy" not in sys.modules, "a pipeline imported scipy"
+"""
+    votes = tmp_path / "votes.csv"
+    votes.write_text("party,d1,d2\nA,30,10\nB,20,40\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "inst.json"), str(votes)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

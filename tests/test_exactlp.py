@@ -6,17 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nearfair.errors import InvariantViolation
 from nearfair.exactlp import (
     LinearProgram,
     _rank,
     eliminate,
     feasible_vertex,
+    phase_one,
     solve_vertex,
     vertex_rank,
 )
 from nearfair.oracle import vertex_enumerate
 
-from generators import random_lp
+from generators import degenerate_lp, random_lp
 
 
 def test_min_over_box():
@@ -224,3 +226,65 @@ def test_vertex_rank_edge_midpoint_is_not_a_vertex():
     assert vertex_rank(lp3, [half, half, 0]) == lp3.n - 1
     assert vertex_rank(lp3, [0, 1, 0]) == lp3.n
 
+
+
+# ---------------------------------------------------------------------------
+# phase-1 snapshots
+# ---------------------------------------------------------------------------
+
+
+def answer(sol):
+    return (sol.status, sol.values, sol.objective, sol.tight_constraints)
+
+
+lp_cases = st.tuples(st.sampled_from([random_lp, degenerate_lp]), st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lp_cases)
+def test_snapshot_matches_fresh_solves(case):
+    build, seed = case
+    rng = random.Random(seed)
+    lp = build(rng)
+    snapshot = phase_one(lp)
+    assert answer(feasible_vertex(lp, snapshot)) == answer(feasible_vertex(lp))
+    objectives = [dict(lp.objective)] + [
+        {j: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(lp.n)}
+        for _ in range(3)
+    ]
+    # A, B, C, D, then A again: no solve may leave a mark on the snapshot
+    for c in objectives + objectives[:1]:
+        lp.set_objective(c)
+        assert answer(solve_vertex(lp, snapshot)) == answer(solve_vertex(lp))
+
+
+def test_snapshot_on_infeasible_lp():
+    lp = LinearProgram()
+    x = lp.add_variable("x")
+    y = lp.add_variable("y")
+    lp.add_constraint({x: 1, y: 1}, ">=", 3)
+    snapshot = phase_one(lp)
+    assert not snapshot.feasible
+    for c in ({x: 1}, {y: -1}):
+        lp.set_objective(c)
+        assert solve_vertex(lp, snapshot).status == "infeasible"
+        assert solve_vertex(lp).status == "infeasible"
+    assert feasible_vertex(lp, snapshot).status == "infeasible"
+
+
+def test_snapshot_rejects_another_polytope():
+    rng = random.Random(5)
+    lp = random_lp(rng)
+    snapshot = phase_one(lp)
+    with pytest.raises(InvariantViolation):
+        solve_vertex(random_lp(random.Random(5)), snapshot)  # equal, not the same
+    lp.add_constraint({0: 1}, "<=", 1)
+    with pytest.raises(InvariantViolation):
+        solve_vertex(lp, snapshot)
+    with pytest.raises(InvariantViolation):
+        feasible_vertex(lp, snapshot)
+    lp2 = random_lp(rng)
+    snapshot2 = phase_one(lp2)
+    lp2.add_variable("extra")
+    with pytest.raises(InvariantViolation):
+        feasible_vertex(lp2, snapshot2)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nearfair.errors import BudgetError, RefinementInfeasibleError
-from nearfair.exactlp import solve_vertex
+from nearfair.exactlp import _Tableau, solve_vertex
 from nearfair.fairness import (
     FairObjective,
     allocation_polytope,
@@ -199,7 +199,39 @@ def test_pipeline_verifies_on_random_instances():
         done += 1
 
 
+def count_phase_one(monkeypatch):
+    calls = []
+    real = _Tableau.phase1
+
+    def counted(self):
+        calls.append(self.lp)
+        return real(self)
+
+    monkeypatch.setattr(_Tableau, "phase1", counted)
+    return calls
+
+
+@pytest.mark.parametrize("objective", ["utilitarian", "proportional"])
+def test_frank_wolfe_runs_one_phase_one(monkeypatch, objective):
+    inst, u = gen_lower_bound_instance("capacity", 6)
+    calls = count_phase_one(monkeypatch)
+    solve_fair_fractional(inst, u, getattr(FairObjective, objective)())
+    assert len(calls) == 1
+
+
 # -- proportionality -----------------------------------------------------------
+
+
+def test_check_proportionality_shares_one_phase_one(monkeypatch):
+    inst, u = gen_lower_bound_instance("utility-cycle", 6)
+    y = Allocation({(f"a{i}", Bundle.of({f"r{2 * i - 1}": 1})): 1 for i in range(1, 4)})
+    best = {g: max_group_utility(inst, u, "group", g) for g in ("g1", "g2")}
+    calls = count_phase_one(monkeypatch)
+    out = check_proportionality(inst, u, y, 0)
+    assert len(calls) == 1
+    # g1 holds three odd resources, the most it can get; g2 holds nothing
+    assert out["g1"] == (True, 3 - best["g1"] / 2)
+    assert out["g2"] == (False, -best["g2"] / 2)
 
 
 def test_check_proportionality_single_group():
