@@ -22,11 +22,9 @@ from .model import (
     Allocation,
     Bundle,
     Instance,
-    Support,
     UtilityModel,
     enumerate_bundles,
     group_utility,
-    incidence,
     pair_universe,
 )
 from .exactlp import LinearProgram, VertexSolution, feasible_vertex, solve_vertex
@@ -58,7 +56,6 @@ from .envyfree import (
 from .couples import (
     BlockReport,
     CouplesInstance,
-    dominating_vertex_small,
     fair_stable_allocation,
     lp_stable_polytope,
     realized_capacities,

@@ -14,7 +14,6 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from . import apportionment as app
 from . import couples as cpl
@@ -284,33 +283,21 @@ def cmd_budget(args) -> int:
     passed = True
     if args.assignment or args.envyfree is not None or args.couples:
         if args.assignment:
-            total = sum(Fraction(1, a + 1) for a in args.alpha)
-            total += Fraction(args.omega, args.delta + 2)
-            slack = Fraction(1, 2) - total
+            slack = fair.assignment_slack(args.alpha, args.delta, args.omega)
             doc["condition"] = "sum 1/(alpha+1) + omega*/(delta+2) <= 1/2"
         elif args.couples:
-            total = sum(Fraction(1, a + 1) for a in args.alpha)
-            total += Fraction(2, args.delta + 2)
-            slack = Fraction(1, 2) - total
+            slack = cpl.couples_slack(args.alpha, args.delta)
             doc["condition"] = "sum 1/(alpha+1) + 2/(delta+2) <= 1/2"
         else:
-            ks = args.envyfree
-            if len(ks) != len(args.alpha):
+            if len(args.envyfree) != len(args.alpha):
                 raise SchemaError("--envyfree needs one group count per alpha entry")
-            total = sum(
-                Fraction(2 * (k - 1), a + 1) for k, a in zip(ks, args.alpha)
-            )
-            total += Fraction(args.omega, args.delta + 1)
-            slack = Fraction(1, 2) - total
+            slack = ef.ef_slack(args.envyfree, args.alpha, args.delta, args.omega)
             doc["condition"] = "sum 2(k-1)/(alpha+1) + omega*/(delta+1) <= 1/2"
         doc["slack"] = rat_str(slack)
         passed = slack >= 0
         if args.assignment and args.agents and args.resources:
-            k_total = sum(args.groups or ())
-            w = args.omega
-            doc["delta_plus"] = min(
-                (w - 1) * args.agents + w * args.resources + (w + 1) * k_total,
-                args.delta * args.resources,
+            doc["delta_plus"] = fair.delta_plus(
+                args.omega, args.agents, args.resources, sum(args.groups or ()), args.delta
             )
     else:
         psi = args.psi if args.psi is not None else 1

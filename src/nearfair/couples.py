@@ -251,26 +251,21 @@ def dominating_vertices(ci: CouplesInstance) -> Iterator[Allocation]:
             yield x
 
 
-def dominating_vertex_small(ci: CouplesInstance) -> Allocation:
-    """First vertex (in canonical vertex order) all of whose roundings are
-    stable.  Exhaustive over vertices; absence is reported, not retried."""
-    for x in dominating_vertices(ci):
-        return x
-    raise NoDominatingVertexError(
-        "no vertex of the stable polytope passed the all-roundings-stable test"
-    )
-
-
 # ---------------------------------------------------------------------------
 # fair + stable pipeline
 # ---------------------------------------------------------------------------
 
 
-def couples_condition(ci: CouplesInstance, alpha: tuple[int, ...], delta: int) -> Fraction:
+def couples_slack(alpha: Sequence[int], delta: int) -> Fraction:
     """Slack of  sum_l 1/(alpha_l+1) + 2/(delta+2) <= 1/2."""
     total = sum((Fraction(1, a + 1) for a in alpha), ZERO)
     total += Fraction(2, delta + 2)
     return Fraction(1, 2) - total
+
+
+def couples_condition(ci: CouplesInstance, alpha: tuple[int, ...], delta: int) -> Fraction:
+    """``couples_slack``; the condition does not depend on the market."""
+    return couples_slack(alpha, delta)
 
 
 @dataclass

@@ -4,23 +4,23 @@ All agents share one demand and agents inside a group share one utility
 function, so between-group envy can be measured by scaling a group's utility
 for another group's allocation by the size ratio.  A fractional envy-free
 allocation is built by an exact event-driven greedy process (every
-unsaturated agent eats its favorite still-available bundle at unit rate);
-rounding then follows the iterative scheme, except that active groups are
-protected by pairwise no-new-envy inequalities instead of utility-equality
-rows and the total-conservation row is never imposed.  Admissible budgets
-satisfy
+unsaturated agent eats its favorite still-available bundle at unit rate).
+Rounding is the one iterative rounder of ``rounding``, given a different row
+family: active groups are protected by pairwise no-new-envy inequalities
+that stay equalities once tight, instead of utility-equality rows, and the
+total-conservation row is never imposed.  Admissible budgets satisfy
 
     sum_l 2(k_l - 1)/(alpha_l + 1) + omega*/(delta + 1) <= 1/2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import BudgetError, InvalidInstanceError, InvariantViolation
-from .exactlp import LinearProgram, feasible_vertex
+from .exactlp import feasible_vertex
 from .model import (
     Allocation,
     Bundle,
@@ -29,7 +29,8 @@ from .model import (
     UtilityModel,
     enumerate_bundles,
 )
-from .rationals import ONE, ZERO
+from .rationals import ZERO
+from .rounding import GroupRows, IterationState, _dump, _round_loop
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,6 @@ class HomogeneousInstance:
 class GreedyTrace:
     events: list[tuple[Fraction, str, str]] = field(default_factory=list)
     agent_times: dict[str, Fraction] = field(default_factory=dict)
-    bundle_times: dict[Bundle, Fraction] = field(default_factory=dict)
 
 
 def greedy_fractional_ef(h: HomogeneousInstance) -> tuple[Allocation, GreedyTrace]:
@@ -169,13 +169,6 @@ def greedy_fractional_ef(h: HomogeneousInstance) -> tuple[Allocation, GreedyTrac
 
     for a in inst.agents:
         trace.agent_times.setdefault(a.id, now)
-        for q in bundles[a.id]:
-            if q not in trace.bundle_times:
-                hit = [
-                    t for t, kind, ident in trace.events
-                    if kind == "resource" and q.multiplicity(ident) >= 1
-                ]
-                trace.bundle_times[q] = min(hit) if hit else now
     alloc = Allocation(x)
     overfull = [
         r for r, c in inst.resources if alloc.resource_usage(r) > c
@@ -226,19 +219,86 @@ def check_fractional_ef(
 # ---------------------------------------------------------------------------
 
 
-def ef_condition(h: HomogeneousInstance, alpha: tuple[int, ...], delta: int) -> Fraction:
+def ef_slack(
+    group_counts: Sequence[int], alpha: Sequence[int], delta: int, omega_star: int
+) -> Fraction:
     """Slack of  sum_l 2(k_l-1)/(alpha_l+1) + omega*/(delta+1) <= 1/2."""
-    inst = h.instance
-    total = ZERO
-    for li, dim in enumerate(inst.dimensions):
-        k = inst.group_count(dim)
-        total += Fraction(2 * (k - 1), alpha[li] + 1)
-    total += Fraction(h.omega_star, delta + 1)
+    total = sum(
+        (Fraction(2 * (k - 1), alpha[li] + 1) for li, k in enumerate(group_counts)), ZERO
+    )
+    total += Fraction(omega_star, delta + 1)
     return Fraction(1, 2) - total
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+def ef_condition(h: HomogeneousInstance, alpha: tuple[int, ...], delta: int) -> Fraction:
+    """``ef_slack`` at the instance's group counts and max demand."""
+    inst = h.instance
+    counts = [inst.group_count(dim) for dim in inst.dimensions]
+    return ef_slack(counts, alpha, delta, h.omega_star)
+
+
+def _envy_rows(h: HomogeneousInstance) -> GroupRows:
+    """For an active group i and every other group j of its dimension, two
+    keyed rows: i keeps no scaled envy toward j, and j none toward i."""
+    inst = h.instance
+
+    def envy_row(members, dim, i, j, F, x_cur):
+        ratio = Fraction(len(members[(dim, i)]), len(members[(dim, j)]))
+        coeffs: dict[Pair, Fraction] = {}
+        rhs = ZERO
+        for e in F:
+            a, q = e
+            u = h.group_utility_of(dim, i, q)
+            if a in members[(dim, i)]:
+                coeffs[e] = u
+            elif a in members[(dim, j)]:
+                coeffs[e] = -ratio * u
+        for e, v in x_cur.items():
+            if v != 1:
+                continue
+            a, q = e
+            u = h.group_utility_of(dim, i, q)
+            if a in members[(dim, i)]:
+                rhs -= u
+            elif a in members[(dim, j)]:
+                rhs += ratio * u
+        return coeffs, rhs
+
+    def rows(members, key, F, x_cur):
+        dim, i = key
+        out = []
+        for j in inst.groups_in(dim):
+            if j == i:
+                continue
+            for side, (gi, gj) in (("fwd", (i, j)), ("rev", (j, i))):
+                coeffs, rhs = envy_row(members, dim, gi, gj, F, x_cur)
+                out.append(((dim, i, j, side), coeffs, rhs))
+        return out
+
+    return rows
+
+
+def _counting_bound(
+    h: HomogeneousInstance, alpha: tuple[int, ...], delta: int
+) -> Callable[[IterationState, list[Pair]], None]:
+    """sum_l 2(k_l-1) floor(z/(alpha_l+1)) + floor(omega* z/(delta+1))
+    <= ceil(z/2) for z = |F| fractional entries."""
+    inst = h.instance
+
+    def check(state: IterationState, F: list[Pair]) -> None:
+        z = state.fractional
+        if not z:
+            return
+        lhs = sum(
+            2 * (inst.group_count(dim) - 1) * (z // (alpha[li] + 1))
+            for li, dim in enumerate(inst.dimensions)
+        ) + (h.omega_star * z) // (delta + 1)
+        if lhs > -(-z // 2):
+            raise InvariantViolation(
+                _dump("counting bound violated", state.t, F, f"{lhs} > ceil({z}/2)")
+            )
+
+    return check
 
 
 def ef_round(
@@ -252,10 +312,11 @@ def ef_round(
 
     Active groups get, for each other group in the dimension, both pairwise
     inequalities (the group does not envy, the group is not envied), written
-    over the already-fixed integer entries plus the LP variables.  The
-    total-conservation row is never imposed.  A pairwise row that becomes
-    tight stays an equality while its group remains active, which preserves
-    the one-way progress of the plain rounder.
+    over the already-fixed integer entries plus the LP variables; a pairwise
+    row that becomes tight stays an equality.  Otherwise this is the
+    iterative rounder of ``rounding``, without the total-conservation row.
+    Agents may start below one bundle, as the greedy stage can leave them,
+    but never above.
     """
     inst = h.instance
     if len(alpha) != len(inst.dimensions):
@@ -266,160 +327,21 @@ def ef_round(
         raise BudgetError(
             "condition sum 2(k_l-1)/(alpha_l+1) + omega*/(delta+1) <= 1/2 fails"
         )
-    problems = x.check_allocation(inst, capacities=True)
-    problems = [p for p in problems if "totals" not in p or "binding" not in p]
+    problems = x.check_allocation(replace(inst, binding=frozenset()), capacities=True)
     if problems:
         raise InvalidInstanceError("bad input allocation: " + "; ".join(problems))
 
-    dims = list(inst.dimensions)
-    dim_index = {dim: i for i, dim in enumerate(dims)}
-    group_keys = [(dim, g) for dim in dims for g in inst.groups_in(dim)]
-    members = {key: inst.group_members(*key) for key in group_keys}
-
-    x_cur: dict[Pair, Fraction] = dict(x.values)
-    sticky: set[tuple[str, str, str, str]] = set()  # (dim, i, j, side)
-    t = 0
-    max_iterations = 3 * len(x_cur) + len(inst.agents) + len(inst.resources) + 40
-    prev_measure = None
-
-    def envy_row(dim, i, j, F, col):
-        """LHS coefficients and RHS for: group i keeps no scaled envy toward j,
-        measured with i's utilities over frozen + variable entries."""
-        ratio = Fraction(len(members[(dim, i)]), len(members[(dim, j)]))
-        coeffs: dict[int, Fraction] = {}
-        rhs = ZERO
-        for e in F:
-            a, q = e
-            u = h.group_utility_of(dim, i, q)
-            if a in members[(dim, i)]:
-                coeffs[col[e]] = coeffs.get(col[e], ZERO) + u
-            elif a in members[(dim, j)]:
-                coeffs[col[e]] = coeffs.get(col[e], ZERO) - ratio * u
-        for e, v in x_cur.items():
-            if v != 1:
-                continue
-            a, q = e
-            u = h.group_utility_of(dim, i, q)
-            if a in members[(dim, i)]:
-                rhs -= u
-            elif a in members[(dim, j)]:
-                rhs += ratio * u
-        return coeffs, rhs
-
-    while True:
-        F = sorted(e for e, v in x_cur.items() if 0 < v < 1)
-        z = len(F)
-        frac_sum: dict[str, Fraction] = {}
-        for a, q in F:
-            frac_sum[a] = frac_sum.get(a, ZERO) + x_cur[(a, q)]
-        agents_F = sorted(frac_sum)
-        tilde_A = [a for a in agents_F if frac_sum[a] == 1]
-        active_groups = []
-        for key in group_keys:
-            li = dim_index[key[0]]
-            incident = sum(1 for e in F if e[0] in members[key])
-            if incident >= alpha[li] + 1:
-                active_groups.append(key)
-        tilde_R = []
-        for r, _ in inst.resources:
-            load = sum(q.multiplicity(r) for _, q in F)
-            if load >= delta + 1:
-                tilde_R.append(r)
-
-        if z:
-            lhs = sum(
-                2 * (inst.group_count(dim) - 1) * (z // (alpha[dim_index[dim]] + 1))
-                for dim in dims
-            ) + (h.omega_star * z) // (delta + 1)
-            if lhs > _ceil_div(z, 2):
-                raise InvariantViolation(
-                    f"counting bound violated at iteration {t}: {lhs} > ceil({z}/2)"
-                )
-
-        if not tilde_A and not active_groups and not tilde_R:
-            break
-        if t >= max_iterations:
-            raise InvariantViolation("envy-aware rounder failed to terminate")
-
-        lp = LinearProgram()
-        col = {e: lp.add_variable(f"y[{e[0]},{e[1]}]") for e in F}
-        for a in agents_F:
-            coeffs = {col[e]: ONE for e in F if e[0] == a}
-            lp.add_constraint(coeffs, "=" if a in tilde_A else "<=", ONE)
-        for r in tilde_R:
-            coeffs = {}
-            rhs = ZERO
-            for e in F:
-                m = e[1].multiplicity(r)
-                if m:
-                    coeffs[col[e]] = Fraction(m)
-                    rhs += m * x_cur[e]
-            lp.add_constraint(coeffs, "=", rhs)
-        row_of: dict[tuple[str, str, str, str], tuple[dict, Fraction]] = {}
-        for dim, i in active_groups:
-            for j in inst.groups_in(dim):
-                if j == i:
-                    continue
-                for side, (gi, gj) in (("fwd", (i, j)), ("rev", (j, i))):
-                    coeffs, rhs = envy_row(dim, gi, gj, F, col)
-                    key = (dim, i, j, side)
-                    rel = "=" if key in sticky else ">="
-                    lp.add_constraint(coeffs, rel, rhs)
-                    row_of[key] = (coeffs, rhs)
-
-        sol = feasible_vertex(lp)
-        if not sol.optimal:
-            raise InvariantViolation(
-                f"per-iteration LP infeasible at t={t}; the current point satisfies it"
-            )
-        for e in F:
-            v = sol.value(col[e])
-            if v == 0:
-                del x_cur[e]
-            else:
-                x_cur[e] = v
-        newly_sticky = 0
-        for key, (coeffs, rhs) in row_of.items():
-            if key in sticky:
-                continue
-            lhs_val = sum((v * sol.value(j) for j, v in coeffs.items()), ZERO)
-            if lhs_val == rhs:
-                sticky.add(key)
-                newly_sticky += 1
-
-        new_F = sorted(e for e, v in x_cur.items() if 0 < v < 1)
-        new_sums: dict[str, Fraction] = {}
-        for a, q in new_F:
-            new_sums[a] = new_sums.get(a, ZERO) + x_cur[(a, q)]
-        new_outside = sum(1 for a in new_sums if new_sums[a] != 1)
-        measure = (len(new_F), new_outside, -len(sticky))
-        if prev_measure is not None and measure >= prev_measure and not newly_sticky:
-            raise InvariantViolation(
-                f"envy-aware rounder made no progress at iteration {t}"
-            )
-        prev_measure = measure
-        t += 1
-
-    # terminal: per agent round the largest fractional entry up, rest down
-    F = sorted(e for e, v in x_cur.items() if 0 < v < 1)
-    by_agent: dict[str, list[Pair]] = {}
-    for e in F:
-        by_agent.setdefault(e[0], []).append(e)
-    for a, pairs in by_agent.items():
-        best = max(x_cur[e] for e in pairs)
-        up = next(e for e in pairs if x_cur[e] == best)
-        for e in pairs:
-            if e == up:
-                x_cur[e] = ONE
-            else:
-                del x_cur[e]
-    y = Allocation(x_cur)
-    for e, v in x.values.items():
-        if v == 1 and y.value(*e) != 1:
-            raise InvariantViolation(f"rounding lost a unit entry at {e}")
-    for e in y.values:
-        if e not in x.values:
-            raise InvariantViolation(f"rounding invented an entry at {e}")
+    y, _trace = _round_loop(
+        inst,
+        x,
+        alpha,
+        delta,
+        None,
+        group_rows=_envy_rows(h),
+        check=_counting_bound(h, alpha, delta),
+        cap_slack=40,
+        solve=feasible_vertex,
+    )
     return y
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     BudgetError,
@@ -321,23 +321,32 @@ def refine_to_vertex(
 # ---------------------------------------------------------------------------
 
 
-def delta_plus_bound(instance: Instance, delta: int) -> int:
-    """Cap on the total capacity excess of the rounded assignment."""
-    w = instance.omega_star
-    n_agents = len(instance.agents)
-    n_resources = len(instance.resources)
-    k_total = sum(instance.group_count(dim) for dim in instance.dimensions)
+def delta_plus(w: int, n_agents: int, n_resources: int, k_total: int, delta: int) -> int:
+    """Cap on the total capacity excess for max demand w and k_total groups."""
     return min(
         (w - 1) * n_agents + w * n_resources + (w + 1) * k_total,
         delta * n_resources,
     )
 
 
-def fairness_condition(instance: Instance, alpha: tuple[int, ...], delta: int) -> Fraction:
+def delta_plus_bound(instance: Instance, delta: int) -> int:
+    """Cap on the total capacity excess of the rounded assignment."""
+    k_total = sum(instance.group_count(dim) for dim in instance.dimensions)
+    return delta_plus(
+        instance.omega_star, len(instance.agents), len(instance.resources), k_total, delta
+    )
+
+
+def assignment_slack(alpha: Sequence[int], delta: int, omega_star: int) -> Fraction:
     """Slack of  sum_l 1/(alpha_l+1) + omega*/(delta+2) <= 1/2."""
     total = sum((Fraction(1, a + 1) for a in alpha), ZERO)
-    total += Fraction(instance.omega_star, delta + 2)
+    total += Fraction(omega_star, delta + 2)
     return Fraction(1, 2) - total
+
+
+def fairness_condition(instance: Instance, alpha: tuple[int, ...], delta: int) -> Fraction:
+    """``assignment_slack`` at the instance's max demand."""
+    return assignment_slack(alpha, delta, instance.omega_star)
 
 
 @dataclass

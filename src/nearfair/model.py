@@ -345,75 +345,6 @@ class Allocation:
 
 
 # ---------------------------------------------------------------------------
-# Incidence views over a support
-# ---------------------------------------------------------------------------
-
-
-class Support:
-    """Incidence structure over a set of (agent, bundle) pairs.
-
-    The pairs play the role of hyperedges touching one agent, the groups the
-    agent belongs to, and all resources in the bundle.
-    """
-
-    def __init__(self, pairs: Iterable[Pair], instance: Instance):
-        self.pairs: tuple[Pair, ...] = tuple(pairs)
-        self.instance = instance
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def of_agent(self, agent_id: str) -> list[Pair]:
-        return [e for e in self.pairs if e[0] == agent_id]
-
-    def of_group(self, dim: str, group_id: str) -> list[Pair]:
-        members = self.instance.group_members(dim, group_id)
-        return [e for e in self.pairs if e[0] in members]
-
-    def of_resource(self, resource: str) -> list[Pair]:
-        return [e for e in self.pairs if e[1].multiplicity(resource) >= 1]
-
-    def agents(self) -> tuple[str, ...]:
-        seen = []
-        for a, _ in self.pairs:
-            if a not in seen:
-                seen.append(a)
-        return tuple(seen)
-
-    def resources(self) -> tuple[str, ...]:
-        out = []
-        for _, q in self.pairs:
-            for r in q.resources():
-                if r not in out:
-                    out.append(r)
-        return tuple(out)
-
-    def groups(self, dim: str) -> tuple[str, ...]:
-        out = []
-        for a, _ in self.pairs:
-            g = self.instance.agent(a).groups.get(dim)
-            if g is not None and g not in out:
-                out.append(g)
-        return tuple(out)
-
-
-def incidence(support: Support, key) -> list[Pair]:
-    """Dispatch on key kind: agent id, (dimension, group) pair, resource id."""
-    inst = support.instance
-    if isinstance(key, tuple) and len(key) == 2 and key[0] in inst.dimensions:
-        dim, gid = key
-        if gid not in inst.groups_in(dim):
-            raise KeyError(f"unknown group {gid!r} in dimension {dim!r}")
-        return support.of_group(dim, gid)
-    if isinstance(key, str):
-        if key in inst._agent_by_id:
-            return support.of_agent(key)
-        if key in inst._capacity:
-            return support.of_resource(key)
-    raise KeyError(f"unknown incidence key {key!r}")
-
-
-# ---------------------------------------------------------------------------
 # Utilities
 # ---------------------------------------------------------------------------
 

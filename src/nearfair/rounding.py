@@ -14,16 +14,21 @@ entries, until no constraint is needed any more; the remaining entries are
 rounded directly.  Each iteration either fixes a variable at 0/1 or turns an
 agent inequality into an equality, so the procedure terminates, and the
 final mapping deviates from the input strictly less than each budget entry.
+
+The loop is written once, in ``_round_loop``, and takes the rows that
+protect an active group as a parameter: ``iterative_round`` keeps each
+group's utility fixed, ``envyfree.ef_round`` keeps pairwise envy from
+growing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from .errors import BudgetError, InvalidInstanceError, InvariantViolation
-from .exactlp import LinearProgram, feasible_vertex
+from .exactlp import LinearProgram, VertexSolution, feasible_vertex
 from .model import Allocation, Instance, Pair, UtilityModel
 from .rationals import ONE, ZERO, ceil_frac, rat_str
 
@@ -261,6 +266,204 @@ def _dump(tag: str, t: int, F: Sequence[Pair], detail: str) -> str:
     return f"{tag} at iteration {t}: {detail}; fractional support [{pairs}]{more}"
 
 
+# A group-row family: rows(members, group, F, x_cur) lists the rows that
+# protect one active group as (key, coefficients over F, rhs).  A row without
+# a key is an equality.  A keyed row is ">=" until a vertex makes it tight,
+# and an equality ("sticky") from then on.
+GroupRows = Callable[..., list[tuple[Optional[Hashable], dict[Pair, Fraction], Fraction]]]
+
+
+def _round_loop(
+    instance: Instance,
+    x: Allocation,
+    alpha: Sequence[int],
+    delta: int,
+    Delta: Optional[int],
+    *,
+    group_rows: GroupRows,
+    check: Callable[[IterationState, list[Pair]], None],
+    cap_slack: int,
+    solve: Callable[[LinearProgram], VertexSolution],
+) -> tuple[Allocation, list[IterationState]]:
+    """The iterative rounder shared by every pipeline.
+
+    Each iteration pins down the agents whose fractional entries sum to one,
+    the groups with at least alpha_l + 1 fractional entries (through
+    ``group_rows``), the resources with a fractional load of at least
+    delta + 1 and, unless ``Delta`` is None, the demand-weighted total once
+    Delta + 1 agents are left below one; ``solve`` returns a vertex of those
+    rows.  ``check`` is the family's counting bound on each iteration's
+    state, and the measure (|F|, agents left below one, -|sticky rows|) must
+    strictly decrease.  Returns the rounded mapping and one state per
+    iteration, the last being the one that needed no row.
+    """
+    dims = list(instance.dimensions)
+    group_keys = [(dim, g) for dim in dims for g in instance.groups_in(dim)]
+    members = {key: instance.group_members(*key) for key in group_keys}
+    dim_index = {dim: i for i, dim in enumerate(dims)}
+    demand = {a.id: a.demand for a in instance.agents}
+
+    x_cur: dict[Pair, Fraction] = dict(x.values)
+    sticky: set[Hashable] = set()
+    trace: list[IterationState] = []
+    prev_measure: Optional[tuple[int, int, int]] = None
+    t = 0
+    max_iterations = (
+        3 * len(x_cur) + len(instance.agents) + len(instance.resources) + cap_slack
+    )
+
+    while True:
+        F = _fractional_support(x_cur)
+        frac_sum: dict[str, Fraction] = {}
+        for a, q in F:
+            frac_sum[a] = frac_sum.get(a, ZERO) + x_cur[(a, q)]
+        agents_F = sorted(frac_sum)
+        tilde_A = [a for a in agents_F if frac_sum[a] == 1]
+        tilde_G = []
+        for key in group_keys:
+            li = dim_index[key[0]]
+            incident = [e for e in F if e[0] in members[key]]
+            if len(incident) >= alpha[li] + 1:
+                tilde_G.append(key)
+        tilde_R = []
+        for r, _ in instance.resources:
+            load = sum(q.multiplicity(r) for _, q in F)
+            if load >= delta + 1:
+                tilde_R.append(r)
+        outside = len(agents_F) - len(tilde_A)
+        chi = 1 if Delta is not None and outside >= Delta + 1 else 0
+
+        state = IterationState(
+            t=t,
+            fractional=len(F),
+            constraints=len(tilde_A) + len(tilde_G) + len(tilde_R) + chi,
+            active_agents=len(tilde_A),
+            active_groups=len(tilde_G),
+            active_resources=len(tilde_R),
+            chi=chi,
+            weighted_mass=sum((demand[a] * v for (a, _), v in x_cur.items()), ZERO),
+        )
+        check(state, F)
+        trace.append(state)
+        if not tilde_A and not tilde_G and not tilde_R and chi == 0:
+            break
+        if t >= max_iterations:
+            raise InvariantViolation(
+                _dump("iteration cap hit", t, F, "rounder failed to make progress")
+            )
+
+        measure = (len(F), outside, -len(sticky))
+        if prev_measure is not None and measure >= prev_measure:
+            raise InvariantViolation(
+                _dump(
+                    "no progress",
+                    t,
+                    F,
+                    f"measure {measure} did not lexicographically decrease "
+                    f"from {prev_measure}",
+                )
+            )
+        prev_measure = measure
+
+        lp = LinearProgram()
+        col = {e: lp.add_variable(f"y[{e[0]},{e[1]}]") for e in F}
+        for a in agents_F:
+            coeffs = {col[e]: ONE for e in F if e[0] == a}
+            lp.add_constraint(coeffs, "=" if a in tilde_A else "<=", ONE)
+        loose: list[tuple[Hashable, dict[int, Fraction], Fraction]] = []
+        for key in tilde_G:
+            for row_key, by_pair, rhs in group_rows(members, key, F, x_cur):
+                coeffs = {col[e]: c for e, c in by_pair.items()}
+                if row_key is None or row_key in sticky:
+                    lp.add_constraint(coeffs, "=", rhs)
+                else:
+                    lp.add_constraint(coeffs, ">=", rhs)
+                    loose.append((row_key, coeffs, rhs))
+        for r in tilde_R:
+            coeffs = {}
+            rhs = ZERO
+            for e in F:
+                m = e[1].multiplicity(r)
+                if m:
+                    coeffs[col[e]] = Fraction(m)
+                    rhs += m * x_cur[e]
+            lp.add_constraint(coeffs, "=", rhs)
+        if chi:
+            coeffs = {col[e]: Fraction(demand[e[0]]) for e in F}
+            rhs = sum((demand[e[0]] * x_cur[e] for e in F), ZERO)
+            lp.add_constraint(coeffs, "=", rhs)
+
+        solution = solve(lp)
+        if not solution.optimal:
+            raise InvariantViolation(
+                _dump("per-iteration LP infeasible", t, F, "current point is feasible")
+            )
+        for row_key, coeffs, rhs in loose:
+            if sum((c * solution.value(j) for j, c in coeffs.items()), ZERO) == rhs:
+                sticky.add(row_key)
+        for e in F:
+            v = solution.value(col[e])
+            if v == 0:
+                del x_cur[e]
+            else:
+                x_cur[e] = v
+        t += 1
+
+    # terminal rounding: per agent round the largest fractional entry up
+    # (first in bundle order among ties), everything else down
+    by_agent: dict[str, list[Pair]] = {}
+    for e in _fractional_support(x_cur):
+        by_agent.setdefault(e[0], []).append(e)
+    for a, pairs in by_agent.items():
+        best = max(x_cur[e] for e in pairs)
+        up = next(e for e in pairs if x_cur[e] == best)
+        for e in pairs:
+            if e == up:
+                x_cur[e] = ONE
+            else:
+                del x_cur[e]
+
+    y = Allocation(x_cur)
+    for e, v in x.values.items():
+        if v == 1 and y.value(*e) != 1:
+            raise InvariantViolation(f"rounding lost a unit entry at {e}")
+    for e in y.values:
+        if e not in x.values:
+            raise InvariantViolation(f"rounding invented an entry at {e}")
+    return y, trace
+
+
+def _utility_rows(utilities: UtilityModel) -> GroupRows:
+    """One equality row per active group: its utility stays where it is."""
+
+    def rows(members, key, F, x_cur):
+        coeffs = {}
+        rhs = ZERO
+        for e in F:
+            if e[0] in members[key]:
+                u = utilities.of(*e)
+                coeffs[e] = u
+                rhs += u * x_cur[e]
+        return [(None, coeffs, rhs)]
+
+    return rows
+
+
+def _constraint_count(state: IterationState, F: list[Pair]) -> None:
+    """The rows never outnumber the fractional entries: C <= |F|."""
+    if state.constraints > state.fractional:
+        raise InvariantViolation(
+            _dump(
+                "constraint-count bound violated",
+                state.t,
+                F,
+                f"C={state.constraints} > |F|={state.fractional} "
+                f"(agents {state.active_agents}, groups {state.active_groups}, "
+                f"resources {state.active_resources}, chi {state.chi})",
+            )
+        )
+
+
 def iterative_round(
     instance: Instance,
     x: Allocation,
@@ -280,168 +483,22 @@ def iterative_round(
         )
     _validate_budget(instance, x, budget)
 
-    dims = list(instance.dimensions)
-    group_keys = [(dim, g) for dim in dims for g in instance.groups_in(dim)]
-    members = {key: instance.group_members(*key) for key in group_keys}
-    dim_index = {dim: i for i, dim in enumerate(dims)}
-    demand = {a.id: a.demand for a in instance.agents}
-
-    x_cur: dict[Pair, Fraction] = dict(x.values)
-    trace: list[IterationState] = []
-    prev_measure: Optional[tuple[int, int]] = None
-    t = 0
-    max_iterations = 3 * len(x_cur) + len(instance.agents) + len(instance.resources) + 10
-
-    while True:
-        F = _fractional_support(x_cur)
-        frac_sum: dict[str, Fraction] = {}
-        for a, q in F:
-            frac_sum[a] = frac_sum.get(a, ZERO) + x_cur[(a, q)]
-        agents_F = sorted(frac_sum)
-        tilde_A = [a for a in agents_F if frac_sum[a] == 1]
-        tilde_G = []
-        for key in group_keys:
-            li = dim_index[key[0]]
-            incident = [e for e in F if e[0] in members[key]]
-            if len(incident) >= budget.alpha[li] + 1:
-                tilde_G.append(key)
-        tilde_R = []
-        for r, _ in instance.resources:
-            load = sum(q.multiplicity(r) for _, q in F)
-            if load >= budget.delta + 1:
-                tilde_R.append(r)
-        outside = len(agents_F) - len(tilde_A)
-        chi = 1 if budget.Delta is not None and outside >= budget.Delta + 1 else 0
-
-        C = len(tilde_A) + len(tilde_G) + len(tilde_R) + chi
-        if C > len(F):
-            raise InvariantViolation(
-                _dump(
-                    "constraint-count bound violated",
-                    t,
-                    F,
-                    f"C={C} > |F|={len(F)} "
-                    f"(agents {len(tilde_A)}, groups {len(tilde_G)}, "
-                    f"resources {len(tilde_R)}, chi {chi})",
-                )
-            )
-        mass = sum((demand[a] * v for (a, _), v in x_cur.items()), ZERO)
-        trace.append(
-            IterationState(
-                t=t,
-                fractional=len(F),
-                constraints=C,
-                active_agents=len(tilde_A),
-                active_groups=len(tilde_G),
-                active_resources=len(tilde_R),
-                chi=chi,
-                weighted_mass=mass,
-            )
-        )
-        if not tilde_A and not tilde_G and not tilde_R and chi == 0:
-            break
-        if t >= max_iterations:
-            raise InvariantViolation(
-                _dump("iteration cap hit", t, F, "rounder failed to make progress")
-            )
-
-        measure = (len(F), outside)
-        if prev_measure is not None and measure >= prev_measure:
-            raise InvariantViolation(
-                _dump(
-                    "no progress",
-                    t,
-                    F,
-                    f"measure {measure} did not lexicographically decrease "
-                    f"from {prev_measure}",
-                )
-            )
-        prev_measure = measure
-
-        lp = LinearProgram()
-        col = {e: lp.add_variable(f"y[{e[0]},{e[1]}]") for e in F}
-        for a in agents_F:
-            coeffs = {col[e]: ONE for e in F if e[0] == a}
-            lp.add_constraint(coeffs, "=" if a in tilde_A else "<=", ONE)
-        for key in tilde_G:
-            coeffs = {}
-            rhs = ZERO
-            for e in F:
-                if e[0] in members[key]:
-                    u = utilities.of(*e)
-                    coeffs[col[e]] = u
-                    rhs += u * x_cur[e]
-            lp.add_constraint(coeffs, "=", rhs)
-        for r in tilde_R:
-            coeffs = {}
-            rhs = ZERO
-            for e in F:
-                m = e[1].multiplicity(r)
-                if m:
-                    coeffs[col[e]] = Fraction(m)
-                    rhs += m * x_cur[e]
-            lp.add_constraint(coeffs, "=", rhs)
-        if chi:
-            coeffs = {col[e]: Fraction(demand[e[0]]) for e in F}
-            rhs = sum((demand[e[0]] * x_cur[e] for e in F), ZERO)
-            lp.add_constraint(coeffs, "=", rhs)
-
-        solution = feasible_vertex(lp)
-        if not solution.optimal:
-            raise InvariantViolation(
-                _dump("per-iteration LP infeasible", t, F, "current point is feasible")
-            )
-        for e in F:
-            v = solution.value(col[e])
-            if v == 0:
-                del x_cur[e]
-            else:
-                x_cur[e] = v
-        t += 1
-
-    # terminal rounding: per agent round the largest fractional entry up
-    # (first in bundle order among ties), everything else down
-    F = _fractional_support(x_cur)
-    by_agent: dict[str, list[Pair]] = {}
-    for e in F:
-        by_agent.setdefault(e[0], []).append(e)
-    for a, pairs in by_agent.items():
-        best = max(x_cur[e] for e in pairs)
-        up = next(e for e in pairs if x_cur[e] == best)
-        for e in pairs:
-            if e == up:
-                x_cur[e] = ONE
-            else:
-                del x_cur[e]
-
-    y = Allocation(x_cur)
-    for e, v in x.values.items():
-        if v == 1 and y.value(*e) != 1:
-            raise InvariantViolation(f"rounding lost a unit entry at {e}")
-    for e in y.values:
-        if e not in x.values:
-            raise InvariantViolation(f"rounding invented an entry at {e}")
-
+    y, trace = _round_loop(
+        instance,
+        x,
+        budget.alpha,
+        budget.delta,
+        budget.Delta,
+        group_rows=_utility_rows(utilities),
+        check=_constraint_count,
+        cap_slack=10,
+        solve=feasible_vertex,
+    )
     cert = verify_approximation(instance, x, y, utilities, budget)
-    cert.iterations = t
+    cert.iterations = len(trace) - 1
     cert.trace = trace
     if not cert.ok():
         raise InvariantViolation(
             "rounded output violates its own budget: " + "; ".join(cert.violations)
         )
     return y, cert
-
-
-# ---------------------------------------------------------------------------
-# floor-sum arithmetic used by the total-budget analysis
-# ---------------------------------------------------------------------------
-
-
-def floor_sum(
-    theta: Sequence[Fraction], eps: Sequence[Fraction], gamma: Sequence[Fraction], z: int
-) -> int:
-    """sum_l floor((theta_l * z - eps_l) / gamma_l), exactly."""
-    total = 0
-    for th, ep, ga in zip(theta, eps, gamma):
-        total += (th * z - ep) // ga
-    return total

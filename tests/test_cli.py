@@ -141,6 +141,43 @@ def test_budget_command_fails(capsys):
     assert code == 0
 
 
+def test_budget_command_matches_library_conditions(capsys):
+    from nearfair.couples import couples_condition
+    from nearfair.envyfree import HomogeneousInstance, ef_condition
+    from nearfair.fairness import delta_plus_bound, fairness_condition
+
+    def cli(*flags):
+        main(["budget", *flags])
+        return json.loads(capsys.readouterr().out)
+
+    single = Instance([AgentSpec("s", 1)], [("r1", 1)])
+    ci = CouplesInstance(single, {"r1": ["s"]}, {"s": enumerate_bundles("s", single)})
+    for ks in [(1,), (2,), (3,), (2, 2), (3, 1)]:
+        for omega in (1, 2):
+            n = max(ks) + 1
+            agents = [
+                AgentSpec(f"a{i}", omega, {f"d{l}": f"g{i % k}" for l, k in enumerate(ks)})
+                for i in range(n)
+            ]
+            inst = Instance(agents, [("r1", omega), ("r2", omega)])
+            h = HomogeneousInstance(
+                inst, UtilityModel(additive={a.id: {"r1": 1, "r2": 2} for a in agents})
+            )
+            for alpha in [(1,) * len(ks), (3,) * len(ks), (7,) * len(ks)]:
+                for delta in (0, 2, 5):
+                    base = ["--alpha", ",".join(map(str, alpha)), "--delta", str(delta),
+                            "--omega", str(omega)]
+                    groups = ",".join(map(str, ks))
+                    out = cli(*base, "--assignment", "--agents", str(n), "--resources", "2",
+                              "--groups", groups)
+                    assert out["slack"] == str(fairness_condition(inst, alpha, delta))
+                    assert out["delta_plus"] == delta_plus_bound(inst, delta)
+                    out = cli(*base, "--couples")
+                    assert out["slack"] == str(couples_condition(ci, alpha, delta))
+                    out = cli(*base, "--envyfree", groups)
+                    assert out["slack"] == str(ef_condition(h, alpha, delta))
+
+
 def test_gen_round_trip_and_solve(tmp_path, capsys):
     out_file = tmp_path / "inst.json"
     code = main(["gen", "lowerbound", "--kind", "utility-cycle", "-n", "4", "--out", str(out_file)])

@@ -9,7 +9,7 @@ from nearfair.couples import (
     CouplesInstance,
     all_roundings_stable,
     couples_condition,
-    dominating_vertex_small,
+    dominating_vertices,
     fair_stable_allocation,
     lp_stable_polytope,
     realized_capacities,
@@ -177,7 +177,7 @@ def test_lp_polytope_shapes():
 
 def test_dominating_vertex_in_classic_market():
     ci, b1, b2 = classic_two_by_two()
-    x = dominating_vertex_small(ci)
+    x = next(dominating_vertices(ci))
     # the aligned matching is the unique stable matching here
     assert x.values == {("s1", b1): Fraction(1), ("s2", b2): Fraction(1)}
     zero = Allocation({})

@@ -130,6 +130,22 @@ def test_ef_round_condition_violated():
         ef_round(h, Allocation({}), (1,), 1)
 
 
+def test_ef_round_rejects_over_allocated_agent():
+    agents = [AgentSpec("a1", 1, {"g": "g1"}), AgentSpec("a2", 1, {"g": "g2"})]
+    inst = Instance(agents, [("r1", 2), ("r2", 2)], dimensions=("g",))
+    u = UtilityModel(additive={"a1": {"r1": 2, "r2": 1}, "a2": {"r1": 2, "r2": 1}})
+    h = HomogeneousInstance(inst, u)
+    r1, r2 = Bundle.of({"r1": 1}), Bundle.of({"r2": 1})
+    over = Allocation(
+        {("a1", r1): Fraction(3, 4), ("a1", r2): Fraction(3, 4), ("a2", r1): Fraction(1, 2)}
+    )
+    with pytest.raises(InvalidInstanceError, match="totals 3/2 > 1"):
+        ef_round(h, over, (7,), 3)
+    # a total below one, as the greedy stage can leave, is still accepted
+    under = Allocation({("a1", r1): Fraction(1, 2), ("a2", r1): Fraction(1, 2)})
+    assert ef_round(h, under, (7,), 3).integral
+
+
 def test_ef_round_random_end_to_end():
     rng = random.Random(29)
     for _ in range(25):
@@ -170,7 +186,6 @@ def test_greedy_trace_times_are_sane():
         assert all(a <= b for a, b in zip(times, times[1:]))
         assert all(0 < t <= 1 for t in times)
         assert all(t <= 1 for t in trace.agent_times.values())
-        assert all(t <= 1 for t in trace.bundle_times.values())
 
 
 def dense_uniform_instance(rng):

@@ -1,4 +1,4 @@
-"""Model layer: bundles, incidence, utilities, validation."""
+"""Model layer: bundles, utilities, validation."""
 
 import random
 from fractions import Fraction
@@ -12,11 +12,9 @@ from nearfair.model import (
     Allocation,
     Bundle,
     Instance,
-    Support,
     UtilityModel,
     enumerate_bundles,
     group_utility,
-    incidence,
 )
 
 
@@ -65,48 +63,21 @@ def test_missing_agent_rejected():
         enumerate_bundles("ghost", inst_simple())
 
 
-# -- incidence ---------------------------------------------------------------
+# -- group utility -----------------------------------------------------------
 
 
-def baseline_support():
+def one_group():
     inst = Instance(
         [AgentSpec("a1", 1, {"d": "g1"}), AgentSpec("a2", 1, {"d": "g1"})],
         [("r1", 1), ("r2", 1)],
         binding={"a1", "a2"},
         dimensions=("d",),
     )
-    b1 = Bundle.of({"r1": 1})
-    return inst, Support([("a1", b1), ("a2", b1)], inst), b1
-
-
-def test_incidence_resource_membership():
-    inst, sup, b1 = baseline_support()
-    assert incidence(sup, "r1") == [("a1", b1), ("a2", b1)]
-    assert incidence(sup, "r2") == []
-
-
-def test_incidence_multiplicity_is_membership():
-    inst = Instance([AgentSpec("a1", 2)], [("r1", 2)])
-    b = Bundle.of({"r1": 2})
-    sup = Support([("a1", b)], inst)
-    assert incidence(sup, "r1") == [("a1", b)]
-
-
-def test_incidence_agent_and_group():
-    inst, sup, b1 = baseline_support()
-    assert incidence(sup, "a1") == [("a1", b1)]
-    assert incidence(sup, ("d", "g1")) == [("a1", b1), ("a2", b1)]
-    with pytest.raises(KeyError):
-        incidence(sup, ("d", "nope"))
-    with pytest.raises(KeyError):
-        incidence(sup, "unknown")
-
-
-# -- group utility -----------------------------------------------------------
+    return inst, Bundle.of({"r1": 1})
 
 
 def test_group_utility_examples():
-    inst, sup, b1 = baseline_support()
+    inst, b1 = one_group()
     u = UtilityModel(additive={"a1": {"r1": 2}, "a2": {"r1": 4}})
     empty = Allocation({})
     assert group_utility(empty, u, inst, "d", "g1") == 0
@@ -126,7 +97,7 @@ def test_group_utility_examples():
     y1=st.fractions(min_value=0, max_value=1),
 )
 def test_group_utility_linear(lam, u1, u2, x1, y1):
-    inst, sup, b1 = baseline_support()
+    inst, b1 = one_group()
     b2 = Bundle.of({"r2": 1})
     u = UtilityModel(additive={"a1": {"r1": u1}, "a2": {"r1": u2}})
     x = Allocation({("a1", b1): x1, ("a2", b2): 1 - x1})
@@ -238,17 +209,3 @@ def test_explicit_bundle_utilities():
     assert u.group_max(inst, "d", "g") == 5  # complementarities, not additive
     with pytest.raises(InvalidInstanceError):
         u.of("a", Bundle.of({"r1": 1}))  # undefined pair
-
-
-def test_support_views():
-    inst = Instance(
-        [AgentSpec("a1", 1, {"d": "g1"}), AgentSpec("a2", 1, {"d": "g2"}), AgentSpec("a3", 1)],
-        [("r1", 1), ("r2", 1)],
-        binding={"a1", "a2"},
-        dimensions=("d",),
-    )
-    b1, b2 = Bundle.of({"r1": 1}), Bundle.of({"r2": 1})
-    sup = Support([("a1", b1), ("a2", b2), ("a3", b2)], inst)
-    assert sup.agents() == ("a1", "a2", "a3")
-    assert sup.resources() == ("r1", "r2")
-    assert sup.groups("d") == ("g1", "g2")  # ungrouped a3 contributes nothing

@@ -6,13 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearfair.errors import BudgetError, InvalidInstanceError
+from nearfair import envyfree, rounding
+from nearfair.envyfree import HomogeneousInstance, ef_round
+from nearfair.errors import BudgetError, InvalidInstanceError, InvariantViolation
+from nearfair.exactlp import VertexSolution
 from nearfair.model import AgentSpec, Allocation, Bundle, Instance, UtilityModel
 from nearfair.oracle import best_deviation
 from nearfair.rounding import (
     DeviationBudget,
     check_condition,
-    floor_sum,
     forced_psi,
     iterative_round,
     min_Delta,
@@ -109,6 +111,25 @@ def test_half_matching_rounds_to_perfect_matching():
     assert cert.total_deviation[0] == 0
     # the oracle agrees a zero-deviation rounding exists
     assert (0, 0, 0) in best_deviation(inst, x, u)
+
+
+@pytest.mark.parametrize("family", ["utility rows", "envy rows"])
+def test_no_progress_guard(monkeypatch, family):
+    inst, u, x = matching_setup()
+    held = {f"y[{a},{q}]": v for (a, q), v in x.values.items()}
+
+    def stuck(lp, start=None):
+        """A solver that hands back the point the rounder already holds."""
+        return VertexSolution("optimal", [held[v.name] for v in lp.variables])
+
+    if family == "utility rows":
+        monkeypatch.setattr(rounding, "feasible_vertex", stuck)
+        with pytest.raises(InvariantViolation, match="no progress"):
+            iterative_round(inst, x, u, DeviationBudget((), 1, 2, 1, 1))
+    else:
+        monkeypatch.setattr(envyfree, "feasible_vertex", stuck)
+        with pytest.raises(InvariantViolation, match="no progress"):
+            ef_round(HomogeneousInstance(inst, u), x, (), 1)
 
 
 def test_half_matching_budget_delta2_still_verifies():
@@ -231,36 +252,6 @@ def test_non_allocation_rejected():
     bad = Allocation({("a1", Bundle.of({"r1": 1})): Fraction(1, 2)})
     with pytest.raises(InvalidInstanceError):
         iterative_round(inst, bad, u, DeviationBudget((), 1, 2, 1, 1))
-
-
-# -- floor-sum arithmetic ------------------------------------------------------
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_floor_sum_bound_and_tight_dichotomy(data):
-    d = data.draw(st.integers(1, 4))
-    gamma = [
-        data.draw(st.fractions(min_value=Fraction(1, 4), max_value=6))
-        for _ in range(d)
-    ]
-    # Theta with sum Theta/gamma < 1
-    weights = [data.draw(st.fractions(min_value=0, max_value=1)) for _ in range(d)]
-    total = sum(weights) + 1
-    Theta = [w / total * g for w, g in zip(weights, gamma)]
-    assert sum(t / g for t, g in zip(Theta, gamma)) < 1
-    theta = [
-        data.draw(st.fractions(min_value=0, max_value=1)) * t for t in Theta
-    ]
-    eps = [data.draw(st.fractions(min_value=0, max_value=2)) for _ in range(d)]
-    z = data.draw(st.integers(1, 40))
-    value = floor_sum(theta, eps, gamma, z)
-    assert value <= z - 1
-    if value == z - 1:
-        ratio_sum = sum(t / g for t, g in zip(Theta, gamma))
-        assert (
-            all(e == 0 for e in eps) and theta == Theta
-        ) or z < 1 / (1 - ratio_sum)
 
 
 def test_oracle_confirms_certificate_deviations():
