@@ -13,6 +13,13 @@ enumerate its vertices exhaustively and call a vertex *dominating* when
 every rounding of it is stable under the capacities it realizes; rounding a
 dominating vertex with the usual budget machinery then yields near-feasible
 stable (and fair) integral allocations.
+
+The vertices come from ``oracle.vertex_enumerate``, which pivots between
+lexicographically positive bases.  The polytope is highly degenerate (most
+vertices are 0/1 points on many tight rows), and the lexicographic rule
+visits each such point through few bases; the at-most-one-bundle rows
+imply every variable's upper bound 1, so no bound row is added.  The
+search refuses more than 20 pairs.
 """
 
 from __future__ import annotations

@@ -1,9 +1,16 @@
 """Brute-force ground truth for desk-scale verification.
 
 Everything here is exhaustive and exact: integral-allocation enumeration,
-polytope vertex enumeration by tight-row search, and the minimal-deviation
-frontier over all roundings of a fractional allocation.  Hard scale guards
-fail fast instead of letting an oracle dominate the runtime.
+polytope vertex enumeration, and the minimal-deviation frontier over all
+roundings of a fractional allocation.  Hard scale guards fail fast instead
+of letting an oracle dominate the runtime.
+
+Vertices come from lexicographic pivoting (Avis & Fukuda 1992; Avis 2000,
+lrs) after a small Bland's-rule phase 1 local to this module.  Upper bounds
+that a nonnegative '<=' row already implies get no row, which cuts the bases
+of the couples packing polytopes about threefold.  The oracle is the
+independent check on ``nearfair.exactlp``'s simplex, so it takes from that
+module only the ``LinearProgram`` model and the row kernel ``eliminate``.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .errors import ScaleExceededError
+from .errors import InvariantViolation, ScaleExceededError
 from .exactlp import LinearProgram, eliminate
 from .model import Allocation, Bundle, Instance, UtilityModel, enumerate_bundles
 from .rationals import ONE, ZERO
@@ -54,45 +61,16 @@ def enumerate_integral(instance: Instance) -> Iterator[Allocation]:
 # ---------------------------------------------------------------------------
 
 
-_RHS = -1  # sparse-row key holding the right-hand side
-
-
-def _try_add(state, vec, rhs):
-    """Gauss-Jordan insertion: returns ('ok', new_state) | ('dep', _) | ('incons', _).
-
-    ``state`` is a list of (pivot column, sparse row) in reduced row echelon
-    form; rows are shared between search nodes, so they are never mutated.
-    """
-    row = dict(vec)
-    if rhs:
-        row[_RHS] = rhs
-    for pivcol, prow in state:
-        f = row.get(pivcol)
-        if f:
-            eliminate(row, f, prow)
-    pivcol = min((k for k in row if k != _RHS), default=None)
-    if pivcol is None:
-        return ("dep" if _RHS not in row else "incons"), state
-    inv = ONE / row[pivcol]
-    if inv != 1:
-        row = {k: v * inv for k, v in row.items()}
-    new_state = []
-    for pc, prow in state:
-        f = prow.get(pivcol)
-        if f:
-            prow = dict(prow)
-            eliminate(prow, f, row)
-        new_state.append((pc, prow))
-    new_state.append((pivcol, row))
-    return "ok", new_state
+_RHS = -1  # sparse-row key holding the right-hand side, i.e. the basic value
 
 
 def _redundant_upper_bound(lp: LinearProgram, j: int) -> bool:
     """True when some all-nonnegative '<=' row already forces x_j <= ub_j.
 
     Requires every variable in that row to have lower bound >= 0 and, for
-    the other participating variables, exactly 0, so the implied vertex rank
-    survives dropping the bound row from the search pool.
+    the other participating variables, exactly 0, so the row alone implies
+    the bound and the bound row can be left out of the standard form
+    without changing the polytope.
     """
     ub = lp.variables[j].ub
     for c in lp.constraints:
@@ -115,82 +93,210 @@ def _redundant_upper_bound(lp: LinearProgram, j: int) -> bool:
     return False
 
 
-def vertex_enumerate(lp: LinearProgram, max_vertices: int = MAX_VERTICES) -> list[list[Fraction]]:
-    """Every vertex of the LP's feasible region, deduplicated exactly.
+def _standard_form(lp: LinearProgram) -> tuple[list[dict], list[Optional[int]], int]:
+    """The polytope as  A y = b, y >= 0, b >= 0  over shifted variables.
 
-    Works in variable space: a vertex is a feasible point with n linearly
-    independent tight rows drawn from constraints and box bounds, so we DFS
-    over independent tight-row subsets.  Provably redundant upper-bound rows
-    are removed from the pool first to curb the combinatorics.
+    Column j < n is y_j = x_j - lb_j; a fixed variable (lb == ub) is a
+    constant and gets no column.  Every inequality row, and every upper
+    bound that ``_redundant_upper_bound`` cannot drop, gets a slack column.
+    Returns the sparse rows (right-hand side under ``_RHS``), a start basis
+    holding each row's +1 slack or None where the row needs an artificial,
+    and the number of columns.
+    """
+    n = lp.n
+    lbs = [var.lb for var in lp.variables]
+    free = [var.lb != var.ub for var in lp.variables]
+    rows: list[dict] = []
+    start: list[Optional[int]] = []
+
+    def add(coeffs, slack: Optional[Fraction], rhs: Fraction) -> None:
+        row = {j: a for j, a in coeffs.items() if free[j]}
+        rhs -= sum((a * lbs[j] for j, a in coeffs.items()), ZERO)
+        s = None
+        if slack is not None:
+            s = n + len(rows)
+            row[s] = slack
+        if rhs < 0:
+            row = {k: -v for k, v in row.items()}
+            rhs = -rhs
+        if rhs:
+            row[_RHS] = rhs
+        start.append(s if s is not None and row[s] == 1 else None)
+        rows.append(row)
+
+    for c in lp.constraints:
+        add(c.coeffs, {"<=": ONE, ">=": -ONE, "=": None}[c.rel], c.rhs)
+    for j, var in enumerate(lp.variables):
+        if free[j] and not _redundant_upper_bound(lp, j):
+            add({j: ONE}, ONE, var.ub)
+    return rows, start, n + len(rows)
+
+
+def _pivot(rows: list[dict], basis: list, r: int, j: int) -> None:
+    """Make column j basic in row r.  Pivoting back on (r, old basic column)
+    restores every row exactly."""
+    prow = rows[r]
+    p = prow[j]
+    if p != 1:
+        inv = ONE / p
+        prow = rows[r] = {k: v * inv for k, v in prow.items()}
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row.get(j)
+            if f:
+                eliminate(row, f, prow)
+    basis[r] = j
+
+
+def _phase_one(rows: list[dict], basis: list) -> bool:
+    """Drive the artificials (rows whose basis entry is None) to zero.
+
+    Minimizes their sum with Bland's rule; an artificial that leaves never
+    re-enters, so its column is not stored.  Returns False when the sum
+    stays positive (the polytope is empty).  Otherwise every remaining
+    artificial is pivoted out on its row's smallest column, and rows with
+    no column left are linearly dependent and dropped, so on return
+    ``basis`` is a feasible basis of real columns.
+    """
+    while True:
+        w: dict = {}  # phase-1 reduced costs: minus the sum of artificial rows
+        for row, b in zip(rows, basis):
+            if b is None:
+                for k, v in row.items():
+                    if k != _RHS:
+                        w[k] = w.get(k, ZERO) - v
+        j = min((k for k, v in w.items() if v < 0), default=None)
+        if j is None:
+            break
+        r = min(  # Bland: smallest ratio, then smallest basic index, artificials last
+            (i for i, row in enumerate(rows) if row.get(j, ZERO) > 0),
+            key=lambda i: (
+                rows[i].get(_RHS, ZERO) / rows[i][j],
+                basis[i] is None,
+                i if basis[i] is None else basis[i],
+            ),
+        )
+        _pivot(rows, basis, r, j)
+    if any(b is None and row.get(_RHS) for row, b in zip(rows, basis)):
+        return False
+    for i, row in enumerate(rows):
+        if basis[i] is None:
+            j = min((k for k in row if k != _RHS), default=None)
+            if j is not None:
+                _pivot(rows, basis, i, j)
+    keep = [i for i, b in enumerate(basis) if b is not None]
+    rows[:] = [rows[i] for i in keep]
+    basis[:] = [basis[i] for i in keep]
+    return True
+
+
+def _lex_leaving(rows: list[dict], j: int, lex: Sequence[int]) -> Optional[int]:
+    """Leaving row for entering column j by the lexicographic ratio test.
+
+    Minimizes ``(beta_i, T[i][lex]) / T[i][j]`` over the rows with
+    T[i][j] > 0, comparing ratios by integer cross-multiplication.  ``lex``
+    holds the start basis's columns, so the rows of T[:, lex] are
+    independent and the minimum is unique.  None when no entry is positive.
+    """
+    ties = [i for i, row in enumerate(rows) if j in row and row[j].numerator > 0]
+    for c in (_RHS, *lex):
+        if len(ties) < 2:
+            break
+        best: list[int] = []
+        for i in ties:
+            v, a = rows[i].get(c, ZERO), rows[i][j]
+            p, q = v.numerator * a.denominator, v.denominator * a.numerator
+            if not best or p * bq < bp * q:
+                best, bp, bq = [i], p, q
+            elif p * bq == bp * q:
+                best.append(i)
+        ties = best
+    return ties[0] if ties else None
+
+
+def _feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
+    for j, var in enumerate(lp.variables):
+        if not (var.lb <= x[j] <= var.ub):
+            return False
+    for c in lp.constraints:
+        lhs = sum((v * x[jj] for jj, v in c.coeffs.items()), ZERO)
+        if c.rel == "<=" and lhs > c.rhs:
+            return False
+        if c.rel == ">=" and lhs < c.rhs:
+            return False
+        if c.rel == "=" and lhs != c.rhs:
+            return False
+    return True
+
+
+def vertex_enumerate(lp: LinearProgram, max_vertices: int = MAX_VERTICES) -> list[list[Fraction]]:
+    """Every vertex of the LP's feasible region, deduplicated and sorted exactly.
+
+    Standard form, then a DFS from the phase-1 basis B0 over the bases that
+    stay lexicographically positive with respect to B0: every nonbasic
+    column enters, and the leaving row is the lexicographic minimum ratio.
+    These bases are the vertices of a perturbed, nondegenerate polytope, so
+    a degenerate vertex costs only its few lexicographic bases; and every
+    vertex is reached, since it is the unique optimum of some objective and
+    the lexicographic simplex from B0 makes only these pivots.
+    ``MAX_VERTEX_NODES`` caps the bases visited.  Each new vertex is checked
+    exactly against ``lp``; a failure is a broken invariant.
     """
     n = lp.n
     if n > 20:
         raise ScaleExceededError(f"vertex enumeration limited to 20 variables, got {n}")
-    eq_rows = []
-    pool = []
-    for c in lp.constraints:
-        if c.rel == "=":
-            eq_rows.append((c.coeffs, c.rhs))
-        else:
-            pool.append((c.coeffs, c.rhs))
-    for j, var in enumerate(lp.variables):
-        pool.append(({j: ONE}, var.lb))
-        if var.ub != var.lb and not _redundant_upper_bound(lp, j):
-            pool.append(({j: ONE}, var.ub))
-
-    state0 = []
-    for vec, rhs in eq_rows:
-        verdict, state0 = _try_add(state0, vec, rhs)
-        if verdict == "incons":
-            return []
-
+    rows, basis, ncols = _standard_form(lp)
+    if not _phase_one(rows, basis):
+        return []
+    lex = list(basis)
     found: dict[tuple, list[Fraction]] = {}
-    nodes = 0
 
-    def feasible(x: Sequence[Fraction]) -> bool:
-        for j, var in enumerate(lp.variables):
-            if not (var.lb <= x[j] <= var.ub):
-                return False
-        for c in lp.constraints:
-            lhs = sum((v * x[jj] for jj, v in c.coeffs.items()), ZERO)
-            if c.rel == "<=" and lhs > c.rhs:
-                return False
-            if c.rel == ">=" and lhs < c.rhs:
-                return False
-            if c.rel == "=" and lhs != c.rhs:
-                return False
-        return True
-
-    def emit(state) -> None:
-        x = [ZERO] * n
-        for pc, row in state:
-            x[pc] = row.get(_RHS, ZERO)
+    def emit() -> None:
+        x = [var.lb for var in lp.variables]
+        for row, b in zip(rows, basis):
+            if b < n:
+                x[b] += row.get(_RHS, ZERO)
         key = tuple(x)
-        if key not in found and feasible(x):
+        if key not in found:
+            if not _feasible(lp, x):
+                raise InvariantViolation(f"vertex enumeration reached an infeasible point {x}")
             if len(found) >= max_vertices:
                 raise ScaleExceededError(f"more than {max_vertices} vertices")
             found[key] = x
 
-    def dfs(start: int, state) -> None:
-        nonlocal nodes
-        rank = len(state)
-        if rank == n:
-            emit(state)
-            return
-        for i in range(start, len(pool)):
-            if rank + (len(pool) - i) < n:
-                break
-            nodes += 1
-            if nodes > MAX_VERTEX_NODES:
+    mask = sum(1 << b for b in basis)
+    seen = {mask}
+    emit()
+    # one frame per basis on the DFS path: next column to try, and the pivot
+    # (row, column) that restores the parent basis on the way back
+    stack: list[list] = [[0, None]]
+    while stack:
+        frame = stack[-1]
+        for j in range(frame[0], ncols):
+            if mask >> j & 1:
+                continue
+            r = _lex_leaving(rows, j, lex)
+            if r is None:
+                continue
+            old = basis[r]
+            child = mask ^ (1 << old) ^ (1 << j)
+            if child in seen:
+                continue
+            seen.add(child)
+            if len(seen) > MAX_VERTEX_NODES:
                 raise ScaleExceededError("vertex enumeration search space too large")
-            verdict, new_state = _try_add(state, pool[i][0], pool[i][1])
-            if verdict == "ok":
-                dfs(i + 1, new_state)
-
-    if len(state0) == n:
-        emit(state0)
-    else:
-        dfs(0, state0)
+            frame[0] = j + 1
+            _pivot(rows, basis, r, j)
+            mask = child
+            emit()
+            stack.append([0, (r, old)])
+            break
+        else:
+            stack.pop()
+            if frame[1] is not None:
+                r, old = frame[1]
+                mask ^= (1 << basis[r]) ^ (1 << old)
+                _pivot(rows, basis, r, old)
     return [found[k] for k in sorted(found)]
 
 

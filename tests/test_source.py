@@ -1,6 +1,8 @@
-"""Source hygiene: every import in the library modules is used.
+"""Source hygiene: every import in the library modules is used, and the
+oracle stays independent of the exact simplex it cross-checks.
 
-``__init__.py`` is skipped: its imports are the package's re-exports.
+``__init__.py`` is skipped by the unused-import check: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -54,3 +56,35 @@ def test_library_modules_have_no_unused_imports():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def exactlp_imports(source: str) -> set[str]:
+    """Names a module takes from ``exactlp``; ``"exactlp"`` for the module itself."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                if module == "exactlp":
+                    names.add(alias.name)
+                elif alias.name == "exactlp":
+                    names.add("exactlp")
+        elif isinstance(node, ast.Import):
+            names |= {"exactlp" for alias in node.names if alias.name.endswith(".exactlp")}
+    return names
+
+
+def test_exactlp_import_detector():
+    assert exactlp_imports("from .exactlp import LinearProgram, phase_one\n") == {
+        "LinearProgram",
+        "phase_one",
+    }
+    assert exactlp_imports("from . import exactlp\nimport nearfair.exactlp\n") == {"exactlp"}
+    assert exactlp_imports("from .model import Bundle\n") == set()
+
+
+def test_oracle_shares_only_the_lp_model_and_row_kernel():
+    """``vertex_enumerate`` is the independent check on the exact simplex, so
+    the oracle may not run any of it (``phase_one``, ``_Tableau``, ...)."""
+    names = exactlp_imports((SRC / "oracle.py").read_text())
+    assert names <= {"LinearProgram", "eliminate"}, sorted(names)
