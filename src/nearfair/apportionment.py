@@ -19,6 +19,7 @@ synthetic resource.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
@@ -27,7 +28,7 @@ from .errors import BudgetError, InfeasibleInstanceError, InvalidInstanceError, 
 from .exactlp import LinearProgram, solve_vertex
 from .model import Allocation, AgentSpec, Bundle, Instance, UtilityModel
 from .rationals import ONE, ZERO, ceil_frac, snap
-from .rounding import DeviationBudget, iterative_round
+from .rounding import DeviationBudget, check_condition, iterative_round
 
 LOG_SNAP_DENOMINATOR = 10**9
 
@@ -322,6 +323,29 @@ class ApportionmentResult:
         return sum(self.seats.values())
 
 
+def _lifted_budget(alpha: tuple[int, ...], psi: int) -> DeviationBudget:
+    """The budget of the lifted rounding: alpha_l + 1 per dimension, no
+    total budget, max demand 1, and the smallest per-resource delta that
+    ``check_condition`` admits.
+
+    The slack grows with delta towards a limit whose denominator divides
+    ``top = 2 * prod(alpha_l + 2)``: a positive limit is at least 1/top, so
+    delta = top passes whenever any delta does.
+    """
+    lifted = tuple(a + 1 for a in alpha)
+
+    def admissible(delta: int) -> bool:
+        return check_condition(DeviationBudget(lifted, delta, None, psi, 1)) >= 0
+
+    top = 2 * math.prod(a + 2 for a in alpha)
+    if not admissible(top):
+        raise BudgetError(
+            "no per-resource budget fits: sum 1/(alpha_l+2) leaves no slack"
+        )
+    delta = bisect_left(range(top), True, key=admissible)
+    return DeviationBudget(lifted, delta, None, psi, 1)
+
+
 def _lift_and_round(
     ma: MAInstance,
     x_star: dict[tuple[tuple[str, ...], int], Fraction],
@@ -348,20 +372,7 @@ def _lift_and_round(
     )
     util = UtilityModel(additive={a.id: {"house": ONE} for a in agents})
 
-    psi = 0 if ma.d >= 2 else 1
-    rem = 1 - Fraction(psi, 2) - sum((Fraction(1, a + 2) for a in alpha), ZERO)
-    if rem <= 0:
-        raise BudgetError(
-            "no per-resource budget fits: sum 1/(alpha_l+2) leaves no slack"
-        )
-    delta = ceil_frac(ONE / rem - 1)
-    budget = DeviationBudget(
-        alpha=tuple(a + 1 for a in alpha),
-        delta=delta,
-        Delta=None,
-        psi=psi,
-        omega_star=1,
-    )
+    budget = _lifted_budget(alpha, psi=0 if ma.d >= 2 else 1)
     y, _cert = iterative_round(inst, alloc, util, budget)
     rounded = dict(x_star)
     for v in rounded:

@@ -1,14 +1,16 @@
 """Exact-rational linear programming returning optimal basic feasible points.
 
-Two-phase primal simplex over `fractions.Fraction` with bounded variables:
-the box bounds are handled implicitly (nonbasic variables rest at a bound)
-instead of as constraint rows, which keeps the working basis small.  The
-working rows are sparse (column -> nonzero coefficient) and every row
-reduction here, in the vertex certificate and in ``nearfair.oracle`` goes
-through the one in-place helper ``eliminate``.  Pricing
-is largest-coefficient with a smallest-index tie-break; after a long
-degenerate streak the solver switches permanently to Bland's rule, so
-termination is guaranteed and identical inputs give identical outputs.
+Two-phase primal simplex with bounded variables: the box bounds are handled
+implicitly (nonbasic variables rest at a bound) instead of as constraint
+rows, which keeps the working basis small.  The working rows are
+fraction-free: a ``Row`` holds integer numerators keyed by column over one
+positive integer denominator, content-reduced, and every row reduction here,
+in the vertex certificate and in ``nearfair.oracle`` is the one integer
+update ``Row.eliminate``.  The model, the bounds, the basic values and every
+answer stay ``fractions.Fraction``.  Pricing is largest-coefficient with a
+smallest-index tie-break; after a long degenerate streak the solver switches
+permanently to Bland's rule, so termination is guaranteed and identical
+inputs give identical outputs.
 
 Linearly dependent equality rows are tolerated: rows whose artificial cannot
 be pivoted out after phase 1 are provably redundant and get dropped.
@@ -32,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvalidInstanceError, InvariantViolation
@@ -72,7 +76,7 @@ class LinearProgram:
     def add_constraint(self, coeffs: Mapping[int, object], rel: str, rhs) -> int:
         if rel not in ("<=", "=", ">="):
             raise InvalidInstanceError(f"bad relation {rel!r}")
-        clean = {int(j): rat(v) for j, v in coeffs.items() if rat(v) != 0}
+        clean = {int(j): q for j, v in coeffs.items() if (q := rat(v))}
         for j in clean:
             if not 0 <= j < len(self.variables):
                 raise InvalidInstanceError(f"constraint references unknown variable {j}")
@@ -80,7 +84,7 @@ class LinearProgram:
         return len(self.constraints) - 1
 
     def set_objective(self, coeffs: Mapping[int, object]) -> None:
-        self.objective = {int(j): rat(v) for j, v in coeffs.items() if rat(v) != 0}
+        self.objective = {int(j): q for j, v in coeffs.items() if (q := rat(v))}
 
     @property
     def n(self) -> int:
@@ -103,25 +107,91 @@ class VertexSolution:
 
 
 # ---------------------------------------------------------------------------
-# sparse exact elimination
+# sparse fraction-free elimination
 # ---------------------------------------------------------------------------
 
-SparseRow = dict[int, Fraction]  # column -> nonzero coefficient
+
+def _content(num: dict[int, int], g: int) -> int:
+    """gcd of g and every numerator.  Folded pairwise rather than passed as
+    ``*args``: CPython 3.11 keeps every freed 20-item tuple on a free list
+    it never reuses, so star-args over 19-entry rows would pin memory."""
+    return 1 if g == 1 else reduce(gcd, num.values(), g)
 
 
-def eliminate(row: SparseRow, f: Fraction, pivot_row: SparseRow) -> None:
-    """In place ``row -= f * pivot_row``, dropping entries that cancel."""
-    g = -f
-    for k, v in pivot_row.items():
-        a = row.get(k)
-        if a is None:
-            row[k] = g * v
-        else:
-            a += g * v
+class Row:
+    """A sparse rational row: integer numerators keyed by column over one
+    positive integer denominator.
+
+    Rows are kept content-reduced (the gcd of the numerators and the
+    denominator is 1), so every rational row has exactly one
+    representation, and a pivot undone by the inverse pivot restores it
+    exactly.  ``num`` is only ever mutated in place.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: dict[int, int], den: int = 1):
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def of(cls, coeffs: Mapping[int, Fraction]) -> "Row":
+        """The row of rational coefficients over their least common
+        denominator, which is already content-reduced; zeros are dropped."""
+        den = reduce(lcm, [v.denominator for v in coeffs.values()], 1)
+        return cls({k: v.numerator * (den // v.denominator) for k, v in coeffs.items() if v}, den)
+
+    def copy(self) -> "Row":
+        return Row(dict(self.num), self.den)
+
+    def pivot(self, j: int) -> None:
+        """Scale in place so that column j reads 1."""
+        num = self.num
+        p = num[j]
+        if p < 0:
+            for k, v in num.items():
+                num[k] = -v
+            p = -p
+        g = _content(num, p)
+        if g != 1:
+            for k, v in num.items():
+                num[k] = v // g
+            p //= g
+        self.den = p
+
+    def eliminate(self, pivot: "Row", j: int) -> None:
+        """In place ``self -= (self[j] / pivot[j]) * pivot``, so column j
+        cancels; j must be a nonzero column of both rows.
+
+        One integer update: with f/p = num[j]/pivot.num[j] in lowest terms
+        and p > 0, the numerators become ``num*p - f*pivot.num`` over the
+        denominator ``den*p`` (the pivot row's own denominator cancels),
+        then the row is content-reduced.  Cancelled entries are dropped.
+        """
+        num = self.num
+        f, p = num[j], pivot.num[j]
+        g = gcd(f, p)
+        if p < 0:
+            g = -g
+        f //= g
+        p //= g
+        den = self.den
+        if p != 1:
+            for k, v in num.items():
+                num[k] = v * p
+            den *= p
+        for k, v in pivot.num.items():
+            a = num.get(k, 0) - f * v
             if a:
-                row[k] = a
+                num[k] = a
             else:
-                del row[k]
+                del num[k]
+        g = _content(num, den)
+        if g != 1:
+            for k, v in num.items():
+                num[k] = v // g
+            den //= g
+        self.den = den
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +203,11 @@ class _Tableau:
     """Sparse working rows with implicit variable bounds.
 
     Columns: structural variables, then one slack per inequality row, then
-    one artificial per row.  Each row of ``T`` maps a column to its nonzero
-    coefficient and is kept row-reduced so that every live row's basic
-    column is a unit vector; ``beta[i]`` holds the current *value* of the
-    basic variable of row i, and ``x[j]`` the value of every nonbasic
-    variable (always at one of its bounds).
+    one artificial per row.  Each row of ``T`` is a ``Row`` kept
+    row-reduced so that every live row's basic column is a unit vector;
+    ``beta[i]`` holds the current *value* of the basic variable of row i,
+    and ``x[j]`` the value of every nonbasic variable (always at one of
+    its bounds).
     """
 
     def __init__(self, lp: LinearProgram):
@@ -147,12 +217,12 @@ class _Tableau:
         n = lp.n
         self.lb: list[Optional[Fraction]] = [v.lb for v in lp.variables]
         self.ub: list[Optional[Fraction]] = [v.ub for v in lp.variables]
-        rows: list[SparseRow] = []
+        rows: list[Row] = []
         col = n
         for c in lp.constraints:
-            row = dict(c.coeffs)
+            row = Row.of(c.coeffs)
             if c.rel in ("<=", ">="):
-                row[col] = ONE if c.rel == "<=" else -ONE
+                row.num[col] = row.den if c.rel == "<=" else -row.den
                 self.lb.append(ZERO)
                 self.ub.append(None)  # slack, unbounded above
                 col += 1
@@ -172,16 +242,17 @@ class _Tableau:
         ]
         self.beta: list[Fraction] = []
         self.basis: list[int] = []
-        for i, row in enumerate(rows):
-            resid = self.lp.constraints[i].rhs - sum(
-                (v * self.x[j] for j, v in row.items()), ZERO
-            )
+        for i, (row, c) in enumerate(zip(rows, lp.constraints)):
+            # slacks start at 0, so only the structural columns contribute
+            resid = c.rhs - sum((v * self.x[j] for j, v in c.coeffs.items()), ZERO)
+            num = row.num
             if resid < 0:
                 # flip the working row so the artificial basis column is +e_i
-                row = rows[i] = {j: -v for j, v in row.items()}
+                for j, v in num.items():
+                    num[j] = -v
                 resid = -resid
             a = self.art_of_row[i]
-            row[a] = ONE
+            num[a] = row.den
             self.basis.append(a)
             self.beta.append(resid)
         self.T = rows
@@ -193,7 +264,7 @@ class _Tableau:
         which no pivot changes, are shared."""
         new = object.__new__(_Tableau)
         new.__dict__.update(self.__dict__)
-        new.T = [dict(row) for row in self.T]
+        new.T = [row.copy() for row in self.T]
         new.beta = list(self.beta)
         new.x = list(self.x)
         new.status = list(self.status)
@@ -207,34 +278,29 @@ class _Tableau:
     def _pivot_matrix(self, i: int, j: int) -> None:
         """Row-reduce so column j becomes the unit vector of row i."""
         row = self.T[i]
-        piv = row.get(j)
-        if not piv:
+        if j not in row.num:
             raise InvariantViolation("zero pivot")
-        if piv != 1:
-            inv = ONE / piv
-            self.T[i] = row = {k: v * inv for k, v in row.items()}
+        row.pivot(j)
         for k in range(self.m):
             if k == i or not self.live[k]:
                 continue
-            f = self.T[k].get(j)
-            if f:
-                eliminate(self.T[k], f, row)
+            other = self.T[k]
+            if j in other.num:
+                other.eliminate(row, j)
         self.basic_set.discard(self.basis[i])
         self.basis[i] = j
         self.basic_set.add(j)
 
-    def _reduced_costs(self, c: Mapping[int, Fraction]) -> SparseRow:
-        """Nonzero reduced costs ``c - c_B T``, keyed by column."""
-        z = {j: v for j, v in c.items() if v}
+    def _reduced_costs(self, c: Row) -> Row:
+        """Reduced costs ``c - c_B T``: no live row touches another's basic
+        column, so eliminating each basic column once leaves them."""
+        z = c.copy()
         for i in range(self.m):
-            if not self.live[i]:
-                continue
-            cb = c.get(self.basis[i])
-            if cb:
-                eliminate(z, cb, self.T[i])
+            if self.live[i] and self.basis[i] in z.num:
+                z.eliminate(self.T[i], self.basis[i])
         return z
 
-    def _simplex(self, c: Mapping[int, Fraction], forbidden: frozenset[int]) -> str:
+    def _simplex(self, c: Row, forbidden: frozenset[int]) -> str:
         degenerate_streak = 0
         bland = False
         switch_at = 4 * (self.m + self.ncols) + 20
@@ -242,15 +308,16 @@ class _Tableau:
         skip = forbidden | {
             j
             for j in range(self.ncols)
-            if self.lb[j] is not None and self.lb[j] == self.ub[j]
+            if self.ub[j] is not None and self.lb[j] == self.ub[j]
         }
         z = self._reduced_costs(c)
         while True:
             # largest |z_j| among improving columns, smallest index on ties;
-            # Bland's rule takes the smallest improving index
+            # Bland's rule takes the smallest improving index.  The reduced
+            # costs share one positive denominator: compare numerators.
             enter = -1
-            best = ZERO
-            for j, zj in z.items():
+            best = 0
+            for j, zj in z.num.items():
                 if j in skip or j in self.basic_set:
                     continue
                 if self.status[j] == _L and zj < 0:
@@ -267,31 +334,27 @@ class _Tableau:
             if enter == -1:
                 return "optimal"
             direction = 1 if self.status[enter] == _L else -1
-            # the live rows with a nonzero in the entering column
+            # the live rows with a nonzero in the entering column: basic
+            # variable i moves by -t * n / d as the entering one moves by t
+            # toward its other bound (n/d is T[i][enter] times the direction)
             col = [
-                (i, a)
-                for i in range(self.m)
-                if self.live[i] and (a := self.T[i].get(enter)) is not None
+                (i, direction * n, row.den)
+                for i, row in enumerate(self.T)
+                if self.live[i] and (n := row.num.get(enter))
             ]
 
             t_best: Optional[Fraction] = None
             leave_row = -1
             leave_to = _L
-            for i, a in col:
-                a = a * direction
+            for i, n, d in col:
                 b = self.basis[i]
-                if a > 0:
-                    lo = self.lb[b]
-                    if lo is None:
-                        continue
-                    t = (self.beta[i] - lo) / a
-                    to = _L
+                if n > 0:
+                    bound, to = self.lb[b], _L
                 else:
-                    hi = self.ub[b]
-                    if hi is None:
-                        continue
-                    t = (self.beta[i] - hi) / a
-                    to = _U
+                    bound, to = self.ub[b], _U
+                if bound is None:
+                    continue
+                t = (self.beta[i] - bound) * d / n
                 if (
                     t_best is None
                     or t < t_best
@@ -306,8 +369,8 @@ class _Tableau:
             if span is not None and (t_best is None or span <= t_best):
                 # entering runs all the way to its other bound: no basis change
                 if span > 0:
-                    for i, a in col:
-                        self.beta[i] -= direction * a * span
+                    for i, n, d in col:
+                        self.beta[i] -= span * n / d
                     degenerate_streak = 0
                 else:
                     degenerate_streak += 1
@@ -324,8 +387,8 @@ class _Tableau:
 
             t = t_best
             if t > 0:
-                for i, a in col:
-                    self.beta[i] -= direction * a * t
+                for i, n, d in col:
+                    self.beta[i] -= t * n / d
                 degenerate_streak = 0
             else:
                 degenerate_streak += 1
@@ -340,14 +403,13 @@ class _Tableau:
             self.beta[leave_row] = new_value
             # keep the reduced costs in step with the basis change; z[enter]
             # cancels against the pivot row's unit entry
-            f = z.get(enter)
-            if f:
-                eliminate(z, f, self.T[leave_row])
+            if enter in z.num:
+                z.eliminate(self.T[leave_row], enter)
 
     # -- phases -------------------------------------------------------------
 
     def phase1(self) -> bool:
-        c = dict.fromkeys(self.art_of_row, ONE)
+        c = Row(dict.fromkeys(self.art_of_row, 1))
         status = self._simplex(c, forbidden=frozenset())
         if status != "optimal":
             raise InvariantViolation("phase-1 objective is bounded by construction")
@@ -368,7 +430,7 @@ class _Tableau:
             piv_col = min(
                 (
                     j
-                    for j in self.T[i]
+                    for j in self.T[i].num
                     if j < self.n_struct_slack and j not in self.basic_set
                 ),
                 default=-1,
@@ -385,7 +447,7 @@ class _Tableau:
         return True
 
     def phase2(self, objective: Mapping[int, Fraction]) -> str:
-        return self._simplex(objective, forbidden=self.arts)
+        return self._simplex(Row.of(objective), forbidden=self.arts)
 
     # -- extraction ---------------------------------------------------------
 
@@ -411,23 +473,24 @@ def _tight_constraints(lp: LinearProgram, values: Sequence[Fraction]) -> frozens
     return frozenset(tight)
 
 
-def _rank(rows: Sequence[SparseRow]) -> int:
+def _rank(rows: Sequence[Row]) -> int:
     """Rank of sparse rows by forward elimination; the inputs are not modified.
 
     Each kept pivot row starts at its pivot column (its smallest key), so
     eliminating a row's smallest key against a pivot row only ever moves
-    the row's smallest key to the right.
+    the row's smallest key to the right.  Only the numerators matter: rank
+    does not change under row scaling.
     """
-    pivots: dict[int, SparseRow] = {}
+    pivots: dict[int, Row] = {}
     for r in rows:
-        r = dict(r)
-        while r:
-            col = min(r)
+        r = r.copy()
+        while r.num:
+            col = min(r.num)
             prow = pivots.get(col)
             if prow is None:
                 pivots[col] = r
                 break
-            eliminate(r, r[col] / prow[col], prow)
+            r.eliminate(prow, col)
     return len(pivots)
 
 
@@ -451,7 +514,7 @@ def vertex_rank(
     if tight is None:
         tight = _tight_constraints(lp, values)
     rest = [
-        {j: v for j, v in lp.constraints[idx].coeffs.items() if j not in at_bound}
+        Row.of({j: v for j, v in lp.constraints[idx].coeffs.items() if j not in at_bound})
         for idx in tight
     ]
     return len(at_bound) + _rank(rest)

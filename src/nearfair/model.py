@@ -52,7 +52,9 @@ class Bundle:
         return sum(m for _, m in self.items)
 
     def resources(self) -> tuple[str, ...]:
-        return tuple(r for r, _ in self.items)
+        # built from a list: tuple(generator) resizes its result, and CPython
+        # keeps each freed resized tuple on another size's free list
+        return tuple([r for r, _ in self.items])
 
     def __str__(self) -> str:
         return "{" + ",".join(f"{r}:{m}" for r, m in self.items) + "}"
@@ -95,7 +97,7 @@ class Instance:
 
     def __post_init__(self):
         self.agents = tuple(self.agents)
-        self.resources = tuple((r, int(c)) for r, c in self.resources)
+        self.resources = tuple([(r, int(c)) for r, c in self.resources])  # see Bundle.resources
         self.binding = frozenset(self.binding)
         if self.dimensions is None:
             names = sorted({d for a in self.agents for d in a.groups})
@@ -123,14 +125,14 @@ class Instance:
             raise InvalidInstanceError(f"unknown resource {resource!r}") from None
 
     def resource_ids(self) -> tuple[str, ...]:
-        return tuple(r for r, _ in self.resources)
+        return tuple([r for r, _ in self.resources])  # see Bundle.resources
 
     def acceptable(self, agent_id: str) -> tuple[str, ...]:
         """Acceptable resources for an agent, in instance resource order."""
         if self.acceptability is None:
             return self.resource_ids()
-        return tuple(
-            r for r in self.resource_ids() if (agent_id, r) in self.acceptability
+        return tuple(  # see Bundle.resources
+            [r for r in self.resource_ids() if (agent_id, r) in self.acceptability]
         )
 
     @property

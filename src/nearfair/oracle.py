@@ -6,27 +6,33 @@ roundings of a fractional allocation.  Hard scale guards fail fast instead
 of letting an oracle dominate the runtime.
 
 Vertices come from lexicographic pivoting (Avis & Fukuda 1992; Avis 2000,
-lrs) after a small Bland's-rule phase 1 local to this module.  Upper bounds
-that a nonnegative '<=' row already implies get no row, which cuts the bases
-of the couples packing polytopes about threefold.  The oracle is the
-independent check on ``nearfair.exactlp``'s simplex, so it takes from that
-module only the ``LinearProgram`` model and the row kernel ``eliminate``.
+lrs) after a small Bland's-rule phase 1 local to this module.  As in lrs the
+pivots are integer: the tableau rows are fraction-free ``Row``s (integer
+numerators over one positive denominator), the ratio tests compare
+numerators by cross-multiplication, and only an emitted vertex is built
+from ``Fraction``s.  Upper bounds that a nonnegative '<=' row already
+implies get no row, which cuts the bases of the couples packing polytopes
+about threefold.  The oracle is the independent check on
+``nearfair.exactlp``'s simplex, so it takes from that module only the
+``LinearProgram`` model and the row kernel ``Row``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .errors import InvariantViolation, ScaleExceededError
-from .exactlp import LinearProgram, eliminate
+from .exactlp import LinearProgram, Row
 from .model import Allocation, Bundle, Instance, UtilityModel, enumerate_bundles
 from .rationals import ONE, ZERO
 
 MAX_INTEGRAL = 10**6
 MAX_VERTICES = 10**5
-MAX_VERTEX_NODES = 4 * 10**6
+MAX_VERTEX_NODES = 2 * 10**6  # bases visited, about 2.5 minutes (see vertex_enumerate)
 MAX_ROUNDING_FRACTIONALS = 20
 
 
@@ -93,7 +99,7 @@ def _redundant_upper_bound(lp: LinearProgram, j: int) -> bool:
     return False
 
 
-def _standard_form(lp: LinearProgram) -> tuple[list[dict], list[Optional[int]], int]:
+def _standard_form(lp: LinearProgram) -> tuple[list[Row], list[Optional[int]], int]:
     """The polytope as  A y = b, y >= 0, b >= 0  over shifted variables.
 
     Column j < n is y_j = x_j - lb_j; a fixed variable (lb == ub) is a
@@ -106,7 +112,7 @@ def _standard_form(lp: LinearProgram) -> tuple[list[dict], list[Optional[int]], 
     n = lp.n
     lbs = [var.lb for var in lp.variables]
     free = [var.lb != var.ub for var in lp.variables]
-    rows: list[dict] = []
+    rows: list[Row] = []
     start: list[Optional[int]] = []
 
     def add(coeffs, slack: Optional[Fraction], rhs: Fraction) -> None:
@@ -122,7 +128,7 @@ def _standard_form(lp: LinearProgram) -> tuple[list[dict], list[Optional[int]], 
         if rhs:
             row[_RHS] = rhs
         start.append(s if s is not None and row[s] == 1 else None)
-        rows.append(row)
+        rows.append(Row.of(row))
 
     for c in lp.constraints:
         add(c.coeffs, {"<=": ONE, ">=": -ONE, "=": None}[c.rel], c.rhs)
@@ -132,23 +138,19 @@ def _standard_form(lp: LinearProgram) -> tuple[list[dict], list[Optional[int]], 
     return rows, start, n + len(rows)
 
 
-def _pivot(rows: list[dict], basis: list, r: int, j: int) -> None:
-    """Make column j basic in row r.  Pivoting back on (r, old basic column)
-    restores every row exactly."""
+def _pivot(rows: list[Row], basis: list, r: int, j: int) -> None:
+    """Make column j basic in row r.  Every row has exactly one
+    representation, so pivoting back on (r, old basic column) restores
+    every row exactly."""
     prow = rows[r]
-    p = prow[j]
-    if p != 1:
-        inv = ONE / p
-        prow = rows[r] = {k: v * inv for k, v in prow.items()}
+    prow.pivot(j)
     for i, row in enumerate(rows):
-        if i != r:
-            f = row.get(j)
-            if f:
-                eliminate(row, f, prow)
+        if i != r and j in row.num:
+            row.eliminate(prow, j)
     basis[r] = j
 
 
-def _phase_one(rows: list[dict], basis: list) -> bool:
+def _phase_one(rows: list[Row], basis: list) -> bool:
     """Drive the artificials (rows whose basis entry is None) to zero.
 
     Minimizes their sum with Bland's rule; an artificial that leaves never
@@ -159,29 +161,33 @@ def _phase_one(rows: list[dict], basis: list) -> bool:
     ``basis`` is a feasible basis of real columns.
     """
     while True:
-        w: dict = {}  # phase-1 reduced costs: minus the sum of artificial rows
-        for row, b in zip(rows, basis):
-            if b is None:
-                for k, v in row.items():
-                    if k != _RHS:
-                        w[k] = w.get(k, ZERO) - v
+        # phase-1 reduced costs: minus the sum of the artificial rows, scaled
+        # by the positive common denominator ``den``
+        art = [row for row, b in zip(rows, basis) if b is None]
+        den = reduce(lcm, [row.den for row in art], 1)
+        w: dict[int, int] = {}
+        for row in art:
+            s = den // row.den
+            for k, v in row.num.items():
+                if k != _RHS:
+                    w[k] = w.get(k, 0) - v * s
         j = min((k for k, v in w.items() if v < 0), default=None)
         if j is None:
             break
         r = min(  # Bland: smallest ratio, then smallest basic index, artificials last
-            (i for i, row in enumerate(rows) if row.get(j, ZERO) > 0),
+            (i for i, row in enumerate(rows) if row.num.get(j, 0) > 0),
             key=lambda i: (
-                rows[i].get(_RHS, ZERO) / rows[i][j],
+                Fraction(rows[i].num.get(_RHS, 0), rows[i].num[j]),
                 basis[i] is None,
                 i if basis[i] is None else basis[i],
             ),
         )
         _pivot(rows, basis, r, j)
-    if any(b is None and row.get(_RHS) for row, b in zip(rows, basis)):
+    if any(b is None and _RHS in row.num for row, b in zip(rows, basis)):
         return False
     for i, row in enumerate(rows):
         if basis[i] is None:
-            j = min((k for k in row if k != _RHS), default=None)
+            j = min((k for k in row.num if k != _RHS), default=None)
             if j is not None:
                 _pivot(rows, basis, i, j)
     keep = [i for i, b in enumerate(basis) if b is not None]
@@ -190,25 +196,26 @@ def _phase_one(rows: list[dict], basis: list) -> bool:
     return True
 
 
-def _lex_leaving(rows: list[dict], j: int, lex: Sequence[int]) -> Optional[int]:
+def _lex_leaving(rows: list[Row], j: int, lex: Sequence[int]) -> Optional[int]:
     """Leaving row for entering column j by the lexicographic ratio test.
 
     Minimizes ``(beta_i, T[i][lex]) / T[i][j]`` over the rows with
-    T[i][j] > 0, comparing ratios by integer cross-multiplication.  ``lex``
-    holds the start basis's columns, so the rows of T[:, lex] are
-    independent and the minimum is unique.  None when no entry is positive.
+    T[i][j] > 0.  A row's denominator cancels in its ratios, so they are
+    compared as numerators by integer cross-multiplication.  ``lex`` holds
+    the start basis's columns, so the rows of T[:, lex] are independent and
+    the minimum is unique.  None when no entry is positive.
     """
-    ties = [i for i, row in enumerate(rows) if j in row and row[j].numerator > 0]
+    ties = [i for i, row in enumerate(rows) if row.num.get(j, 0) > 0]
     for c in (_RHS, *lex):
         if len(ties) < 2:
             break
         best: list[int] = []
         for i in ties:
-            v, a = rows[i].get(c, ZERO), rows[i][j]
-            p, q = v.numerator * a.denominator, v.denominator * a.numerator
-            if not best or p * bq < bp * q:
-                best, bp, bq = [i], p, q
-            elif p * bq == bp * q:
+            num = rows[i].num
+            v, a = num.get(c, 0), num[j]
+            if not best or v * ba < bv * a:
+                best, bv, ba = [i], v, a
+            elif v * ba == bv * a:
                 best.append(i)
         ties = best
     return ties[0] if ties else None
@@ -239,8 +246,12 @@ def vertex_enumerate(lp: LinearProgram, max_vertices: int = MAX_VERTICES) -> lis
     a degenerate vertex costs only its few lexicographic bases; and every
     vertex is reached, since it is the unique optimum of some objective and
     the lexicographic simplex from B0 makes only these pivots.
-    ``MAX_VERTEX_NODES`` caps the bases visited.  Each new vertex is checked
-    exactly against ``lp``; a failure is a broken invariant.
+    ``MAX_VERTEX_NODES`` caps the bases visited; a basis (two integer
+    pivots, the ratio tests and the key of its point) costs about 70 us on
+    the couples packing polytopes of the benchmark (56-83 us on a shared
+    2-core x86 VM, Python 3.11), so the cap trips after roughly 2.5 minutes.
+    Each new vertex is checked exactly against ``lp``; a failure is a
+    broken invariant.
     """
     n = lp.n
     if n > 20:
@@ -249,15 +260,21 @@ def vertex_enumerate(lp: LinearProgram, max_vertices: int = MAX_VERTICES) -> lis
     if not _phase_one(rows, basis):
         return []
     lex = list(basis)
-    found: dict[tuple, list[Fraction]] = {}
+    found: dict[frozenset, list[Fraction]] = {}
 
     def emit() -> None:
-        x = [var.lb for var in lp.variables]
+        # the point is keyed by its nonzero shifted values y_b in lowest terms
+        y = []
         for row, b in zip(rows, basis):
-            if b < n:
-                x[b] += row.get(_RHS, ZERO)
-        key = tuple(x)
+            v = row.num.get(_RHS)
+            if v and b < n:
+                g = gcd(v, row.den)
+                y.append((b, v // g, row.den // g))
+        key = frozenset(y)
         if key not in found:
+            x = [var.lb for var in lp.variables]
+            for b, p, q in y:
+                x[b] += Fraction(p, q)
             if not _feasible(lp, x):
                 raise InvariantViolation(f"vertex enumeration reached an infeasible point {x}")
             if len(found) >= max_vertices:
@@ -297,7 +314,7 @@ def vertex_enumerate(lp: LinearProgram, max_vertices: int = MAX_VERTICES) -> lis
                 r, old = frame[1]
                 mask ^= (1 << basis[r]) ^ (1 << old)
                 _pivot(rows, basis, r, old)
-    return [found[k] for k in sorted(found)]
+    return sorted(found.values())
 
 
 # ---------------------------------------------------------------------------

@@ -173,13 +173,14 @@ def serialize_couples(
 def parse_ma(doc: dict) -> MAInstance:
     block = doc.get("apportionment", doc)
     try:
-        dims = tuple(str(d) for d in block["dimensions"])
+        # tuples built from lists: see model.Bundle.resources
+        dims = tuple([str(d) for d in block["dimensions"]])
         groups = {
-            str(d): tuple(str(g) for g in gs) for d, gs in block["groups"].items()
+            str(d): tuple([str(g) for g in gs]) for d, gs in block["groups"].items()
         }
         votes = {}
         for entry in block["votes"]:
-            key = tuple(str(g) for g in entry["tuple"])
+            key = tuple([str(g) for g in entry["tuple"]])
             votes[key] = int(entry["votes"])
         house = int(block["house"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,5 +1,7 @@
 """Apportionment: signposts, the fractional program, and the rounded pipeline."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from nearfair.apportionment import (
     MAInstance,
     SignpostMethod,
+    _lifted_budget,
     approx_apportionment,
     delta_bound_ma,
     divisor_certified,
@@ -193,6 +196,26 @@ def test_condition_rejects_overfull_alpha():
             house=2,
         )
         delta_bound_ma(big, (0, 0, 0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lifted_budget_delta_matches_closed_form(d):
+    """The per-resource budget of the lifted rounding, derived from
+    ``check_condition``, equals ceil(1/rem - 1) with
+    rem = 1 - psi/2 - sum 1/(alpha_l + 2), and neither exists when rem <= 0."""
+    psi = 0 if d >= 2 else 1
+    checked = 0
+    for alpha in itertools.product(range(7), repeat=d):
+        rem = 1 - Fraction(psi, 2) - sum(Fraction(1, a + 2) for a in alpha)
+        if rem <= 0:
+            with pytest.raises(BudgetError):
+                _lifted_budget(alpha, psi)
+        else:
+            budget = _lifted_budget(alpha, psi)
+            assert budget.delta == math.ceil(1 / rem - 1)
+            assert budget.alpha == tuple(a + 1 for a in alpha)
+            checked += 1
+    assert checked > 0
 
 
 # -- rounded pipelines ------------------------------------------------------------

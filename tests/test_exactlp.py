@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from nearfair.errors import InvariantViolation
 from nearfair.exactlp import (
     LinearProgram,
+    Row,
     _rank,
-    eliminate,
     feasible_vertex,
     phase_one,
     solve_vertex,
@@ -150,11 +151,21 @@ def dense_rank(rows, ncols):
 
 
 def test_eliminate_drops_cancelled_entries():
-    row = {0: Fraction(2), 3: Fraction(1)}
-    eliminate(row, Fraction(2), {0: Fraction(1), 5: Fraction(1, 2)})
-    assert row == {3: 1, 5: -1}
-    eliminate(row, Fraction(1), dict(row))
-    assert row == {}
+    row = Row.of({0: Fraction(2), 3: Fraction(1)})
+    row.eliminate(Row.of({0: Fraction(1), 5: Fraction(1, 2)}), 0)
+    assert (row.num, row.den) == ({3: 1, 5: -1}, 1)
+    row.eliminate(row.copy(), 3)
+    assert (row.num, row.den) == ({}, 1)
+
+
+def combine(a, f, b):
+    """a + f * b over Fractions, with explicit cancellation wherever an entry sums to 0."""
+    s = dict(a)
+    for k, v in b.items():
+        s[k] = s.get(k, 0) + f * v
+        if not s[k]:
+            del s[k]
+    return s
 
 
 @st.composite
@@ -179,16 +190,11 @@ def sparse_rows(draw):
             f = draw(entry)
             rows.append({j: f * v for j, v in a.items()})
         elif kind == "sum":
-            # a + b with explicit cancellation wherever the entries sum to 0
-            s = dict(a)
-            eliminate(s, Fraction(-1), b)
-            rows.append(s)
+            rows.append(combine(a, 1, b))
         elif kind == "zero":
             rows.append({})
         else:
-            s = dict(a)
-            eliminate(s, Fraction(1), a)
-            rows.append(s)
+            rows.append(combine(a, -1, a))
     order = draw(st.permutations(range(len(rows))))
     return [rows[i] for i in order], ncols
 
@@ -197,9 +203,110 @@ def sparse_rows(draw):
 @given(sparse_rows())
 def test_rank_matches_dense_gauss_jordan(case):
     rows, ncols = case
-    before = [dict(r) for r in rows]
-    assert _rank(rows) == dense_rank(rows, ncols)
-    assert rows == before  # inputs are not modified
+    kernel_rows = [Row.of(r) for r in rows]
+    before = [(dict(r.num), r.den) for r in kernel_rows]
+    assert _rank(kernel_rows) == dense_rank(rows, ncols)
+    assert [(r.num, r.den) for r in kernel_rows] == before  # inputs are not modified
+
+
+def value(row, k):
+    return Fraction(row.num.get(k, 0), row.den)
+
+
+def assert_canonical(row):
+    """Positive denominator, no stored zero, content-reduced."""
+    assert row.den > 0
+    assert all(row.num.values())
+    assert gcd(row.den, *row.num.values()) == 1
+
+
+def dense_pivot(m, r, j):
+    """Reference Gauss-Jordan pivot on dense Fraction rows."""
+    inv = 1 / m[r][j]
+    m[r] = [v * inv for v in m[r]]
+    for i in range(len(m)):
+        if i != r and m[i][j]:
+            f = m[i][j]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+
+
+def kernel_pivot(rows, r, j):
+    rows[r].pivot(j)
+    for i, row in enumerate(rows):
+        if i != r and j in row.num:
+            row.eliminate(rows[r], j)
+
+
+@st.composite
+def pivot_runs(draw):
+    """Random sparse rational rows [A | I] and a sequence of (row, column)
+    draws; the identity columns are the starting basis."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        st.integers(-10**12, 10**12).map(Fraction),
+    )
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    dense = [row + [Fraction(int(i == r)) for i in range(m)] for r, row in enumerate(a)]
+    steps = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=8))
+    return dense, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_runs())
+def test_row_kernel_matches_dense_gauss_jordan(case):
+    """Pivots on integer rows give the dense Fraction values entry by entry,
+    keep every row canonical, and are undone exactly by the inverse pivot."""
+    dense, steps = case
+    ncols = len(dense[0])
+    rows = [Row.of(dict(enumerate(r))) for r in dense]
+    basis = [ncols - len(dense) + i for i in range(len(dense))]
+    for a, b in steps:
+        r = a % len(rows)
+        cols = sorted(rows[r].num)
+        j = cols[b % len(cols)]
+        before = [(dict(row.num), row.den) for row in rows]
+        copies = [row.copy() for row in rows]
+        kernel_pivot(copies, r, j)
+        assert [(row.num, row.den) for row in rows] == before  # copies share nothing
+        kernel_pivot(copies, r, basis[r])
+        assert [(row.num, row.den) for row in copies] == before  # undone exactly
+        kernel_pivot(rows, r, j)
+        dense_pivot(dense, r, j)
+        basis[r] = j
+        for row, ref in zip(rows, dense):
+            assert_canonical(row)
+            assert [value(row, k) for k in range(ncols)] == ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 5), st.fractions(max_denominator=12).filter(bool), min_size=1),
+    st.dictionaries(st.integers(0, 5), st.fractions(max_denominator=12).filter(bool), min_size=1),
+    st.integers(0, 5),
+)
+def test_row_eliminate_matches_fractions(a, b, j):
+    """One elimination against a pivot row of any scale and sign (as in
+    ``_rank``) equals a - (a_j / b_j) b and leaves the row canonical."""
+    a.setdefault(j, Fraction(1))
+    b.setdefault(j, Fraction(-1))
+    row, pivot = Row.of(a), Row.of(b)
+    before = (dict(pivot.num), pivot.den)
+    row.eliminate(pivot, j)
+    assert_canonical(row)
+    assert (pivot.num, pivot.den) == before
+    expected = combine(a, -a[j] / b[j], b)
+    assert {k: value(row, k) for k in row.num} == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(-1, 6), st.fractions(max_denominator=30), max_size=6))
+def test_row_of_is_canonical(coeffs):
+    row = Row.of(coeffs)
+    assert_canonical(row)
+    assert {k: value(row, k) for k in row.num} == {k: v for k, v in coeffs.items() if v}
 
 
 def test_vertex_rank_edge_midpoint_is_not_a_vertex():

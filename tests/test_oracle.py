@@ -269,7 +269,8 @@ def test_search_stays_on_lex_positive_bases(monkeypatch):
     def checked(rows, j, lex):
         nonlocal scanned
         for row in rows:
-            vec = [row.get(oracle._RHS, 0)] + [row.get(c, 0) for c in lex]
+            # numerators over a positive denominator: the same signs as the values
+            vec = [row.num.get(oracle._RHS, 0)] + [row.num.get(c, 0) for c in lex]
             assert next(v for v in vec if v) > 0
         scanned += 1
         return real(rows, j, lex)

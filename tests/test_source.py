@@ -87,4 +87,4 @@ def test_oracle_shares_only_the_lp_model_and_row_kernel():
     """``vertex_enumerate`` is the independent check on the exact simplex, so
     the oracle may not run any of it (``phase_one``, ``_Tableau``, ...)."""
     names = exactlp_imports((SRC / "oracle.py").read_text())
-    assert names <= {"LinearProgram", "eliminate"}, sorted(names)
+    assert names <= {"LinearProgram", "Row"}, sorted(names)
