@@ -28,7 +28,7 @@ from .errors import BudgetError, InfeasibleInstanceError, InvalidInstanceError, 
 from .exactlp import LinearProgram, solve_vertex
 from .model import Allocation, AgentSpec, Bundle, Instance, UtilityModel
 from .rationals import ONE, ZERO, ceil_frac, snap
-from .rounding import DeviationBudget, check_condition, iterative_round
+from .rounding import DeviationBudget, check_alpha, check_condition, iterative_round
 
 LOG_SNAP_DENOMINATOR = 10**9
 
@@ -290,8 +290,7 @@ def ma_condition(ma: MAInstance, alpha: tuple[int, ...]) -> Fraction:
 def delta_bound_ma(ma: MAInstance, alpha: tuple[int, ...]) -> int:
     """House-size deviation bound: the best of the per-dimension caps and
     the budget-driven cap."""
-    if len(alpha) != ma.d:
-        raise BudgetError(f"alpha has {len(alpha)} entries for {ma.d} dimensions")
+    check_alpha(alpha, ma.d)
     slack = ma_condition(ma, alpha)
     if slack < 0:
         raise BudgetError("condition sum 1/(alpha_l+2) <= 1 fails")
@@ -389,8 +388,7 @@ def approx_apportionment(
     divisor property is inherited; group seat counts stay within alpha of
     their windows and the house size within the explicit bound.
     """
-    if len(alpha) != ma.d:
-        raise BudgetError(f"alpha has {len(alpha)} entries for {ma.d} dimensions")
+    check_alpha(alpha, ma.d)
     if ma_condition(ma, alpha) < 0:
         raise BudgetError("condition sum 1/(alpha_l+2) <= 1 fails")
     x_star = solve_lp_ma(ma, method)

@@ -14,6 +14,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from . import apportionment as app
 from . import couples as cpl
@@ -205,29 +206,23 @@ def _ma_from_csv(path: str, house: int | None):
     )
 
 
+def _budget(args, instance, x) -> DeviationBudget:
+    """The budget the flags give for rounding ``x``; psi defaults to the
+    value ``forced_psi`` gives, Delta stays as given."""
+    psi = args.psi
+    if psi is None:
+        psi = 1 if forced_psi(x, len(instance.dimensions)) else 0
+    return DeviationBudget(args.alpha, args.delta, args.Delta, psi, instance.omega_star)
+
+
 def cmd_round(args) -> int:
     instance, utilities = parse_instance(load_json(args.instance))
     if utilities is None:
         raise SchemaError("rounding needs utilities in the instance file")
     x = parse_allocation(load_json(args.allocation))
-    psi = args.psi
-    if psi is None:
-        psi = 1 if forced_psi(x, len(instance.dimensions)) else 0
-    budget = DeviationBudget(
-        alpha=args.alpha,
-        delta=args.delta,
-        Delta=args.Delta,
-        psi=psi,
-        omega_star=instance.omega_star,
-    )
-    if args.Delta is None:
-        budget = DeviationBudget(
-            alpha=args.alpha,
-            delta=args.delta,
-            Delta=min_Delta(budget),
-            psi=psi,
-            omega_star=instance.omega_star,
-        )
+    budget = _budget(args, instance, x)
+    if budget.Delta is None:
+        budget = replace(budget, Delta=min_Delta(budget))
     y, cert = iterative_round(instance, x, utilities, budget)
     _emit(
         {
@@ -249,16 +244,7 @@ def cmd_check(args) -> int:
         if utilities is None:
             raise SchemaError("verification needs utilities in the instance file")
         x = parse_allocation(load_json(args.against))
-        psi = args.psi
-        if psi is None:
-            psi = 1 if forced_psi(x, len(instance.dimensions)) else 0
-        budget = DeviationBudget(
-            alpha=args.alpha,
-            delta=args.delta,
-            Delta=args.Delta,
-            psi=psi,
-            omega_star=instance.omega_star,
-        )
+        budget = _budget(args, instance, x)
         cert = verify_approximation(instance, x, y, utilities, budget)
         doc["certificate"] = cert.to_json()
         if args.oracle:

@@ -24,7 +24,7 @@ search refuses more than 20 pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -36,10 +36,18 @@ from .errors import (
 )
 from .exactlp import LinearProgram
 from .fairness import FairObjective
-from .model import Allocation, Bundle, Instance, Pair, UtilityModel, enumerate_bundles, pair_universe
+from .model import (
+    Allocation,
+    Bundle,
+    Instance,
+    UtilityModel,
+    enumerate_bundles,
+    group_utility,
+    pair_universe,
+)
 from .oracle import enumerate_roundings, vertex_enumerate
 from .rationals import ONE, ZERO
-from .rounding import Certificate, DeviationBudget, iterative_round
+from .rounding import Certificate, DeviationBudget, capacity_excess, check_alpha, iterative_round
 
 
 @dataclass
@@ -55,13 +63,7 @@ class CouplesInstance:
     def __post_init__(self):
         inst = self.instance
         if inst.binding:
-            self.instance = inst = Instance(
-                agents=inst.agents,
-                resources=inst.resources,
-                binding=frozenset(),
-                dimensions=inst.dimensions,
-                acceptability=inst.acceptability,
-            )
+            self.instance = inst = replace(inst, binding=frozenset())
         for a in inst.agents:
             if a.demand not in (1, 2):
                 raise InvalidInstanceError(
@@ -208,17 +210,13 @@ def stability_check(
 # ---------------------------------------------------------------------------
 
 
-def market_pairs(ci: CouplesInstance) -> list[Pair]:
-    return pair_universe(ci.instance)
-
-
 def lp_stable_polytope(ci: CouplesInstance) -> LinearProgram:
     """Capacity rows plus at-most-one-bundle rows over the acceptable pairs.
 
-    Variable order matches ``market_pairs``.
+    Variable order matches ``pair_universe``.
     """
     inst = ci.instance
-    pairs = market_pairs(ci)
+    pairs = pair_universe(inst)
     lp = LinearProgram()
     col = {e: lp.add_variable(f"x[{e[0]},{e[1]}]") for e in pairs}
     for r, c in inst.resources:
@@ -237,7 +235,7 @@ def lp_stable_polytope(ci: CouplesInstance) -> LinearProgram:
 
 
 def _vertex_allocations(ci: CouplesInstance) -> Iterator[Allocation]:
-    pairs = market_pairs(ci)
+    pairs = pair_universe(ci.instance)
     lp = lp_stable_polytope(ci)
     for vertex in vertex_enumerate(lp):
         yield Allocation({e: v for e, v in zip(pairs, vertex) if v != 0})
@@ -296,26 +294,16 @@ def fair_stable_allocation(
     """Pick the dominating vertex maximizing the group-fairness objective,
     round it, and certify stability plus all deviation caps."""
     inst = ci.instance
-    if len(alpha) != len(inst.dimensions):
-        raise BudgetError(
-            f"alpha has {len(alpha)} entries for {len(inst.dimensions)} dimensions"
-        )
+    check_alpha(alpha, len(inst.dimensions))
     if couples_condition(ci, alpha, delta) < 0:
         raise BudgetError("condition sum 1/(alpha_l+1) + 2/(delta+2) <= 1/2 fails")
 
-    group_keys = [
-        (dim, g) for dim in inst.dimensions for g in inst.groups_in(dim)
-    ]
+    group_keys = inst.group_keys()
 
     def score(x: Allocation) -> float:
         total = 0.0
         for key in group_keys:
-            mem = inst.group_members(*key)
-            u = sum(
-                (utilities.of(*e) * v for e, v in x.values.items() if e[0] in mem),
-                ZERO,
-            )
-            total += objective.f(float(u))
+            total += objective.f(float(group_utility(x, utilities, inst, *key)))
         return total
 
     best: Optional[Allocation] = None
@@ -338,17 +326,8 @@ def fair_stable_allocation(
     )
     y, cert = iterative_round(inst, best, utilities, budget)
 
-    excess = {}
-    for r, c in inst.resources:
-        used = int(y.resource_usage(r))
-        excess[r] = max(0, used - c)
-        if excess[r] > delta:
-            raise InvariantViolation(
-                f"resource {r!r} exceeded capacity by {excess[r]} > delta={delta}"
-            )
-    weighted = sum(
-        inst.agent(a).demand for (a, _), v in y.values.items() if v == 1
-    )
+    excess = capacity_excess(inst, y, delta)
+    weighted = int(y.mass(inst))
     total_cap = sum(c for _, c in inst.resources)
     over = max(0, weighted - total_cap)
     if over > 4:

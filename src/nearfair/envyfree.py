@@ -28,9 +28,10 @@ from .model import (
     Pair,
     UtilityModel,
     enumerate_bundles,
+    group_utility,
 )
 from .rationals import ZERO
-from .rounding import GroupRows, IterationState, _dump, _round_loop
+from .rounding import GroupRows, IterationState, _dump, _round_loop, check_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -54,13 +55,7 @@ class HomogeneousInstance:
             )
         ids = {a.id for a in self.instance.agents}
         if self.instance.binding != ids:
-            self.instance = Instance(
-                agents=self.instance.agents,
-                resources=self.instance.resources,
-                binding=ids,
-                dimensions=self.instance.dimensions,
-                acceptability=self.instance.acceptability,
-            )
+            self.instance = replace(self.instance, binding=ids)
         self._rep: dict[tuple[str, str], str] = {}
         for dim in self.instance.dimensions:
             for g in self.instance.groups_in(dim):
@@ -82,9 +77,6 @@ class HomogeneousInstance:
     def group_utility_of(self, dim: str, group_id: str, bundle: Bundle) -> Fraction:
         """The common utility the group assigns to a bundle."""
         return self.utilities.of(self._rep[(dim, group_id)], bundle)
-
-    def group_size(self, dim: str, group_id: str) -> int:
-        return len(self.instance.group_members(dim, group_id))
 
     def group_best(self, dim: str, group_id: str) -> Fraction:
         return self.utilities.group_max(self.instance, dim, group_id)
@@ -178,24 +170,18 @@ def greedy_fractional_ef(h: HomogeneousInstance) -> tuple[Allocation, GreedyTrac
     return alloc, trace
 
 
-def check_fractional_ef(
+def _scaled_envy(
     h: HomogeneousInstance, x: Allocation
-) -> dict[tuple[str, str, str], tuple[bool, Fraction]]:
-    """Scaled envy comparison for every ordered group pair, exact.
-
-    Group i passes against j when its own utility is at least the size ratio
-    times its utility for j's allocation.  The margin is own minus scaled.
-    """
+) -> dict[tuple[str, str, str], Fraction]:
+    """Scaled envy of group i toward group j for every ordered pair (dim, i, j):
+    |i|/|j| times i's utility for j's allocation, minus i's own utility."""
     inst = h.instance
     out = {}
     for dim in inst.dimensions:
         groups = inst.groups_in(dim)
         for i in groups:
             mem_i = inst.group_members(dim, i)
-            own = sum(
-                (h.utilities.of(a, q) * v for (a, q), v in x.values.items() if a in mem_i),
-                ZERO,
-            )
+            own = group_utility(x, h.utilities, inst, dim, i)
             for j in groups:
                 if i == j:
                     continue
@@ -208,10 +194,19 @@ def check_fractional_ef(
                     ),
                     ZERO,
                 )
-                ratio = Fraction(len(mem_i), len(mem_j))
-                margin = own - ratio * envied
-                out[(dim, i, j)] = (margin >= 0, margin)
+                out[(dim, i, j)] = Fraction(len(mem_i), len(mem_j)) * envied - own
     return out
+
+
+def check_fractional_ef(
+    h: HomogeneousInstance, x: Allocation
+) -> dict[tuple[str, str, str], tuple[bool, Fraction]]:
+    """Scaled envy comparison for every ordered group pair, exact.
+
+    Group i passes against j when its own utility is at least the size ratio
+    times its utility for j's allocation.  The margin is own minus scaled.
+    """
+    return {key: (envy <= 0, -envy) for key, envy in _scaled_envy(h, x).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +314,7 @@ def ef_round(
     but never above.
     """
     inst = h.instance
-    if len(alpha) != len(inst.dimensions):
-        raise BudgetError(
-            f"alpha has {len(alpha)} entries for {len(inst.dimensions)} dimensions"
-        )
+    check_alpha(alpha, len(inst.dimensions))
     if ef_condition(h, alpha, delta) < 0:
         raise BudgetError(
             "condition sum 2(k_l-1)/(alpha_l+1) + omega*/(delta+1) <= 1/2 fails"
@@ -358,34 +350,18 @@ def check_ef_deviation(
     Returns {'pairs': {...}, 'capacity': {...}, 'ok': bool}.
     """
     inst = h.instance
+    bounds = {
+        (dim, g): alpha[li] * h.group_best(dim, g)
+        for li, dim in enumerate(inst.dimensions)
+        for g in inst.groups_in(dim)
+    }
     pairs_out = {}
     ok = True
-    for li, dim in enumerate(inst.dimensions):
-        groups = inst.groups_in(dim)
-        for i in groups:
-            mem_i = inst.group_members(dim, i)
-            own = sum(
-                (h.utilities.of(a, q) * v for (a, q), v in y.values.items() if a in mem_i),
-                ZERO,
-            )
-            bound = alpha[li] * h.group_best(dim, i)
-            for j in groups:
-                if i == j:
-                    continue
-                mem_j = inst.group_members(dim, j)
-                envied = sum(
-                    (
-                        h.group_utility_of(dim, i, q) * v
-                        for (b, q), v in y.values.items()
-                        if b in mem_j
-                    ),
-                    ZERO,
-                )
-                ratio = Fraction(len(mem_i), len(mem_j))
-                envy = ratio * envied - own
-                passed = envy < bound
-                ok = ok and passed
-                pairs_out[(dim, i, j)] = (passed, envy, bound)
+    for (dim, i, j), envy in _scaled_envy(h, y).items():
+        bound = bounds[(dim, i)]
+        passed = envy < bound
+        ok = ok and passed
+        pairs_out[(dim, i, j)] = (passed, envy, bound)
     capacity_out = {}
     for r, c in inst.resources:
         used = y.resource_usage(r)

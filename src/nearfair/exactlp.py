@@ -464,15 +464,6 @@ class _Tableau:
 # ---------------------------------------------------------------------------
 
 
-def _tight_constraints(lp: LinearProgram, values: Sequence[Fraction]) -> frozenset[int]:
-    tight = set()
-    for idx, c in enumerate(lp.constraints):
-        lhs = sum((v * values[j] for j, v in c.coeffs.items()), ZERO)
-        if lhs == c.rhs:
-            tight.add(idx)
-    return frozenset(tight)
-
-
 def _rank(rows: Sequence[Row]) -> int:
     """Rank of sparse rows by forward elimination; the inputs are not modified.
 
@@ -504,7 +495,8 @@ def vertex_rank(
     Every tight bound row is a unit vector, so the rank is the number of
     at-bound columns plus the rank of the tight constraint rows with those
     columns deleted.  ``tight`` is the point's tight constraint set when
-    the caller already has it.
+    the caller already has it; otherwise the point is checked for
+    feasibility first.
     """
     at_bound = {
         j
@@ -512,7 +504,7 @@ def vertex_rank(
         if values[j] == var.lb or values[j] == var.ub
     }
     if tight is None:
-        tight = _tight_constraints(lp, values)
+        tight = _check_feasible(lp, values)
     rest = [
         Row.of({j: v for j, v in lp.constraints[idx].coeffs.items() if j not in at_bound})
         for idx in tight

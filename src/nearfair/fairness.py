@@ -16,7 +16,7 @@ total capacity excess within an explicit cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -34,10 +34,11 @@ from .model import (
     Instance,
     Pair,
     UtilityModel,
+    group_utility,
     pair_universe,
 )
 from .rationals import ONE, ZERO, snap
-from .rounding import Certificate, DeviationBudget, iterative_round
+from .rounding import Certificate, DeviationBudget, capacity_excess, check_alpha, iterative_round
 
 FW_TOLERANCE = 1e-9
 FW_MAX_ITERATIONS = 10**4
@@ -107,13 +108,7 @@ def _assignment_instance(instance: Instance) -> Instance:
     everyone = frozenset(a.id for a in instance.agents)
     if instance.binding == everyone:
         return instance
-    return Instance(
-        agents=instance.agents,
-        resources=instance.resources,
-        binding=everyone,
-        dimensions=instance.dimensions,
-        acceptability=instance.acceptability,
-    )
+    return replace(instance, binding=everyone)
 
 
 def allocation_polytope(
@@ -139,10 +134,6 @@ def allocation_polytope(
         if coeffs:
             lp.add_constraint(coeffs, "<=", Fraction(c))
     return lp, pairs, col
-
-
-def _group_keys(instance: Instance) -> list[tuple[str, str]]:
-    return [(dim, g) for dim in instance.dimensions for g in instance.groups_in(dim)]
 
 
 def _group_optimum(
@@ -196,7 +187,7 @@ def solve_fair_fractional(
     if not start.optimal:
         raise InfeasibleInstanceError("no fractional allocation exists")
 
-    keys = _group_keys(instance)
+    keys = instance.group_keys()
     members = {key: instance.group_members(*key) for key in keys}
     util = {e: float(utilities.of(*e)) for e in pairs}
 
@@ -287,16 +278,13 @@ def refine_to_vertex(
     the first polytope empty.
     """
     instance = _assignment_instance(instance)
-    keys = _group_keys(instance)
+    keys = instance.group_keys()
 
     def attempt(tol: Fraction) -> Optional[Allocation]:
         lp, pairs, col = allocation_polytope(instance)
         for key in keys:
             mem = instance.group_members(*key)
-            target = sum(
-                (utilities.of(*e) * v for e, v in x_star.values.items() if e[0] in mem),
-                ZERO,
-            )
+            target = group_utility(x_star, utilities, instance, *key)
             coeffs = {col[e]: utilities.of(*e) for e in pairs if e[0] in mem}
             lp.add_constraint(coeffs, ">=", target * (1 - tol))
         sol = feasible_vertex(lp)
@@ -355,8 +343,6 @@ class FairResult:
     rounded: Allocation
     delta: int
     delta_plus: int
-    group_utilities_before: dict[tuple[str, str], Fraction]
-    group_utilities_after: dict[tuple[str, str], Fraction]
     resource_excess: dict[str, int]
     total_excess: int
     certificate: Certificate
@@ -371,10 +357,7 @@ def approx_fair_allocation(
 ) -> FairResult:
     """Full pipeline: fair fractional point, vertex refinement, rounding."""
     instance = _assignment_instance(instance)
-    if len(alpha) != len(instance.dimensions):
-        raise BudgetError(
-            f"alpha has {len(alpha)} entries for {len(instance.dimensions)} dimensions"
-        )
+    check_alpha(alpha, len(instance.dimensions))
     if fairness_condition(instance, alpha, delta) < 0:
         raise BudgetError(
             "condition sum 1/(alpha_l+1) + omega*/(delta+2) <= 1/2 fails"
@@ -391,31 +374,9 @@ def approx_fair_allocation(
     )
     y, cert = iterative_round(instance, x_fair, utilities, budget)
 
-    keys = _group_keys(instance)
-    before, after = {}, {}
-    for key in keys:
-        mem = instance.group_members(*key)
-        before[key] = sum(
-            (utilities.of(*e) * v for e, v in x_fair.values.items() if e[0] in mem), ZERO
-        )
-        after[key] = sum(
-            (utilities.of(*e) * v for e, v in y.values.items() if e[0] in mem), ZERO
-        )
-
     dplus = delta_plus_bound(instance, delta)
-    excess = {}
-    total_excess = 0
-    for r, c in instance.resources:
-        used = y.resource_usage(r)
-        if used != int(used):
-            raise InvariantViolation(f"integral output uses {used} of {r!r}")
-        over = max(0, int(used) - c)
-        excess[r] = over
-        total_excess += over
-        if over > delta:
-            raise InvariantViolation(
-                f"resource {r!r} exceeded capacity by {over} > delta={delta}"
-            )
+    excess = capacity_excess(instance, y, delta)
+    total_excess = sum(excess.values())
     if total_excess > dplus:
         raise InvariantViolation(
             f"total excess {total_excess} exceeds the cap {dplus}"
@@ -425,8 +386,6 @@ def approx_fair_allocation(
         rounded=y,
         delta=delta,
         delta_plus=dplus,
-        group_utilities_before=before,
-        group_utilities_after=after,
         resource_excess=excess,
         total_excess=total_excess,
         certificate=cert,
@@ -460,9 +419,7 @@ def check_proportionality(
         mem = instance.group_members(dim, g)
         best = -_group_optimum(lp, pairs, col, utilities, mem, snapshot).objective
         ustar = utilities.group_max(instance, dim, g)
-        got = sum(
-            (utilities.of(*e) * v for e, v in y.values.items() if e[0] in mem), ZERO
-        )
+        got = group_utility(y, utilities, instance, dim, g)
         margin = got - (best / k - alpha * ustar)
         out[g] = (margin >= 0, margin)
     return out

@@ -151,6 +151,10 @@ class Instance:
     def group_count(self, dim: str) -> int:
         return len(self.groups_in(dim))
 
+    def group_keys(self) -> list[tuple[str, str]]:
+        """Every (dimension, group) pair, dimension-major in instance order."""
+        return [(dim, g) for dim in self.dimensions for g in self.groups_in(dim)]
+
     # -- validation -----------------------------------------------------------
 
     @classmethod
@@ -294,6 +298,12 @@ class Allocation:
     def agent_total(self, agent_id: str) -> Fraction:
         return sum(
             (v for (a, _), v in self.values.items() if a == agent_id), ZERO
+        )
+
+    def mass(self, instance: Instance) -> Fraction:
+        """Demand-weighted total: each entry's value times its agent's demand."""
+        return sum(
+            (instance.agent(a).demand * v for (a, _), v in self.values.items()), ZERO
         )
 
     def resource_usage(self, resource: str) -> Fraction:

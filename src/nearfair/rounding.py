@@ -29,7 +29,7 @@ from typing import Callable, Hashable, Optional, Sequence
 
 from .errors import BudgetError, InvalidInstanceError, InvariantViolation
 from .exactlp import LinearProgram, VertexSolution, feasible_vertex
-from .model import Allocation, Instance, Pair, UtilityModel
+from .model import Allocation, Instance, Pair, UtilityModel, group_utility
 from .rationals import ONE, ZERO, ceil_frac, rat_str
 
 # ---------------------------------------------------------------------------
@@ -89,14 +89,17 @@ def min_Delta(budget: DeviationBudget) -> int:
     return ceil_frac(ONE / slack - 1)
 
 
+def check_alpha(alpha: Sequence[int], d: int) -> None:
+    """Raise BudgetError unless alpha has one entry per dimension."""
+    if len(alpha) != d:
+        raise BudgetError(f"alpha has {len(alpha)} entries for {d} dimensions")
+
+
 def _validate_budget(
     instance: Instance, x: Allocation, budget: DeviationBudget
 ) -> None:
     d = len(instance.dimensions)
-    if len(budget.alpha) != d:
-        raise BudgetError(
-            f"alpha has {len(budget.alpha)} entries for {d} dimensions"
-        )
+    check_alpha(budget.alpha, d)
     if budget.omega_star != instance.omega_star:
         raise BudgetError(
             f"budget sized for max demand {budget.omega_star}, "
@@ -109,14 +112,10 @@ def _validate_budget(
     slack = check_condition(budget)
     if slack < 0:
         raise BudgetError(f"budget fails the admissibility condition by {-slack}")
-    if budget.Delta is not None:
-        if budget.psi == 1 and budget.Delta >= 2:
-            return
-        if slack > 0 and budget.Delta >= ONE / slack - 1:
-            return
+    if budget.Delta is not None and budget.Delta < min_Delta(budget):
         raise BudgetError(
-            f"Delta={budget.Delta} satisfies neither total-budget rule "
-            f"(needs Delta>=2 with psi=1, or slack>0 and Delta>=1/slack-1)"
+            f"Delta={budget.Delta} is below the smallest admissible total "
+            f"budget {min_Delta(budget)}"
         )
 
 
@@ -212,16 +211,10 @@ def verify_approximation(
 
     for li, dim in enumerate(instance.dimensions):
         for g in instance.groups_in(dim):
-            members = instance.group_members(dim, g)
-            ux = sum(
-                (utilities.of(a, q) * v for (a, q), v in x.values.items() if a in members),
-                ZERO,
+            dev = abs(
+                group_utility(y, utilities, instance, dim, g)
+                - group_utility(x, utilities, instance, dim, g)
             )
-            uy = sum(
-                (utilities.of(a, q) * v for (a, q), v in y.values.items() if a in members),
-                ZERO,
-            )
-            dev = abs(uy - ux)
             bound = budget.alpha[li] * utilities.group_max(instance, dim, g)
             cert.group_deviations[(dim, g)] = (dev, bound)
             if not dev < bound:
@@ -235,12 +228,7 @@ def verify_approximation(
         if not dev < budget.delta:
             cert.violations.append(f"resource {r} deviates {dev}, budget {budget.delta}")
 
-    def mass(alloc: Allocation) -> Fraction:
-        return sum(
-            (instance.agent(a).demand * v for (a, _), v in alloc.values.items()), ZERO
-        )
-
-    total_dev = abs(mass(y) - mass(x))
+    total_dev = abs(y.mass(instance) - x.mass(instance))
     if budget.Delta is None:
         cert.total_deviation = (total_dev, None)
     else:
@@ -249,6 +237,25 @@ def verify_approximation(
         if not total_dev < bound:
             cert.violations.append(f"total deviates {total_dev}, budget {bound}")
     return cert
+
+
+def capacity_excess(instance: Instance, y: Allocation, delta: int) -> dict[str, int]:
+    """Units by which an integral allocation exceeds each resource's capacity.
+
+    Raises InvariantViolation on a non-integral load or an excess above
+    ``delta``.
+    """
+    excess = {}
+    for r, c in instance.resources:
+        used = y.resource_usage(r)
+        if used != int(used):
+            raise InvariantViolation(f"integral output uses {used} of {r!r}")
+        excess[r] = max(0, int(used) - c)
+        if excess[r] > delta:
+            raise InvariantViolation(
+                f"resource {r!r} exceeded capacity by {excess[r]} > delta={delta}"
+            )
+    return excess
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +304,9 @@ def _round_loop(
     strictly decrease.  Returns the rounded mapping and one state per
     iteration, the last being the one that needed no row.
     """
-    dims = list(instance.dimensions)
-    group_keys = [(dim, g) for dim in dims for g in instance.groups_in(dim)]
+    group_keys = instance.group_keys()
     members = {key: instance.group_members(*key) for key in group_keys}
-    dim_index = {dim: i for i, dim in enumerate(dims)}
+    dim_index = {dim: i for i, dim in enumerate(instance.dimensions)}
     demand = {a.id: a.demand for a in instance.agents}
 
     x_cur: dict[Pair, Fraction] = dict(x.values)

@@ -15,7 +15,7 @@ from nearfair.envyfree import (
     greedy_fractional_ef,
 )
 from nearfair.errors import BudgetError, InvalidInstanceError
-from nearfair.model import AgentSpec, Allocation, Bundle, Instance, UtilityModel
+from nearfair.model import AgentSpec, Allocation, Bundle, Instance, UtilityModel, enumerate_bundles
 
 from generators import ef_budget, random_homogeneous
 
@@ -162,6 +162,74 @@ def test_ef_round_random_end_to_end():
                 assert y.value(*e) == 1
         for e in y.values:
             assert e in x.values
+
+
+def brute_scaled_envy(h, x):
+    """|i|/|j| * U_i(x_j) - U_i(x_i) per ordered group pair, from the agent
+    specs alone; U_i scores a bundle with the utility of i's first member."""
+    inst = h.instance
+    out = {}
+    for dim in inst.dimensions:
+        groups = sorted({a.groups[dim] for a in inst.agents})
+        members = {g: sorted(a.id for a in inst.agents if a.groups[dim] == g) for g in groups}
+        for i in groups:
+            own = sum(
+                (h.utilities.of(a, q) * v for (a, q), v in x.values.items() if a in members[i]),
+                Fraction(0),
+            )
+            for j in groups:
+                if j == i:
+                    continue
+                envied = sum(
+                    (
+                        h.utilities.of(members[i][0], q) * v
+                        for (b, q), v in x.values.items()
+                        if b in members[j]
+                    ),
+                    Fraction(0),
+                )
+                ratio = Fraction(len(members[i]), len(members[j]))
+                out[(dim, i, j)] = ratio * envied - own
+    return out
+
+
+def test_scaled_envy_matches_brute_force_on_unequal_groups():
+    """Both checkers report the scaled envy the definition gives, in markets
+    with two dimensions whose groups differ in size."""
+    rng = random.Random(41)
+    markets = unequal = 0
+    while markets < 8:
+        h = random_homogeneous(rng)
+        inst = h.instance
+        if len(inst.dimensions) != 2:
+            continue
+        markets += 1
+        alpha, delta = ef_budget(h)
+        x, _ = greedy_fractional_ef(h)
+        y = ef_round(h, x, alpha, delta)
+
+        envy_x = brute_scaled_envy(h, x)
+        assert check_fractional_ef(h, x) == {k: (e <= 0, -e) for k, e in envy_x.items()}
+
+        envy_y = brute_scaled_envy(h, y)
+        report = check_ef_deviation(h, y, alpha, delta)
+        for (dim, i, j), (passed, envy, bound) in report["pairs"].items():
+            best = max(
+                h.utilities.of(a.id, q)
+                for a in inst.agents
+                if a.groups[dim] == i
+                for q in enumerate_bundles(a.id, inst)
+            )
+            assert bound == alpha[inst.dimensions.index(dim)] * best
+            assert (passed, envy) == (envy_y[(dim, i, j)] < bound, envy_y[(dim, i, j)])
+        assert report["pairs"].keys() == envy_y.keys()
+        sizes = {
+            (dim, a.groups[dim]): sum(b.groups[dim] == a.groups[dim] for b in inst.agents)
+            for dim in inst.dimensions
+            for a in inst.agents
+        }
+        unequal += any(sizes[(d, i)] != sizes[(d, j)] for d, i, j in envy_x)
+    assert unequal > markets // 2
 
 
 def test_ef_deviation_boundary_strict():

@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearfair import envyfree, rounding
+from nearfair import couples, envyfree, fairness, rounding
+from nearfair.couples import CouplesInstance, fair_stable_allocation
 from nearfair.envyfree import HomogeneousInstance, ef_round
 from nearfair.errors import BudgetError, InvalidInstanceError, InvariantViolation
 from nearfair.exactlp import VertexSolution
+from nearfair.fairness import FairObjective, approx_fair_allocation, gen_lower_bound_instance
 from nearfair.model import AgentSpec, Allocation, Bundle, Instance, UtilityModel
 from nearfair.oracle import best_deviation
 from nearfair.rounding import (
+    Certificate,
     DeviationBudget,
     check_condition,
     forced_psi,
@@ -347,3 +350,41 @@ def test_condition_monotone_in_budgets(alpha, delta, psi, omega):
     if psi == 1:
         relaxed = check_condition(DeviationBudget(tuple(alpha), delta, None, 0, omega))
         assert relaxed == base + Fraction(1, 2)
+
+
+# -- the shared capacity-excess guard -----------------------------------------
+
+
+@pytest.mark.parametrize("pipeline", ["assignment", "couples"])
+def test_capacity_excess_guard_names_the_resource(monkeypatch, pipeline):
+    """A rounded output that overloads a resource by more than delta is an
+    internal failure in both pipelines that report capacity excess."""
+    on_r1 = Bundle.of({"r1": 1})
+    if pipeline == "assignment":
+        inst, u = gen_lower_bound_instance("capacity", 4)
+        module = fairness
+
+        def run():
+            return approx_fair_allocation(inst, u, FairObjective.utilitarian(), (3,), 2)
+
+    else:
+        singles = [AgentSpec(f"s{i}", 1) for i in range(1, 5)]
+        inst = Instance(singles, [("r1", 1), ("r2", 3)])
+        order = [a.id for a in singles]
+        on_r2 = Bundle.of({"r2": 1})
+        ci = CouplesInstance(
+            inst, {"r1": order, "r2": order}, {a: [on_r1, on_r2] for a in order}
+        )
+        u = UtilityModel(additive={a: {"r1": 2, "r2": 1} for a in order})
+        module = couples
+
+        def run():
+            return fair_stable_allocation(ci, u, FairObjective.utilitarian(), (), 2)
+
+    # all four agents on r1, which has capacity 1: an excess of 3 > delta = 2
+    overloaded = Allocation({(a.id, on_r1): 1 for a in inst.agents})
+    monkeypatch.setattr(
+        module, "iterative_round", lambda *args: (overloaded, Certificate())
+    )
+    with pytest.raises(InvariantViolation, match="resource 'r1' exceeded capacity by 3 > delta=2"):
+        run()

@@ -88,3 +88,60 @@ def test_oracle_shares_only_the_lp_model_and_row_kernel():
     the oracle may not run any of it (``phase_one``, ``_Tableau``, ...)."""
     names = exactlp_imports((SRC / "oracle.py").read_text())
     assert names <= {"LinearProgram", "Row"}, sorted(names)
+
+
+def _is_utility_call(node: ast.AST) -> bool:
+    """``utilities.of(...)``, also reached through an attribute (``h.utilities.of``)."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "of"
+    ):
+        return False
+    owner = node.func.value
+    return (isinstance(owner, ast.Name) and owner.id == "utilities") or (
+        isinstance(owner, ast.Attribute) and owner.attr == "utilities"
+    )
+
+
+def inline_utility_sums(source: str) -> list[int]:
+    """Lines of ``sum(...)`` calls whose generator multiplies a utility by a value."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"
+            and node.args
+            and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+        ):
+            continue
+        products = [
+            n for n in ast.walk(node.args[0].elt)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+        ]
+        if any(_is_utility_call(n.left) or _is_utility_call(n.right) for n in products):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_inline_utility_sum_detector():
+    assert inline_utility_sums(
+        "u = sum((utilities.of(a, q) * v for (a, q), v in x.values.items()), ZERO)\n"
+        "w = sum(v * h.utilities.of(*e) for e, v in y.values.items())\n"
+    ) == [1, 2]
+    assert inline_utility_sums(
+        "s = sum(h.group_utility_of(d, i, q) * v for (b, q), v in x.values.items())\n"
+        "m = sum(demand[a] * v for (a, _), v in x.values.items())\n"
+        "c = {e: utilities.of(*e) for e in pairs}\n"
+    ) == []
+
+
+def test_group_utility_has_one_owner():
+    """A group's utility is summed only by ``model.group_utility``; the
+    oracle keeps its own sums as the independent reference."""
+    modules = sorted(
+        p for p in SRC.glob("*.py") if p.name not in ("model.py", "oracle.py")
+    )
+    found = {p.name: inline_utility_sums(p.read_text()) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
