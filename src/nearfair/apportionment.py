@@ -13,13 +13,13 @@ dimensions the constraint matrix is an interval/network matrix, so the
 vertex optimum is already integral; with three or more dimensions the
 optimum is rounded through the same iterative machinery as everything else,
 with per-dimension budgets alpha+1 and the house tracked through the single
-synthetic resource.
+synthetic resource.  Admissible alpha are those of the "apportion" row of
+``rounding.CONDITIONS``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
@@ -28,7 +28,7 @@ from .errors import BudgetError, InfeasibleInstanceError, InvalidInstanceError, 
 from .exactlp import LinearProgram, solve_vertex
 from .model import Allocation, AgentSpec, Bundle, Instance, UtilityModel
 from .rationals import ONE, ZERO, ceil_frac, snap
-from .rounding import DeviationBudget, check_alpha, check_condition, iterative_round
+from .rounding import CONDITIONS, DeviationBudget, check_condition, iterative_round
 
 LOG_SNAP_DENOMINATOR = 10**9
 
@@ -283,17 +283,14 @@ def solve_lp_ma(
 
 
 def ma_condition(ma: MAInstance, alpha: tuple[int, ...]) -> Fraction:
-    """Slack of  sum_l 1/(alpha_l + 2) <= 1."""
-    return 1 - sum((Fraction(1, a + 2) for a in alpha), ZERO)
+    """Slack of the "apportion" condition."""
+    return CONDITIONS["apportion"].slack(alpha)
 
 
 def delta_bound_ma(ma: MAInstance, alpha: tuple[int, ...]) -> int:
     """House-size deviation bound: the best of the per-dimension caps and
     the budget-driven cap."""
-    check_alpha(alpha, ma.d)
-    slack = ma_condition(ma, alpha)
-    if slack < 0:
-        raise BudgetError("condition sum 1/(alpha_l+2) <= 1 fails")
+    slack = CONDITIONS["apportion"].require(alpha, d=ma.d)
     binding = set(ma.binding_dimensions())
     per_dim = []
     for li, dim in enumerate(ma.dims):
@@ -327,22 +324,15 @@ def _lifted_budget(alpha: tuple[int, ...], psi: int) -> DeviationBudget:
     total budget, max demand 1, and the smallest per-resource delta that
     ``check_condition`` admits.
 
-    The slack grows with delta towards a limit whose denominator divides
-    ``top = 2 * prod(alpha_l + 2)``: a positive limit is at least 1/top, so
-    delta = top passes whenever any delta does.
+    At delta = 0 the resource term 1/(delta + 1) spends exactly 1, so the
+    slack there plus 1 is what the group terms leave, rem; the smallest
+    delta with 1/(delta + 1) <= rem is ceil(1/rem - 1).
     """
     lifted = tuple(a + 1 for a in alpha)
-
-    def admissible(delta: int) -> bool:
-        return check_condition(DeviationBudget(lifted, delta, None, psi, 1)) >= 0
-
-    top = 2 * math.prod(a + 2 for a in alpha)
-    if not admissible(top):
-        raise BudgetError(
-            "no per-resource budget fits: sum 1/(alpha_l+2) leaves no slack"
-        )
-    delta = bisect_left(range(top), True, key=admissible)
-    return DeviationBudget(lifted, delta, None, psi, 1)
+    rem = check_condition(DeviationBudget(lifted, 0, None, psi, 1)) + 1
+    if rem <= 0:
+        raise BudgetError(f"no per-resource budget fits: the group terms leave {rem}")
+    return DeviationBudget(lifted, ceil_frac(ONE / rem - 1), None, psi, 1)
 
 
 def _lift_and_round(
@@ -388,9 +378,7 @@ def approx_apportionment(
     divisor property is inherited; group seat counts stay within alpha of
     their windows and the house size within the explicit bound.
     """
-    check_alpha(alpha, ma.d)
-    if ma_condition(ma, alpha) < 0:
-        raise BudgetError("condition sum 1/(alpha_l+2) <= 1 fails")
+    bound = delta_bound_ma(ma, alpha)
     x_star = solve_lp_ma(ma, method)
     fractional_entries = [v for v, val in x_star.items() if 0 < val < 1]
     if fractional_entries:
@@ -422,7 +410,6 @@ def approx_apportionment(
                     f"group ({dim},{g}) misses its window by {dev} > alpha={alpha[li]}"
                 )
     total = sum(seats.values())
-    bound = delta_bound_ma(ma, alpha)
     house_dev = abs(total - ma.house)
     if house_dev > bound:
         raise InvariantViolation(

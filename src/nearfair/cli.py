@@ -34,8 +34,8 @@ from .errors import (
 )
 from .rationals import rat_str
 from .rounding import (
+    CONDITIONS,
     DeviationBudget,
-    check_condition,
     forced_psi,
     iterative_round,
     min_Delta,
@@ -265,45 +265,30 @@ def cmd_gen(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    doc: dict = {}
-    passed = True
-    if args.assignment or args.envyfree is not None or args.couples:
-        if args.assignment:
-            slack = fair.assignment_slack(args.alpha, args.delta, args.omega)
-            doc["condition"] = "sum 1/(alpha+1) + omega*/(delta+2) <= 1/2"
-        elif args.couples:
-            slack = cpl.couples_slack(args.alpha, args.delta)
-            doc["condition"] = "sum 1/(alpha+1) + 2/(delta+2) <= 1/2"
-        else:
-            if len(args.envyfree) != len(args.alpha):
-                raise SchemaError("--envyfree needs one group count per alpha entry")
-            slack = ef.ef_slack(args.envyfree, args.alpha, args.delta, args.omega)
-            doc["condition"] = "sum 2(k-1)/(alpha+1) + omega*/(delta+1) <= 1/2"
-        doc["slack"] = rat_str(slack)
-        passed = slack >= 0
-        if args.assignment and args.agents and args.resources:
-            doc["delta_plus"] = fair.delta_plus(
-                args.omega, args.agents, args.resources, sum(args.groups or ()), args.delta
-            )
+    if args.assignment:
+        market = "assignment"
+    elif args.couples:
+        market = "couples"
+    elif args.envyfree is not None:
+        market = "envyfree"
     else:
-        psi = args.psi if args.psi is not None else 1
-        budget = DeviationBudget(
-            alpha=args.alpha,
-            delta=args.delta,
-            Delta=None,
-            psi=psi,
-            omega_star=args.omega,
+        market = "round"
+    psi = args.psi if args.psi is not None else 1
+    row = CONDITIONS[market]
+    slack = row.slack(args.alpha, args.delta, args.omega, psi=psi, counts=args.envyfree)
+    passed = slack >= 0
+    doc: dict = {"condition": row.text, "slack": rat_str(slack)}
+    if market == "assignment" and args.agents and args.resources:
+        doc["delta_plus"] = fair.delta_plus(
+            args.omega, args.agents, args.resources, sum(args.groups or ()), args.delta
         )
-        slack = check_condition(budget)
-        doc["condition"] = "psi/2 + sum 1/(alpha+1) + omega*/(delta+1) <= 1"
-        doc["slack"] = rat_str(slack)
-        passed = slack >= 0
-        if passed:
-            try:
-                doc["min_Delta"] = min_Delta(budget)
-            except BudgetError as exc:
-                doc["min_Delta"] = None
-                doc["min_Delta_error"] = str(exc)
+    if market == "round" and passed:
+        budget = DeviationBudget(args.alpha, args.delta, None, psi, args.omega)
+        try:
+            doc["min_Delta"] = min_Delta(budget)
+        except BudgetError as exc:
+            doc["min_Delta"] = None
+            doc["min_Delta_error"] = str(exc)
     doc["passed"] = passed
     _emit(doc, args.out)
     return EXIT_OK if passed else EXIT_BUDGET

@@ -11,8 +11,9 @@ Fractional stable points are taken from the packing polytope over agent-
 bundle pairs (capacity rows plus at-most-one-bundle rows).  At desk scale we
 enumerate its vertices exhaustively and call a vertex *dominating* when
 every rounding of it is stable under the capacities it realizes; rounding a
-dominating vertex with the usual budget machinery then yields near-feasible
-stable (and fair) integral allocations.
+dominating vertex with the usual budget machinery, under the "couples" row
+of ``rounding.CONDITIONS``, then yields near-feasible stable (and fair)
+integral allocations.
 
 The vertices come from ``oracle.vertex_enumerate``, which pivots between
 lexicographically positive bases.  The polytope is highly degenerate (most
@@ -29,7 +30,6 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import (
-    BudgetError,
     InvalidInstanceError,
     InvariantViolation,
     NoDominatingVertexError,
@@ -46,8 +46,8 @@ from .model import (
     pair_universe,
 )
 from .oracle import enumerate_roundings, vertex_enumerate
-from .rationals import ONE, ZERO
-from .rounding import Certificate, DeviationBudget, capacity_excess, check_alpha, iterative_round
+from .rationals import ONE
+from .rounding import CONDITIONS, Certificate, DeviationBudget, capacity_excess, iterative_round
 
 
 @dataclass
@@ -101,12 +101,6 @@ class CouplesInstance:
                 raise InvalidInstanceError(
                     f"resource {r!r} does not rank agents {sorted(missing)}"
                 )
-
-    def singles(self) -> list[str]:
-        return [a.id for a in self.instance.agents if a.demand == 1]
-
-    def couples(self) -> list[str]:
-        return [a.id for a in self.instance.agents if a.demand == 2]
 
     def prefers_resource(self, r: str, a: str, b: str) -> bool:
         """True when r ranks a strictly above b."""
@@ -261,16 +255,9 @@ def dominating_vertices(ci: CouplesInstance) -> Iterator[Allocation]:
 # ---------------------------------------------------------------------------
 
 
-def couples_slack(alpha: Sequence[int], delta: int) -> Fraction:
-    """Slack of  sum_l 1/(alpha_l+1) + 2/(delta+2) <= 1/2."""
-    total = sum((Fraction(1, a + 1) for a in alpha), ZERO)
-    total += Fraction(2, delta + 2)
-    return Fraction(1, 2) - total
-
-
 def couples_condition(ci: CouplesInstance, alpha: tuple[int, ...], delta: int) -> Fraction:
-    """``couples_slack``; the condition does not depend on the market."""
-    return couples_slack(alpha, delta)
+    """Slack of the "couples" condition; it does not depend on the market."""
+    return CONDITIONS["couples"].slack(alpha, delta)
 
 
 @dataclass
@@ -294,9 +281,7 @@ def fair_stable_allocation(
     """Pick the dominating vertex maximizing the group-fairness objective,
     round it, and certify stability plus all deviation caps."""
     inst = ci.instance
-    check_alpha(alpha, len(inst.dimensions))
-    if couples_condition(ci, alpha, delta) < 0:
-        raise BudgetError("condition sum 1/(alpha_l+1) + 2/(delta+2) <= 1/2 fails")
+    CONDITIONS["couples"].require(alpha, delta, d=len(inst.dimensions))
 
     group_keys = inst.group_keys()
 

@@ -8,18 +8,17 @@ unsaturated agent eats its favorite still-available bundle at unit rate).
 Rounding is the one iterative rounder of ``rounding``, given a different row
 family: active groups are protected by pairwise no-new-envy inequalities
 that stay equalities once tight, instead of utility-equality rows, and the
-total-conservation row is never imposed.  Admissible budgets satisfy
-
-    sum_l 2(k_l - 1)/(alpha_l + 1) + omega*/(delta + 1) <= 1/2.
+total-conservation row is never imposed.  Admissible budgets are those of
+the "envyfree" row of ``rounding.CONDITIONS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from .errors import BudgetError, InvalidInstanceError, InvariantViolation
+from .errors import InvalidInstanceError, InvariantViolation
 from .exactlp import feasible_vertex
 from .model import (
     Allocation,
@@ -31,7 +30,7 @@ from .model import (
     group_utility,
 )
 from .rationals import ZERO
-from .rounding import GroupRows, IterationState, _dump, _round_loop, check_alpha
+from .rounding import CONDITIONS, GroupRows, IterationState, _dump, _round_loop
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +213,12 @@ def check_fractional_ef(
 # ---------------------------------------------------------------------------
 
 
-def ef_slack(
-    group_counts: Sequence[int], alpha: Sequence[int], delta: int, omega_star: int
-) -> Fraction:
-    """Slack of  sum_l 2(k_l-1)/(alpha_l+1) + omega*/(delta+1) <= 1/2."""
-    total = sum(
-        (Fraction(2 * (k - 1), alpha[li] + 1) for li, k in enumerate(group_counts)), ZERO
-    )
-    total += Fraction(omega_star, delta + 1)
-    return Fraction(1, 2) - total
-
-
 def ef_condition(h: HomogeneousInstance, alpha: tuple[int, ...], delta: int) -> Fraction:
-    """``ef_slack`` at the instance's group counts and max demand."""
+    """Slack of the "envyfree" condition at the instance's group counts and
+    max demand; BudgetError unless alpha has one entry per dimension."""
     inst = h.instance
     counts = [inst.group_count(dim) for dim in inst.dimensions]
-    return ef_slack(counts, alpha, delta, h.omega_star)
+    return CONDITIONS["envyfree"].slack(alpha, delta, h.omega_star, counts=counts)
 
 
 def _envy_rows(h: HomogeneousInstance) -> GroupRows:
@@ -314,11 +303,8 @@ def ef_round(
     but never above.
     """
     inst = h.instance
-    check_alpha(alpha, len(inst.dimensions))
-    if ef_condition(h, alpha, delta) < 0:
-        raise BudgetError(
-            "condition sum 2(k_l-1)/(alpha_l+1) + omega*/(delta+1) <= 1/2 fails"
-        )
+    counts = [inst.group_count(dim) for dim in inst.dimensions]
+    CONDITIONS["envyfree"].require(alpha, delta, h.omega_star, counts=counts)
     problems = x.check_allocation(replace(inst, binding=frozenset()), capacities=True)
     if problems:
         raise InvalidInstanceError("bad input allocation: " + "; ".join(problems))

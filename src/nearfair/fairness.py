@@ -3,9 +3,9 @@
 Maximizes a concave function of each group's utility over the fractional
 allocation polytope (Frank-Wolfe with an exact LP linearization oracle),
 refines the float optimum to an exact vertex that guarantees every group at
-least the utility it had, and rounds that vertex with a budget of the form
-
-    sum_l 1/(alpha_l + 1) + omega*/(delta + 2) <= 1/2.
+least the utility it had, and rounds that vertex with a budget admitted by
+the "assignment" row of ``rounding.CONDITIONS`` (per-resource budget
+delta + 1, psi = 1).
 
 The rounded assignment gives every agent exactly one bundle, lets each
 group's utility drift strictly less than alpha_l times its best single
@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import (
-    BudgetError,
     InfeasibleInstanceError,
     InvalidInstanceError,
     InvariantViolation,
@@ -37,8 +36,8 @@ from .model import (
     group_utility,
     pair_universe,
 )
-from .rationals import ONE, ZERO, snap
-from .rounding import Certificate, DeviationBudget, capacity_excess, check_alpha, iterative_round
+from .rationals import ONE, snap
+from .rounding import CONDITIONS, Certificate, DeviationBudget, capacity_excess, iterative_round
 
 FW_TOLERANCE = 1e-9
 FW_MAX_ITERATIONS = 10**4
@@ -325,16 +324,9 @@ def delta_plus_bound(instance: Instance, delta: int) -> int:
     )
 
 
-def assignment_slack(alpha: Sequence[int], delta: int, omega_star: int) -> Fraction:
-    """Slack of  sum_l 1/(alpha_l+1) + omega*/(delta+2) <= 1/2."""
-    total = sum((Fraction(1, a + 1) for a in alpha), ZERO)
-    total += Fraction(omega_star, delta + 2)
-    return Fraction(1, 2) - total
-
-
 def fairness_condition(instance: Instance, alpha: tuple[int, ...], delta: int) -> Fraction:
-    """``assignment_slack`` at the instance's max demand."""
-    return assignment_slack(alpha, delta, instance.omega_star)
+    """Slack of the "assignment" condition at the instance's max demand."""
+    return CONDITIONS["assignment"].slack(alpha, delta, instance.omega_star)
 
 
 @dataclass
@@ -357,11 +349,7 @@ def approx_fair_allocation(
 ) -> FairResult:
     """Full pipeline: fair fractional point, vertex refinement, rounding."""
     instance = _assignment_instance(instance)
-    check_alpha(alpha, len(instance.dimensions))
-    if fairness_condition(instance, alpha, delta) < 0:
-        raise BudgetError(
-            "condition sum 1/(alpha_l+1) + omega*/(delta+2) <= 1/2 fails"
-        )
+    CONDITIONS["assignment"].require(alpha, delta, instance.omega_star, d=len(instance.dimensions))
     x_star = solve_fair_fractional(instance, utilities, objective)
     x_fair = refine_to_vertex(instance, utilities, x_star)
 

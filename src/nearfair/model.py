@@ -157,48 +157,6 @@ class Instance:
 
     # -- validation -----------------------------------------------------------
 
-    @classmethod
-    def from_group_sets(
-        cls,
-        agents: Sequence[AgentSpec],
-        resources: Sequence[tuple[str, int]],
-        group_sets: Mapping[str, Mapping[str, Iterable[str]]],
-        binding: Iterable[str] = (),
-        dimensions: Optional[Sequence[str]] = None,
-        acceptability: Optional[Iterable[tuple[str, str]]] = None,
-    ) -> "Instance":
-        """Build an instance from per-dimension group-to-agent-set maps.
-
-        Rejects overlapping groups inside a dimension; agent specs passed
-        here must not carry their own memberships.
-        """
-        membership: dict[str, dict[str, str]] = {a.id: {} for a in agents}
-        for dim, groups in group_sets.items():
-            seen: dict[str, str] = {}
-            for gid, members in groups.items():
-                for a in members:
-                    if a in seen:
-                        raise InvalidInstanceError(
-                            f"agent {a!r} in groups {seen[a]!r} and {gid!r} "
-                            f"of dimension {dim!r}"
-                        )
-                    seen[a] = gid
-                    if a not in membership:
-                        raise InvalidInstanceError(f"unknown agent {a!r} in group {gid!r}")
-                    membership[a][dim] = gid
-        rebuilt = [
-            AgentSpec(a.id, a.demand, membership[a.id]) for a in agents
-        ]
-        return cls(
-            rebuilt,
-            resources,
-            binding=frozenset(binding),
-            dimensions=dimensions if dimensions is not None else sorted(group_sets),
-            acceptability=(
-                frozenset(acceptability) if acceptability is not None else None
-            ),
-        )
-
     def validate(self) -> None:
         """Raise InvalidInstanceError unless all structural invariants hold."""
         seen = set()

@@ -15,6 +15,9 @@ rounded directly.  Each iteration either fixes a variable at 0/1 or turns an
 agent inequality into an equality, so the procedure terminates, and the
 final mapping deviates from the input strictly less than each budget entry.
 
+``CONDITIONS`` writes the condition once, with one row per market saying how
+that market's budget maps onto it.
+
 The loop is written once, in ``_round_loop``, and takes the rows that
 protect an active group as a parameter: ``iterative_round`` keeps each
 group's utility fixed, ``envyfree.ef_round`` keeps pairwise envy from
@@ -37,6 +40,13 @@ from .rationals import ONE, ZERO, ceil_frac, rat_str
 # ---------------------------------------------------------------------------
 
 
+def _check_signs(alpha: Sequence[int], delta: int, omega_star: int) -> None:
+    if any(a < 0 for a in alpha) or delta < 0:
+        raise BudgetError("alpha and delta must be non-negative")
+    if omega_star < 1:
+        raise BudgetError("omega_star must be positive")
+
+
 @dataclass(frozen=True)
 class DeviationBudget:
     """Per-dimension group budget alpha, per-resource budget delta, total
@@ -52,12 +62,76 @@ class DeviationBudget:
     def __post_init__(self):
         if self.psi not in (0, 1):
             raise BudgetError(f"psi must be 0 or 1, got {self.psi}")
-        if any(a < 0 for a in self.alpha) or self.delta < 0:
-            raise BudgetError("alpha and delta must be non-negative")
+        _check_signs(self.alpha, self.delta, self.omega_star)
         if self.Delta is not None and self.Delta < 0:
             raise BudgetError("Delta must be non-negative")
-        if self.omega_star < 1:
-            raise BudgetError("omega_star must be positive")
+
+
+@dataclass(frozen=True)
+class Condition:
+    """One market's reading of  psi/2 + sum_l c_l/(alpha_l+1) + omega/(delta+1) <= 1.
+
+    The market's alpha_l and delta enter raised by ``alpha_shift`` and
+    ``delta_shift`` (None drops the resource term); ``psi`` and ``omega``,
+    when None, are the caller's psi and omega*; c_l is 2(k_l - 1) over k_l
+    groups for a market of pairwise ``envy`` rows, and 1 otherwise.
+    """
+
+    text: str
+    psi: Optional[int] = None
+    alpha_shift: int = 0
+    delta_shift: Optional[int] = 0
+    omega: Optional[int] = None
+    envy: bool = False
+
+    def slack(
+        self,
+        alpha: Sequence[int],
+        delta: int = 0,
+        omega_star: int = 1,
+        *,
+        d: Optional[int] = None,
+        psi: int = 1,
+        counts: Optional[Sequence[int]] = None,
+    ) -> Fraction:
+        """Slack of the condition; the budget is admissible iff >= 0.
+
+        Raises BudgetError unless alpha has one entry per dimension (d, or
+        one per group count when ``counts`` is given; unchecked when neither
+        is), alpha and delta are non-negative and omega* is positive.
+        """
+        d = len(counts) if counts is not None else d
+        if d is not None and len(alpha) != d:
+            raise BudgetError(f"alpha has {len(alpha)} entries for {d} dimensions")
+        _check_signs(alpha, delta, omega_star)
+        weights = [2 * (k - 1) for k in counts] if self.envy else [1] * len(alpha)
+        terms = [(c, a + self.alpha_shift + 1) for c, a in zip(weights, alpha)]
+        if self.delta_shift is not None:
+            omega = omega_star if self.omega is None else self.omega
+            terms.append((omega, delta + self.delta_shift + 1))
+        # sum psi/2 and the terms c/m over one integer denominator, so that
+        # the only gcd reduction is the Fraction built at the end
+        num, den = psi if self.psi is None else self.psi, 2
+        for c, m in terms:
+            num, den = num * m + c * den, den * m
+        return Fraction(den - num, den)
+
+    def require(self, *args, **kwargs) -> Fraction:
+        """``slack``, or BudgetError naming the condition when it is negative."""
+        slack = self.slack(*args, **kwargs)
+        if slack < 0:
+            raise BudgetError(f"condition {self.text} fails by {-slack}")
+        return slack
+
+
+CONDITIONS = {
+    "round": Condition("psi/2 + sum 1/(alpha+1) + omega*/(delta+1) <= 1"),
+    "assignment": Condition("sum 1/(alpha+1) + omega*/(delta+2) <= 1/2", psi=1, delta_shift=1),
+    "couples": Condition("sum 1/(alpha+1) + 2/(delta+2) <= 1/2", psi=1, delta_shift=1, omega=2),
+    "envyfree": Condition("sum 2(k-1)/(alpha+1) + omega*/(delta+1) <= 1/2", psi=1, envy=True),
+    "apportion": Condition("sum 1/(alpha+2) <= 1", psi=0, alpha_shift=1, delta_shift=None),
+}
+_ROUND = CONDITIONS["round"]
 
 
 def forced_psi(x: Allocation, dimensions_count: int) -> bool:
@@ -67,19 +141,13 @@ def forced_psi(x: Allocation, dimensions_count: int) -> bool:
 
 
 def check_condition(budget: DeviationBudget) -> Fraction:
-    """Slack of the admissibility condition; the budget is valid iff >= 0."""
-    total = Fraction(budget.psi, 2)
-    for a in budget.alpha:
-        total += Fraction(1, a + 1)
-    total += Fraction(budget.omega_star, budget.delta + 1)
-    return 1 - total
+    """Slack of the general condition; the budget is valid iff >= 0."""
+    return _ROUND.slack(budget.alpha, budget.delta, budget.omega_star, psi=budget.psi)
 
 
 def min_Delta(budget: DeviationBudget) -> int:
     """Smallest admissible total-deviation budget for these (alpha, delta, psi)."""
-    slack = check_condition(budget)
-    if slack < 0:
-        raise BudgetError(f"budget fails the admissibility condition by {-slack}")
+    slack = _ROUND.require(budget.alpha, budget.delta, budget.omega_star, psi=budget.psi)
     if budget.psi == 1:
         return 2
     if slack == 0:
@@ -89,17 +157,10 @@ def min_Delta(budget: DeviationBudget) -> int:
     return ceil_frac(ONE / slack - 1)
 
 
-def check_alpha(alpha: Sequence[int], d: int) -> None:
-    """Raise BudgetError unless alpha has one entry per dimension."""
-    if len(alpha) != d:
-        raise BudgetError(f"alpha has {len(alpha)} entries for {d} dimensions")
-
-
 def _validate_budget(
     instance: Instance, x: Allocation, budget: DeviationBudget
 ) -> None:
     d = len(instance.dimensions)
-    check_alpha(budget.alpha, d)
     if budget.omega_star != instance.omega_star:
         raise BudgetError(
             f"budget sized for max demand {budget.omega_star}, "
@@ -109,9 +170,7 @@ def _validate_budget(
         raise BudgetError(
             "psi=0 not allowed: an agent has >= 2 fractional bundles or d <= 1"
         )
-    slack = check_condition(budget)
-    if slack < 0:
-        raise BudgetError(f"budget fails the admissibility condition by {-slack}")
+    _ROUND.require(budget.alpha, budget.delta, budget.omega_star, d=d, psi=budget.psi)
     if budget.Delta is not None and budget.Delta < min_Delta(budget):
         raise BudgetError(
             f"Delta={budget.Delta} is below the smallest admissible total "

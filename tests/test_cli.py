@@ -145,6 +145,7 @@ def test_budget_command_matches_library_conditions(capsys):
     from nearfair.couples import couples_condition
     from nearfair.envyfree import HomogeneousInstance, ef_condition
     from nearfair.fairness import delta_plus_bound, fairness_condition
+    from nearfair.rounding import CONDITIONS, DeviationBudget, check_condition
 
     def cli(*flags):
         main(["budget", *flags])
@@ -172,10 +173,36 @@ def test_budget_command_matches_library_conditions(capsys):
                               "--groups", groups)
                     assert out["slack"] == str(fairness_condition(inst, alpha, delta))
                     assert out["delta_plus"] == delta_plus_bound(inst, delta)
+                    assert out["condition"] == CONDITIONS["assignment"].text
                     out = cli(*base, "--couples")
                     assert out["slack"] == str(couples_condition(ci, alpha, delta))
+                    assert out["condition"] == CONDITIONS["couples"].text
                     out = cli(*base, "--envyfree", groups)
                     assert out["slack"] == str(ef_condition(h, alpha, delta))
+                    assert out["condition"] == CONDITIONS["envyfree"].text
+                    out = cli(*base)
+                    budget = DeviationBudget(alpha, delta, None, 1, omega)
+                    assert out["slack"] == str(check_condition(budget))
+                    assert out["condition"] == CONDITIONS["round"].text
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alpha", "1", "--delta", "-2", "--assignment"],
+        ["--alpha", "1", "--delta", "-2", "--couples"],
+        ["--alpha", "1", "--delta", "-1", "--envyfree", "2"],
+        ["--alpha", "-2", "--delta", "4", "--assignment"],
+        ["--alpha", "3", "--delta", "2", "--omega", "0", "--assignment"],
+        ["--alpha", "3", "--delta", "3", "--omega", "0"],
+    ],
+)
+def test_budget_command_rejects_invalid_budgets(capsys, flags):
+    """Negative alpha or delta and omega* < 1 are budget errors (exit 3) in
+    every mode, never a traceback or a pass."""
+    assert main(["budget", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("budget: ")
 
 
 def test_gen_round_trip_and_solve(tmp_path, capsys):

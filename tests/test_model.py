@@ -132,34 +132,18 @@ def test_unknown_binding_rejected():
         Instance([AgentSpec("a", 1)], [("r1", 1)], binding={"ghost"})
 
 
-def test_overlapping_groups_rejected():
-    with pytest.raises(InvalidInstanceError):
-        Instance.from_group_sets(
-            [AgentSpec("a", 1), AgentSpec("b", 1)],
-            [("r1", 1)],
-            {"d": {"g1": ["a", "b"], "g2": ["a"]}},
-        )
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_random_violations_rejected(data):
-    kind = data.draw(st.sampled_from(["capacity", "demand", "overlap"]))
+    kind = data.draw(st.sampled_from(["capacity", "demand"]))
     if kind == "capacity":
         cap = data.draw(st.integers(-3, 0))
         with pytest.raises(InvalidInstanceError):
             Instance([AgentSpec("a", 1)], [("r1", cap)])
-    elif kind == "demand":
+    else:
         dem = data.draw(st.integers(-3, 0))
         with pytest.raises(InvalidInstanceError):
             Instance([AgentSpec("a", dem)], [("r1", 1)])
-    else:
-        n = data.draw(st.integers(2, 5))
-        agents = [AgentSpec(f"a{i}", 1) for i in range(n)]
-        shared = data.draw(st.integers(0, n - 1))
-        groups = {"g1": [f"a{i}" for i in range(n)], "g2": [f"a{shared}"]}
-        with pytest.raises(InvalidInstanceError):
-            Instance.from_group_sets(agents, [("r1", 1)], {"d": groups})
 
 
 def test_allocation_checks():

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearfair import couples, envyfree, fairness, rounding
+from nearfair import apportionment, couples, envyfree, fairness, rounding
+from nearfair.apportionment import MAInstance, SignpostMethod, approx_apportionment
 from nearfair.couples import CouplesInstance, fair_stable_allocation
 from nearfair.envyfree import HomogeneousInstance, ef_round
 from nearfair.errors import BudgetError, InvalidInstanceError, InvariantViolation
@@ -15,6 +16,7 @@ from nearfair.fairness import FairObjective, approx_fair_allocation, gen_lower_b
 from nearfair.model import AgentSpec, Allocation, Bundle, Instance, UtilityModel
 from nearfair.oracle import best_deviation
 from nearfair.rounding import (
+    CONDITIONS,
     Certificate,
     DeviationBudget,
     check_condition,
@@ -388,3 +390,86 @@ def test_capacity_excess_guard_names_the_resource(monkeypatch, pipeline):
     )
     with pytest.raises(InvariantViolation, match="resource 'r1' exceeded capacity by 3 > delta=2"):
         run()
+
+
+# -- one table of admissibility conditions --------------------------------------
+
+
+def _market_call(market, monkeypatch, alpha, delta):
+    """The market's pipeline at (alpha, delta) on a one-dimension desk market,
+    with the first LP or enumeration stage replaced by a failure, so that a
+    budget check reached only after it fails the test."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{market}: LP work ran before the budget check")
+
+    inst = Instance(
+        [AgentSpec("a1", 1, {"g": "g1"}), AgentSpec("a2", 1, {"g": "g2"})],
+        [("r1", 1), ("r2", 1)],
+        binding={"a1", "a2"},
+        dimensions=("g",),
+    )
+    u = UtilityModel(additive={"a1": {"r1": 2, "r2": 1}, "a2": {"r1": 2, "r2": 1}})
+    if market == "assignment":
+        monkeypatch.setattr(fairness, "solve_fair_fractional", no_work)
+        return lambda: approx_fair_allocation(inst, u, FairObjective.utilitarian(), alpha, delta)
+    if market == "couples":
+        monkeypatch.setattr(couples, "dominating_vertices", no_work)
+        order = ["a1", "a2"]
+        ci = CouplesInstance(
+            inst, {"r1": order, "r2": order},
+            {a: [Bundle.of({"r1": 1}), Bundle.of({"r2": 1})] for a in order},
+        )
+        return lambda: fair_stable_allocation(ci, u, FairObjective.utilitarian(), alpha, delta)
+    if market == "envyfree":
+        monkeypatch.setattr(envyfree, "_round_loop", no_work)
+        return lambda: ef_round(HomogeneousInstance(inst, u), Allocation({}), alpha, delta)
+    monkeypatch.setattr(apportionment, "solve_lp_ma", no_work)
+    ma = MAInstance(
+        dims=tuple(f"d{l}" for l in range(len(alpha))),
+        groups={f"d{l}": ("g0", "g1") for l in range(len(alpha))},
+        votes={("g0",) * len(alpha): 3, ("g1",) * len(alpha): 2},
+        lower={},
+        upper={},
+        house=2,
+    )
+    return lambda: approx_apportionment(ma, SignpostMethod.webster(), alpha)
+
+
+@pytest.mark.parametrize(
+    "market, alpha, delta",
+    [
+        ("assignment", (-2,), 4),
+        ("assignment", (3,), -1),
+        ("couples", (-2,), 4),
+        ("couples", (5,), -2),
+        ("envyfree", (-1,), 3),
+        ("envyfree", (1,), -2),
+        ("apportion", (-2,), 0),
+        ("apportion", (-1,), 0),
+    ],
+)
+def test_every_market_rejects_negative_budgets_before_lp_work(monkeypatch, market, alpha, delta):
+    with pytest.raises(BudgetError, match="alpha and delta must be non-negative"):
+        _market_call(market, monkeypatch, alpha, delta)()
+
+
+@pytest.mark.parametrize(
+    "market, alpha, delta",
+    [
+        ("assignment", (1,), 1),
+        ("couples", (1,), 1),
+        ("envyfree", (1,), 1),
+        ("apportion", (0, 0, 0), 0),
+    ],
+)
+def test_pipeline_budget_errors_name_the_table_text(monkeypatch, market, alpha, delta):
+    with pytest.raises(BudgetError) as info:
+        _market_call(market, monkeypatch, alpha, delta)()
+    assert str(info.value).startswith(f"condition {CONDITIONS[market].text} fails by ")
+
+
+def test_general_condition_errors_name_the_table_text():
+    with pytest.raises(BudgetError) as info:
+        min_Delta(DeviationBudget((1,), 1, None, 1, 1))
+    assert str(info.value) == f"condition {CONDITIONS['round'].text} fails by 1/2"

@@ -145,3 +145,49 @@ def test_group_utility_has_one_owner():
     )
     found = {p.name: inline_utility_sums(p.read_text()) for p in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def condition_raises(source: str) -> list[int]:
+    """Lines that raise ``BudgetError`` with a message starting "condition"."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "BudgetError"
+            and node.exc.args
+        ):
+            continue
+        message = node.exc.args[0]
+        if isinstance(message, ast.JoinedStr) and message.values:
+            message = message.values[0]
+        if (
+            isinstance(message, ast.Constant)
+            and isinstance(message.value, str)
+            and message.value.startswith("condition")
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_condition_raise_detector():
+    assert condition_raises(
+        "if slack < 0:\n"
+        '    raise BudgetError("condition sum 1/(alpha_l+2) <= 1 fails")\n'
+        'raise BudgetError(f"condition {text} fails by {-slack}")\n'
+    ) == [2, 3]
+    assert condition_raises(
+        'raise BudgetError(f"alpha has {n} entries")\n'
+        'raise InvariantViolation("condition broke")\n'
+        'raise BudgetError(f"{name}: condition")\n'
+    ) == []
+
+
+def test_budget_condition_has_one_owner():
+    """Only ``rounding`` (its ``CONDITIONS`` table) raises a failed budget
+    condition; every market reads its row instead of checking its own copy."""
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "rounding.py")
+    found = {p.name: condition_raises(p.read_text()) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert condition_raises((SRC / "rounding.py").read_text())
