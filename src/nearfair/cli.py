@@ -114,6 +114,8 @@ def cmd_solve(args) -> int:
         if utilities is None:
             raise SchemaError("envy-free instances need utilities")
         h = ef.HomogeneousInstance(instance, utilities)
+        counts = [instance.group_count(dim) for dim in instance.dimensions]
+        CONDITIONS["envyfree"].require(args.alpha, args.delta, h.omega_star, counts=counts)
         x, _trace = ef.greedy_fractional_ef(h)
         y = ef.ef_round(h, x, args.alpha, args.delta)
         report = ef.check_ef_deviation(h, y, args.alpha, args.delta)

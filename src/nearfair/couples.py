@@ -46,7 +46,7 @@ from .model import (
     pair_universe,
 )
 from .oracle import enumerate_roundings, vertex_enumerate
-from .rationals import ONE
+from .rationals import ONE, ZERO
 from .rounding import CONDITIONS, Certificate, DeviationBudget, capacity_excess, iterative_round
 
 
@@ -138,8 +138,9 @@ def realized_capacities(ci: CouplesInstance, y: Allocation) -> dict[str, int]:
     """Capacity each resource effectively offers under y: the original value,
     or the realized load where the allocation exceeds it."""
     out = {}
+    loads = y.loads()
     for r, c in ci.instance.resources:
-        used = y.resource_usage(r)
+        used = loads.get(r, ZERO)
         if used != int(used):
             raise InvalidInstanceError("realized capacities need an integral allocation")
         out[r] = max(c, int(used))

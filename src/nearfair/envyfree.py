@@ -161,9 +161,8 @@ def greedy_fractional_ef(h: HomogeneousInstance) -> tuple[Allocation, GreedyTrac
     for a in inst.agents:
         trace.agent_times.setdefault(a.id, now)
     alloc = Allocation(x)
-    overfull = [
-        r for r, c in inst.resources if alloc.resource_usage(r) > c
-    ]
+    loads = alloc.loads()
+    overfull = [r for r, c in inst.resources if loads.get(r, ZERO) > c]
     if overfull:
         raise InvariantViolation(f"greedy overfilled {overfull}")
     return alloc, trace
@@ -349,9 +348,9 @@ def check_ef_deviation(
         ok = ok and passed
         pairs_out[(dim, i, j)] = (passed, envy, bound)
     capacity_out = {}
+    loads = y.loads()
     for r, c in inst.resources:
-        used = y.resource_usage(r)
-        over = used - c
+        over = loads.get(r, ZERO) - c
         passed = over <= delta
         ok = ok and passed
         capacity_out[r] = (passed, over)

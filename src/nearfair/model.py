@@ -264,11 +264,16 @@ class Allocation:
             (instance.agent(a).demand * v for (a, _), v in self.values.items()), ZERO
         )
 
+    def loads(self) -> dict[str, Fraction]:
+        """Load of every resource the support uses, in one pass over it."""
+        out: dict[str, Fraction] = {}
+        for (_, q), v in self.values.items():
+            for r, m in q.items:
+                out[r] = out.get(r, ZERO) + m * v
+        return out
+
     def resource_usage(self, resource: str) -> Fraction:
-        return sum(
-            (q.multiplicity(resource) * v for (_, q), v in self.values.items()),
-            ZERO,
-        )
+        return self.loads().get(resource, ZERO)
 
     def fractional_pairs(self) -> list[Pair]:
         return sorted(e for e, v in self.values.items() if 0 < v < 1)
@@ -307,8 +312,9 @@ class Allocation:
             elif totals[a.id] > 1:
                 problems.append(f"agent {a.id!r} totals {totals[a.id]} > 1")
         if capacities:
+            loads = self.loads()
             for r, c in instance.resources:
-                used = self.resource_usage(r)
+                used = loads.get(r, ZERO)
                 if used > c:
                     problems.append(f"resource {r!r} used {used} > capacity {c}")
         return problems
@@ -361,15 +367,32 @@ class UtilityModel:
                 f"no utility defined for ({agent_id!r}, {bundle})"
             ) from None
 
+    def best(self, instance: Instance, agent_id: str) -> Fraction:
+        """Largest utility of one of the agent's bundles; 0 when it has none.
+
+        Additive utilities need no enumeration: filling the demand from the
+        most valued acceptable resource down, each up to its capacity, is
+        optimal, and caps that cannot fill the demand leave no bundle.
+        """
+        if self.additive is None:
+            bundles = enumerate_bundles(agent_id, instance)
+            return max((self.of(agent_id, q) for q in bundles), default=ZERO)
+        row = self.additive.get(agent_id, {})
+        offers = [(row.get(r, ZERO), instance.capacity(r)) for r in instance.acceptable(agent_id)]
+        left = instance.agent(agent_id).demand
+        total = ZERO
+        for u, c in sorted(offers, reverse=True):
+            take = min(left, c)
+            total += take * u
+            left -= take
+            if not left:
+                return total
+        return ZERO
+
     def group_max(self, instance: Instance, dim: str, group_id: str) -> Fraction:
         """Largest single-bundle utility attainable by a member of the group."""
-        best = ZERO
-        for a in sorted(instance.group_members(dim, group_id)):
-            for q in enumerate_bundles(a, instance):
-                u = self.of(a, q)
-                if u > best:
-                    best = u
-        return best
+        members = sorted(instance.group_members(dim, group_id))
+        return max((self.best(instance, a) for a in members), default=ZERO)
 
 
 def group_utility(

@@ -371,7 +371,7 @@ def best_deviation(
         )
         for key in group_keys
     }
-    base_usage = {r: x.resource_usage(r) for r, _ in instance.resources}
+    base_usage = x.loads()
     base_mass = sum(
         (instance.agent(a).demand * v for (a, _), v in x.values.items()), ZERO
     )
@@ -389,8 +389,9 @@ def best_deviation(
             )
             gdev = max(gdev, abs(uy - base_groups[key]))
         rdev = ZERO
+        loads = y.loads()
         for r, _ in instance.resources:
-            rdev = max(rdev, abs(y.resource_usage(r) - base_usage[r]))
+            rdev = max(rdev, abs(loads.get(r, ZERO) - base_usage.get(r, ZERO)))
         mass = sum(
             (instance.agent(a).demand * v for (a, _), v in y.values.items()), ZERO
         )

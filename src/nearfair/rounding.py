@@ -281,8 +281,9 @@ def verify_approximation(
                     f"group ({dim},{g}) deviates {dev}, budget {bound}"
                 )
 
+    y_loads, x_loads = y.loads(), x.loads()
     for r, _ in instance.resources:
-        dev = abs(y.resource_usage(r) - x.resource_usage(r))
+        dev = abs(y_loads.get(r, ZERO) - x_loads.get(r, ZERO))
         cert.resource_deviations[r] = (dev, Fraction(budget.delta))
         if not dev < budget.delta:
             cert.violations.append(f"resource {r} deviates {dev}, budget {budget.delta}")
@@ -305,8 +306,9 @@ def capacity_excess(instance: Instance, y: Allocation, delta: int) -> dict[str, 
     ``delta``.
     """
     excess = {}
+    loads = y.loads()
     for r, c in instance.resources:
-        used = y.resource_usage(r)
+        used = loads.get(r, ZERO)
         if used != int(used):
             raise InvariantViolation(f"integral output uses {used} of {r!r}")
         excess[r] = max(0, int(used) - c)

@@ -303,6 +303,32 @@ def test_budget_exit_code_on_solve(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "alpha, delta, code",
+    [("1", "1", 3), ("3", "-1", 3), ("7,7", "3", 3), ("7", "3", 5)],
+)
+def test_envyfree_budget_checked_before_greedy(tmp_path, monkeypatch, alpha, delta, code):
+    from nearfair import envyfree
+    from nearfair.errors import InvariantViolation
+
+    def greedy_reached(*args, **kwargs):
+        raise InvariantViolation("greedy stage reached")
+
+    monkeypatch.setattr(envyfree, "greedy_fractional_ef", greedy_reached)
+    inst = Instance(
+        [AgentSpec("a1", 1, {"g": "g1"}), AgentSpec("a2", 1, {"g": "g2"})],
+        [("r1", 1), ("r2", 1)],
+        binding={"a1", "a2"},
+        dimensions=("g",),
+    )
+    u = UtilityModel(additive={"a1": {"r1": 2, "r2": 1}, "a2": {"r1": 1, "r2": 3}})
+    inst_file = write(tmp_path, "inst.json", serialize_instance(inst, u))
+    # an inadmissible or invalid budget exits 3 at once; an admissible one
+    # (2/8 + 1/4 <= 1/2 for two groups) reaches the patched greedy stage
+    args = ["solve", "envyfree", "--instance", inst_file, "--alpha", alpha, "--delta", delta]
+    assert main(args) == code
+
+
 def test_apportion_csv(tmp_path, capsys):
     table = tmp_path / "votes.csv"
     table.write_text("party,d1,d2\nA,30,10\nB,20,40\n")

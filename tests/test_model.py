@@ -193,3 +193,115 @@ def test_explicit_bundle_utilities():
     assert u.group_max(inst, "d", "g") == 5  # complementarities, not additive
     with pytest.raises(InvalidInstanceError):
         u.of("a", Bundle.of({"r1": 1}))  # undefined pair
+
+
+# -- closed-form best bundle and one-pass loads -------------------------------
+
+
+def enumerated_best(u, inst, agent_id):
+    best = Fraction(0)
+    for q in enumerate_bundles(agent_id, inst):
+        best = max(best, u.of(agent_id, q))
+    return best
+
+
+def test_best_fills_demand_from_the_top():
+    inst = Instance(
+        [AgentSpec("a", 3, {"d": "g"}), AgentSpec("b", 3, {"d": "g"})],
+        [("r1", 2), ("r2", 1), ("r3", 3)],
+        dimensions=("d",),
+        acceptability={("a", "r1"), ("a", "r2"), ("b", "r1")},
+    )
+    u = UtilityModel(additive={"a": {"r1": 5, "r2": 1, "r3": 9}, "b": {"r1": 7}})
+    # r3 is not acceptable to a: two units of r1 and one of r2
+    assert u.best(inst, "a") == 11 == enumerated_best(u, inst, "a")
+    # b's only resource holds two units of a three-unit demand: no bundle
+    assert enumerate_bundles("b", inst) == []
+    assert u.best(inst, "b") == 0
+    assert u.group_max(inst, "d", "g") == 11
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_best_and_group_max_match_enumeration(data):
+    m = data.draw(st.integers(1, 4))
+    resources = [(f"r{j}", data.draw(st.integers(1, 3))) for j in range(m)]
+    n = data.draw(st.integers(1, 3))
+    agents = [
+        AgentSpec(f"a{i}", data.draw(st.integers(1, 4)), {"d": data.draw(st.sampled_from("gh"))})
+        for i in range(n)
+    ]
+    pairs = [(a.id, r) for a in agents for r, _ in resources]
+    acceptability = data.draw(st.none() | st.sets(st.sampled_from(pairs)))
+    inst = Instance(agents, resources, dimensions=("d",), acceptability=acceptability)
+    if data.draw(st.booleans()):
+        # missing rows, missing entries and zeros all read as utility 0
+        value = st.none() | st.just(0) | st.fractions(min_value=0, max_value=9, max_denominator=4)
+        table = {}
+        for a in agents:
+            if data.draw(st.booleans()):
+                row = {r: data.draw(value) for r, _ in resources}
+                table[a.id] = {r: v for r, v in row.items() if v is not None}
+        u = UtilityModel(additive=table)
+    else:
+        value = st.fractions(min_value=0, max_value=9, max_denominator=4)
+        u = UtilityModel(
+            explicit={
+                (a.id, q): data.draw(value)
+                for a in agents
+                for q in enumerate_bundles(a.id, inst)
+            }
+        )
+    for a in agents:
+        assert u.best(inst, a.id) == enumerated_best(u, inst, a.id)
+    for g in inst.groups_in("d"):
+        members = inst.group_members("d", g)
+        assert u.group_max(inst, "d", g) == max(enumerated_best(u, inst, a) for a in members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_loads_match_per_resource_sums(data):
+    inst = Instance(
+        [AgentSpec("a1", 2), AgentSpec("a2", 1), AgentSpec("a3", 3)],
+        [("r1", 2), ("r2", 1), ("r3", 3), ("r4", 1)],
+    )
+    universe = [(a.id, q) for a in inst.agents for q in enumerate_bundles(a.id, inst)]
+    chosen = data.draw(st.lists(st.sampled_from(universe), unique=True))
+    y = Allocation(
+        {e: data.draw(st.fractions(min_value=0, max_value=1, max_denominator=6)) for e in chosen}
+    )
+    loads = y.loads()
+    for r, _ in inst.resources:
+        expected = sum(
+            (q.multiplicity(r) * v for (_, q), v in y.values.items()), Fraction(0)
+        )
+        assert loads.get(r, Fraction(0)) == expected == y.resource_usage(r)
+    assert set(loads) <= set(inst.resource_ids())
+
+
+def test_verify_needs_no_bundle_enumeration_for_additive_utilities(monkeypatch):
+    from nearfair import model
+    from nearfair.rounding import iterative_round, verify_approximation
+    from generators import fractional_allocation, minimal_budget, random_instance
+
+    rng = random.Random(3)
+    checked = 0
+    while checked < 4:
+        inst, u = random_instance(rng, max_agents=6, max_resources=4)
+        x = fractional_allocation(rng, inst)
+        if x is None or not inst.dimensions:
+            continue
+        budget = minimal_budget(inst, x)
+        y, cert = iterative_round(inst, x, u, budget)
+        with monkeypatch.context() as patch:
+
+            def no_enumeration(*args):
+                raise AssertionError("verification enumerated bundles")
+
+            patch.setattr(model, "enumerate_bundles", no_enumeration)
+            again = verify_approximation(inst, x, y, u, budget)
+        assert again.ok()
+        assert again.group_deviations == cert.group_deviations
+        assert again.resource_deviations == cert.resource_deviations
+        checked += 1

@@ -214,6 +214,33 @@ def test_verify_boundary_is_strict():
     assert not cert3.ok()  # exact boundary fails strictly
 
 
+def test_verify_rejects_a_moved_agent():
+    # three unit agents spread evenly over three unit resources: delta = 1
+    # admits only perfect matchings, so moving any one agent onto another's
+    # resource brings that resource's load deviation to exactly delta
+    agents = [AgentSpec(f"a{i}", 1) for i in range(3)]
+    resources = [(f"r{j}", 1) for j in range(3)]
+    inst = Instance(agents, resources, binding={a.id for a in agents})
+    u = UtilityModel(additive={a.id: {r: 1 for r, _ in resources} for a in agents})
+    x = Allocation(
+        {(a.id, Bundle.of({r: 1})): Fraction(1, 3) for a in agents for r, _ in resources}
+    )
+    budget = DeviationBudget((), 1, 2, 1, 1)
+    y, cert = iterative_round(inst, x, u, budget)
+    assert cert.ok()
+    (a, q), *_ = y.support()
+    target = next(r for r, _ in resources if y.resource_usage(r) == 1 and not q.multiplicity(r))
+    moved = dict(y.values)
+    del moved[(a, q)]
+    moved[(a, Bundle.of({target: 1}))] = Fraction(1)
+    mutant = Allocation(moved)
+    load = sum(p.multiplicity(target) * v for (_, p), v in mutant.values.items())
+    assert load - 1 == budget.delta
+    again = verify_approximation(inst, x, mutant, u, budget)
+    assert f"resource {target} deviates 1, budget 1" in again.violations
+    assert again.resource_deviations[target] == (1, 1)
+
+
 def test_integer_utilities_sharpen_group_bound():
     # with integer utilities the observed deviation is at most alpha*U* - 1
     rng = random.Random(5)
