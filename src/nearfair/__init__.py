@@ -67,6 +67,7 @@ from .apportionment import (
     SignpostMethod,
     approx_apportionment,
     delta_bound_ma,
+    divisor_certified,
     highest_averages,
     rounding_set,
     solve_lp_ma,

@@ -68,11 +68,10 @@ def _alpha(text: str) -> tuple[int, ...]:
 
 
 def _objective(tag: str) -> fair.FairObjective:
+    """The ``--objective`` choice; argparse admits no other tag."""
     if tag == "utilitarian":
         return fair.FairObjective.utilitarian()
-    if tag == "proportional":
-        return fair.FairObjective.proportional()
-    raise SchemaError(f"unknown objective {tag!r}")
+    return fair.FairObjective.proportional()
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -128,26 +127,24 @@ def cmd_solve(args) -> int:
             args.out,
         )
         return EXIT_OK if report["ok"] else EXIT_BUDGET
-    if args.pipeline == "couples":
-        ci, utilities = parse_couples(doc)
-        if utilities is None:
-            raise SchemaError("couples instances need utilities")
-        result = cpl.fair_stable_allocation(
-            ci, utilities, _objective(args.objective), args.alpha, args.delta
-        )
-        _emit(
-            {
-                "allocation": serialize_allocation(result.rounded)["entries"],
-                "fractional": serialize_allocation(result.fractional)["entries"],
-                "stable": result.block_report.stable,
-                "resource_excess": result.resource_excess,
-                "total_weighted_excess": result.total_weighted_excess,
-                "certificate": result.certificate.to_json(),
-            },
-            args.out,
-        )
-        return EXIT_OK
-    raise SchemaError(f"unknown pipeline {args.pipeline!r}")
+    ci, utilities = parse_couples(doc)  # argparse admits no other pipeline
+    if utilities is None:
+        raise SchemaError("couples instances need utilities")
+    result = cpl.fair_stable_allocation(
+        ci, utilities, _objective(args.objective), args.alpha, args.delta
+    )
+    _emit(
+        {
+            "allocation": serialize_allocation(result.rounded)["entries"],
+            "fractional": serialize_allocation(result.fractional)["entries"],
+            "stable": result.block_report.stable,
+            "resource_excess": result.resource_excess,
+            "total_weighted_excess": result.total_weighted_excess,
+            "certificate": result.certificate.to_json(),
+        },
+        args.out,
+    )
+    return EXIT_OK
 
 
 def cmd_apportion(args) -> int:
@@ -309,31 +306,25 @@ def _expand_instances(path: str) -> list[str]:
     return [path]
 
 
-def _batch_worker(payload):
-    argv, path = payload
-    argv = list(argv)
-    idx = argv.index("@INSTANCE@")
-    argv[idx] = path
+def _batch_worker(args: argparse.Namespace) -> tuple[str, int]:
     try:
-        code = main(argv)
+        code = _dispatch(args)
     except Exception:  # one broken file must not take down the batch
         traceback.print_exc()
         code = EXIT_INTERNAL
-    return path, code
+    return args.instance, code
 
 
 def _run_batch(args, paths: list[str]) -> int:
-    argv = list(args._argv)
-    idx = argv.index(args.instance)
-    argv[idx] = "@INSTANCE@"
+    """Run the parsed command once per file, with only ``instance`` replaced."""
     jobs = max(1, args.jobs)
     worst = EXIT_OK
-    payloads = [(tuple(argv), p) for p in paths]
+    per_file = [argparse.Namespace(**{**vars(args), "instance": p}) for p in paths]
     if jobs == 1:
-        results = map(_batch_worker, payloads)
+        results = map(_batch_worker, per_file)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_batch_worker, payloads))
+            results = list(pool.map(_batch_worker, per_file))
     for path, code in results:
         print(f"{path}: exit {code}", file=sys.stderr)
         worst = max(worst, code)
@@ -424,10 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = argv
+    return _dispatch(build_parser().parse_args(argv))
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run a parsed command, mapping each library error to its exit code."""
     try:
         return args.func(args)
     except (SchemaError, InvalidInstanceError, OSError) as exc:

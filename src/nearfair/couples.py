@@ -71,6 +71,7 @@ class CouplesInstance:
                 )
         self.resource_prefs = {r: tuple(v) for r, v in self.resource_prefs.items()}
         self.agent_prefs = {a: tuple(v) for a, v in self.agent_prefs.items()}
+        bundles = {a.id: enumerate_bundles(a.id, inst) for a in inst.agents}
         self._res_rank: dict[str, dict[str, int]] = {}
         for r, order in self.resource_prefs.items():
             if r not in dict(inst.resources):
@@ -83,19 +84,13 @@ class CouplesInstance:
             order = self.agent_prefs.get(a.id, ())
             if len(set(order)) != len(order):
                 raise InvalidInstanceError(f"agent {a.id!r} ranks a bundle twice")
-            acceptable = set(enumerate_bundles(a.id, inst))
-            if set(order) != acceptable:
+            if set(order) != set(bundles[a.id]):
                 raise InvalidInstanceError(
                     f"agent {a.id!r} must rank exactly its acceptable bundles"
                 )
             self._agent_rank[a.id] = {q: i for i, q in enumerate(order)}
         for r, _ in inst.resources:
-            users = {
-                a.id
-                for a in inst.agents
-                for q in enumerate_bundles(a.id, inst)
-                if q.multiplicity(r) >= 1
-            }
+            users = {a for a, qs in bundles.items() for q in qs if q.multiplicity(r)}
             missing = users - set(self.resource_prefs.get(r, ()))
             if missing:
                 raise InvalidInstanceError(
@@ -229,13 +224,6 @@ def lp_stable_polytope(ci: CouplesInstance) -> LinearProgram:
     return lp
 
 
-def _vertex_allocations(ci: CouplesInstance) -> Iterator[Allocation]:
-    pairs = pair_universe(ci.instance)
-    lp = lp_stable_polytope(ci)
-    for vertex in vertex_enumerate(lp):
-        yield Allocation({e: v for e, v in zip(pairs, vertex) if v != 0})
-
-
 def all_roundings_stable(ci: CouplesInstance, x: Allocation) -> bool:
     """The operational dominance test: every rounding of x (respecting the
     at-most-one-bundle rows) is stable under the capacities it realizes."""
@@ -246,7 +234,10 @@ def all_roundings_stable(ci: CouplesInstance, x: Allocation) -> bool:
 
 
 def dominating_vertices(ci: CouplesInstance) -> Iterator[Allocation]:
-    for x in _vertex_allocations(ci):
+    """The vertices of the stable polytope that pass ``all_roundings_stable``."""
+    pairs = pair_universe(ci.instance)
+    for vertex in vertex_enumerate(lp_stable_polytope(ci)):
+        x = Allocation({e: v for e, v in zip(pairs, vertex) if v != 0})
         if all_roundings_stable(ci, x):
             yield x
 
@@ -292,11 +283,13 @@ def fair_stable_allocation(
             total += objective.f(float(group_utility(x, utilities, inst, *key)))
         return total
 
+    # the first vertex is taken even at score -inf: a proportional objective
+    # scores every vertex -inf while some group gets no utility
     best: Optional[Allocation] = None
     best_score = float("-inf")
     for x in dominating_vertices(ci):
         s = score(x)
-        if s > best_score:
+        if best is None or s > best_score:
             best, best_score = x, s
     if best is None:
         raise NoDominatingVertexError(

@@ -77,9 +77,6 @@ class HomogeneousInstance:
         """The common utility the group assigns to a bundle."""
         return self.utilities.of(self._rep[(dim, group_id)], bundle)
 
-    def group_best(self, dim: str, group_id: str) -> Fraction:
-        return self.utilities.group_max(self.instance, dim, group_id)
-
 
 # ---------------------------------------------------------------------------
 # greedy fractional stage
@@ -331,12 +328,13 @@ def check_ef_deviation(
     """Strict scaled-envy bound per ordered group pair plus the capacity cap.
 
     Every pair must satisfy  scaled envy < alpha_l * (group's best single
-    utility), and every resource may exceed its capacity by at most delta.
+    utility), or have no envy at all (a group that values nothing has bound
+    0), and every resource may exceed its capacity by at most delta.
     Returns {'pairs': {...}, 'capacity': {...}, 'ok': bool}.
     """
     inst = h.instance
     bounds = {
-        (dim, g): alpha[li] * h.group_best(dim, g)
+        (dim, g): alpha[li] * h.utilities.group_max(inst, dim, g)
         for li, dim in enumerate(inst.dimensions)
         for g in inst.groups_in(dim)
     }
@@ -344,7 +342,7 @@ def check_ef_deviation(
     ok = True
     for (dim, i, j), envy in _scaled_envy(h, y).items():
         bound = bounds[(dim, i)]
-        passed = envy < bound
+        passed = envy < bound or envy == 0
         ok = ok and passed
         pairs_out[(dim, i, j)] = (passed, envy, bound)
     capacity_out = {}

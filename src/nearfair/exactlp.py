@@ -93,7 +93,7 @@ class LinearProgram:
 
 @dataclass
 class VertexSolution:
-    status: str  # 'optimal' | 'infeasible' | 'unbounded'
+    status: str  # 'optimal' | 'infeasible'
     values: list[Fraction] = field(default_factory=list)
     objective: Fraction = ZERO
     tight_constraints: frozenset[int] = frozenset()
@@ -206,8 +206,8 @@ class _Tableau:
     one artificial per row.  Each row of ``T`` is a ``Row`` kept
     row-reduced so that every live row's basic column is a unit vector;
     ``beta[i]`` holds the current *value* of the basic variable of row i,
-    and ``x[j]`` the value of every nonbasic variable (always at one of
-    its bounds).
+    and a nonbasic variable rests at the bound ``status[j]`` names.  Every
+    lower bound is finite; slacks and artificials have no upper bound.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -215,7 +215,7 @@ class _Tableau:
         self.shape = (lp.n, len(lp.constraints))
         self.feasible: Optional[bool] = None  # set by ``phase_one``
         n = lp.n
-        self.lb: list[Optional[Fraction]] = [v.lb for v in lp.variables]
+        self.lb: list[Fraction] = [v.lb for v in lp.variables]
         self.ub: list[Optional[Fraction]] = [v.ub for v in lp.variables]
         rows: list[Row] = []
         col = n
@@ -237,14 +237,11 @@ class _Tableau:
         self.arts = frozenset(self.art_of_row)
 
         self.status: list[int] = [_L] * self.ncols
-        self.x: list[Fraction] = [
-            self.lb[j] if self.lb[j] is not None else ZERO for j in range(self.ncols)
-        ]
         self.beta: list[Fraction] = []
         self.basis: list[int] = []
         for i, (row, c) in enumerate(zip(rows, lp.constraints)):
             # slacks start at 0, so only the structural columns contribute
-            resid = c.rhs - sum((v * self.x[j] for j, v in c.coeffs.items()), ZERO)
+            resid = c.rhs - sum((v * self.lb[j] for j, v in c.coeffs.items()), ZERO)
             num = row.num
             if resid < 0:
                 # flip the working row so the artificial basis column is +e_i
@@ -266,7 +263,6 @@ class _Tableau:
         new.__dict__.update(self.__dict__)
         new.T = [row.copy() for row in self.T]
         new.beta = list(self.beta)
-        new.x = list(self.x)
         new.status = list(self.status)
         new.basis = list(self.basis)
         new.live = list(self.live)
@@ -300,7 +296,14 @@ class _Tableau:
                 z.eliminate(self.T[i], self.basis[i])
         return z
 
-    def _simplex(self, c: Row, forbidden: frozenset[int]) -> str:
+    def _value(self, j: int) -> Fraction:
+        """Value of a nonbasic column: the bound it rests at."""
+        return self.lb[j] if self.status[j] == _L else self.ub[j]
+
+    def _simplex(self, c: Row, forbidden: frozenset[int]) -> None:
+        """Minimize ``c`` from the current feasible basis.  Every structural
+        variable is boxed, so both phases minimize over a polytope and an
+        improving column is always blocked by some bound."""
         degenerate_streak = 0
         bland = False
         switch_at = 4 * (self.m + self.ncols) + 20
@@ -332,7 +335,7 @@ class _Tableau:
                 elif score > best or (j < enter and score == best):
                     best, enter = score, j
             if enter == -1:
-                return "optimal"
+                return
             direction = 1 if self.status[enter] == _L else -1
             # the live rows with a nonzero in the entering column: basic
             # variable i moves by -t * n / d as the entering one moves by t
@@ -362,9 +365,7 @@ class _Tableau:
                 ):
                     t_best, leave_row, leave_to = t, i, to
 
-            span = None
-            if self.lb[enter] is not None and self.ub[enter] is not None:
-                span = self.ub[enter] - self.lb[enter]
+            span = None if self.ub[enter] is None else self.ub[enter] - self.lb[enter]
 
             if span is not None and (t_best is None or span <= t_best):
                 # entering runs all the way to its other bound: no basis change
@@ -375,15 +376,12 @@ class _Tableau:
                 else:
                     degenerate_streak += 1
                 self.status[enter] = _U if self.status[enter] == _L else _L
-                self.x[enter] = (
-                    self.ub[enter] if self.status[enter] == _U else self.lb[enter]
-                )
                 if degenerate_streak > switch_at:
                     bland = True
                 continue
 
             if t_best is None:
-                return "unbounded"
+                raise InvariantViolation(f"no bound blocks improving column {enter}")
 
             t = t_best
             if t > 0:
@@ -395,10 +393,8 @@ class _Tableau:
                 if degenerate_streak > switch_at:
                     bland = True
             leaving = self.basis[leave_row]
+            new_value = self._value(enter) + direction * t
             self.status[leaving] = leave_to
-            self.x[leaving] = self.lb[leaving] if leave_to == _L else self.ub[leaving]
-            enter_bound = self.lb[enter] if direction == 1 else self.ub[enter]
-            new_value = enter_bound + direction * t
             self._pivot_matrix(leave_row, enter)
             self.beta[leave_row] = new_value
             # keep the reduced costs in step with the basis change; z[enter]
@@ -409,10 +405,7 @@ class _Tableau:
     # -- phases -------------------------------------------------------------
 
     def phase1(self) -> bool:
-        c = Row(dict.fromkeys(self.art_of_row, 1))
-        status = self._simplex(c, forbidden=frozenset())
-        if status != "optimal":
-            raise InvariantViolation("phase-1 objective is bounded by construction")
+        self._simplex(Row(dict.fromkeys(self.art_of_row, 1)), forbidden=frozenset())
         total = ZERO
         for i in range(self.m):
             if self.live[i] and self.basis[i] in self.arts:
@@ -436,27 +429,25 @@ class _Tableau:
                 default=-1,
             )
             if piv_col >= 0:
-                old = self.basis[i]
-                new_value = self.x[piv_col]  # degenerate swap, values unchanged
-                self.status[old] = _L
-                self.x[old] = ZERO
+                new_value = self._value(piv_col)  # degenerate swap, values unchanged
+                self.status[self.basis[i]] = _L
                 self._pivot_matrix(i, piv_col)
                 self.beta[i] = new_value
             else:
                 self.live[i] = False
         return True
 
-    def phase2(self, objective: Mapping[int, Fraction]) -> str:
-        return self._simplex(Row.of(objective), forbidden=self.arts)
+    def phase2(self, objective: Mapping[int, Fraction]) -> None:
+        self._simplex(Row.of(objective), forbidden=self.arts)
 
     # -- extraction ---------------------------------------------------------
 
     def solution_values(self) -> list[Fraction]:
-        vals = list(self.x)
+        vals = [self._value(j) for j in range(self.lp.n)]
         for i in range(self.m):
-            if self.live[i]:
+            if self.live[i] and self.basis[i] < self.lp.n:
                 vals[self.basis[i]] = self.beta[i]
-        return vals[: self.lp.n]
+        return vals
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +565,7 @@ def solve_vertex(lp: LinearProgram, start: Optional[_Tableau] = None) -> VertexS
         return VertexSolution(status="infeasible")
     if start is not None:
         tab = tab.copy()
-    status = tab.phase2(lp.objective)
-    if status == "unbounded":
-        return VertexSolution(status="unbounded")
+    tab.phase2(lp.objective)
     return _finish(lp, tab)
 
 

@@ -44,6 +44,7 @@ FW_MAX_ITERATIONS = 10**4
 SNAP_DENOMINATOR = 10**6
 REFINE_TOLERANCE = Fraction(1, 10**6)
 REFINE_RETRY_TOLERANCE = Fraction(1, 10**4)
+SPOT_CHECK_SAMPLES = (0.5, 1.0, 2.0, 5.0, 9.0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +84,9 @@ class FairObjective:
         h = max(1e-7, 1e-7 * abs(z))  # sampled supergradient
         return (self.f(z + h) - self.f(max(z - h, 0.0))) / (z + h - max(z - h, 0.0))
 
-    def spot_check(self, samples=(0.5, 1.0, 2.0, 5.0, 9.0)) -> None:
+    def spot_check(self) -> None:
         """Reject f that is visibly decreasing or convex on sampled triples."""
+        samples = SPOT_CHECK_SAMPLES
         vals = [self.f(z) for z in samples]
         for (z1, v1), (z2, v2) in zip(zip(samples, vals), zip(samples[1:], vals[1:])):
             if v2 < v1 - 1e-12:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import InvalidInstanceError
 from .rationals import ZERO, rat
@@ -31,12 +31,8 @@ class Bundle:
     items: tuple[tuple[str, int], ...]
 
     @staticmethod
-    def of(counts: Mapping[str, int] | Iterable[tuple[str, int]]) -> "Bundle":
-        if isinstance(counts, Mapping):
-            pairs = counts.items()
-        else:
-            pairs = counts
-        cleaned = tuple(sorted((r, int(m)) for r, m in pairs if int(m) != 0))
+    def of(counts: Mapping[str, int]) -> "Bundle":
+        cleaned = tuple(sorted((r, int(m)) for r, m in counts.items() if int(m) != 0))
         if any(m < 0 for _, m in cleaned):
             raise InvalidInstanceError(f"negative multiplicity in bundle {cleaned}")
         return Bundle(cleaned)
@@ -246,17 +242,9 @@ class Allocation:
     def value(self, agent_id: str, bundle: Bundle) -> Fraction:
         return self.values.get((agent_id, bundle), ZERO)
 
-    def support(self) -> list[Pair]:
-        return sorted(self.values.keys())
-
     @property
     def integral(self) -> bool:
         return all(v == 1 for v in self.values.values())
-
-    def agent_total(self, agent_id: str) -> Fraction:
-        return sum(
-            (v for (a, _), v in self.values.items() if a == agent_id), ZERO
-        )
 
     def mass(self, instance: Instance) -> Fraction:
         """Demand-weighted total: each entry's value times its agent's demand."""
@@ -285,9 +273,6 @@ class Allocation:
             if 0 < v < 1:
                 counts[a] = counts.get(a, 0) + 1
         return frozenset(a for a, n in counts.items() if n >= 2)
-
-    def copy(self) -> "Allocation":
-        return Allocation(dict(self.values))
 
     def check_allocation(self, instance: Instance, *, capacities: bool = True) -> list[str]:
         """Return human-readable violations of the allocation constraints.

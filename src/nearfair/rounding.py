@@ -262,6 +262,8 @@ def verify_approximation(
     """Exact strict-inequality check of all deviation families.
 
     Violations are data, not errors: the certificate lists every failure.
+    A group deviation of exactly 0 is within any budget, also the bound 0 of
+    a group whose members value nothing.
     """
     cert = Certificate()
     if not y.integral:
@@ -276,7 +278,7 @@ def verify_approximation(
             )
             bound = budget.alpha[li] * utilities.group_max(instance, dim, g)
             cert.group_deviations[(dim, g)] = (dev, bound)
-            if not dev < bound:
+            if not (dev < bound or dev == 0):
                 cert.violations.append(
                     f"group ({dim},{g}) deviates {dev}, budget {bound}"
                 )

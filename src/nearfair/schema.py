@@ -156,20 +156,6 @@ def parse_couples(doc: dict) -> tuple[CouplesInstance, Optional[UtilityModel]]:
     return CouplesInstance(instance, res_prefs, agent_prefs), utilities
 
 
-def serialize_couples(
-    ci: CouplesInstance, utilities: Optional[UtilityModel] = None
-) -> dict:
-    doc = serialize_instance(ci.instance, utilities)
-    doc["preferences"] = {
-        "resources": {r: list(order) for r, order in sorted(ci.resource_prefs.items())},
-        "agents": {
-            a: [bundle_to_json(q) for q in order]
-            for a, order in sorted(ci.agent_prefs.items())
-        },
-    }
-    return doc
-
-
 def parse_ma(doc: dict) -> MAInstance:
     block = doc.get("apportionment", doc)
     try:
@@ -193,25 +179,6 @@ def parse_ma(doc: dict) -> MAInstance:
     return MAInstance(
         dims=dims, groups=groups, votes=votes, lower=lower, upper=upper, house=house
     )
-
-
-def serialize_ma(ma: MAInstance) -> dict:
-    bounds: dict = {}
-    for (dim, g), b in ma.lower.items():
-        bounds.setdefault(dim, {}).setdefault(g, [0, ma.house])[0] = b
-    for (dim, g), bb in ma.upper.items():
-        bounds.setdefault(dim, {}).setdefault(g, [0, ma.house])[1] = bb
-    return {
-        "apportionment": {
-            "dimensions": list(ma.dims),
-            "groups": {d: list(gs) for d, gs in ma.groups.items()},
-            "votes": [
-                {"tuple": list(e), "votes": v} for e, v in sorted(ma.votes.items())
-            ],
-            "bounds": bounds,
-            "house": ma.house,
-        }
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 from nearfair.couples import CouplesInstance
 from nearfair.envyfree import HomogeneousInstance
@@ -19,6 +20,7 @@ from nearfair.model import (
 )
 from nearfair.rationals import ONE, ZERO, ceil_frac
 from nearfair.rounding import DeviationBudget, check_condition, forced_psi, min_Delta
+from nearfair.schema import bundle_to_json, serialize_instance
 
 
 def random_instance(
@@ -404,3 +406,43 @@ def psi_zero_input(
         values = {e: v / 2 for e, v in values.items()}
         x = Allocation(values)
     return inst, utilities, x
+
+
+# ---------------------------------------------------------------------------
+# JSON documents for markets the library only reads
+# ---------------------------------------------------------------------------
+
+
+def serialize_couples(
+    ci: CouplesInstance, utilities: Optional[UtilityModel] = None
+) -> dict:
+    """The couples document ``nearfair.schema.parse_couples`` reads."""
+    doc = serialize_instance(ci.instance, utilities)
+    doc["preferences"] = {
+        "resources": {r: list(order) for r, order in sorted(ci.resource_prefs.items())},
+        "agents": {
+            a: [bundle_to_json(q) for q in order]
+            for a, order in sorted(ci.agent_prefs.items())
+        },
+    }
+    return doc
+
+
+def serialize_ma(ma: MAInstance) -> dict:
+    """The apportionment document ``nearfair.schema.parse_ma`` reads."""
+    bounds: dict = {}
+    for (dim, g), b in ma.lower.items():
+        bounds.setdefault(dim, {}).setdefault(g, [0, ma.house])[0] = b
+    for (dim, g), bb in ma.upper.items():
+        bounds.setdefault(dim, {}).setdefault(g, [0, ma.house])[1] = bb
+    return {
+        "apportionment": {
+            "dimensions": list(ma.dims),
+            "groups": {d: list(gs) for d, gs in ma.groups.items()},
+            "votes": [
+                {"tuple": list(e), "votes": v} for e, v in sorted(ma.votes.items())
+            ],
+            "bounds": bounds,
+            "house": ma.house,
+        }
+    }

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from nearfair import apportionment, couples, envyfree
 from nearfair.cli import main
 from nearfair.couples import CouplesInstance
 from nearfair.model import AgentSpec, Allocation, Bundle, Instance, UtilityModel, enumerate_bundles
@@ -20,12 +21,13 @@ from nearfair.schema import (
     parse_instance,
     parse_ma,
     serialize_allocation,
-    serialize_couples,
     serialize_instance,
-    serialize_ma,
 )
 from nearfair.apportionment import MAInstance
 from nearfair.errors import SchemaError
+from nearfair.fairness import FairObjective
+
+from generators import serialize_couples, serialize_ma
 
 
 def demo_instance():
@@ -107,6 +109,24 @@ def test_ma_round_trip():
     doc = serialize_ma(ma)
     ma2 = parse_ma(json.loads(json.dumps(doc)))
     assert ma2.votes == ma.votes and ma2.lower == ma.lower and ma2.house == ma.house
+
+
+def test_bundle_utilities_round_trip():
+    inst = Instance(
+        [AgentSpec("a1", 2), AgentSpec("a2", 1)], [("r1", 2), ("r2", 1)], binding={"a2"}
+    )
+    u = UtilityModel(
+        explicit={
+            (a, q): Fraction(i + 1, 3)
+            for a in ("a1", "a2")
+            for i, q in enumerate(enumerate_bundles(a, inst))
+        }
+    )
+    doc = serialize_instance(inst, u)
+    assert all("bundleUtilities" in agent for agent in doc["agents"])
+    inst2, u2 = parse_instance(json.loads(json.dumps(doc)))
+    assert u2.explicit == u.explicit
+    assert serialize_instance(inst2, u2) == doc
 
 
 def test_floats_rejected():
@@ -353,6 +373,113 @@ def test_batch_directory(tmp_path, capsys):
     assert code == 0
 
 
+def test_batch_jobs_two_matches_a_single_run(tmp_path, capsys):
+    inst, u = demo_instance()
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for name in ("one.json", "two.json"):
+        write(batch, name, serialize_instance(inst, u))
+    flags = ["--alpha", "3", "--delta", "6"]
+    single = tmp_path / "single.json"
+    assert main(
+        ["solve", "assignment", "--instance", str(batch / "one.json"), *flags,
+         "--out", str(single)]
+    ) == 0
+    # both workers write the same document to the one --out file
+    out = tmp_path / "batch.json"
+    code = main(
+        ["solve", "assignment", "--instance", str(batch), *flags, "--jobs", "2",
+         "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 0
+    assert f"{batch / 'one.json'}: exit 0" in err
+    assert f"{batch / 'two.json'}: exit 0" in err
+    assert out.read_text() == single.read_text()
+
+
+@pytest.mark.parametrize("a2_values", [{"r1": 1, "r2": 3}, {"r1": 0, "r2": 0}])
+def test_solve_envyfree_prints_the_library_result(tmp_path, capsys, a2_values):
+    # the second market's group g2 values nothing: its envy 0 meets the bound 0
+    inst = Instance(
+        [AgentSpec("a1", 1, {"g": "g1"}), AgentSpec("a2", 1, {"g": "g2"})],
+        [("r1", 1), ("r2", 1)],
+        binding={"a1", "a2"},
+        dimensions=("g",),
+    )
+    u = UtilityModel(additive={"a1": {"r1": 2, "r2": 1}, "a2": a2_values})
+    inst_file = write(tmp_path, "inst.json", serialize_instance(inst, u))
+    code = main(["solve", "envyfree", "--instance", inst_file, "--alpha", "7", "--delta", "3"])
+    out = json.loads(capsys.readouterr().out)
+    h = envyfree.HomogeneousInstance(inst, u)
+    x, _ = envyfree.greedy_fractional_ef(h)
+    y = envyfree.ef_round(h, x, (7,), 3)
+    assert code == 0
+    assert out == {
+        "allocation": serialize_allocation(y)["entries"],
+        "fractional": serialize_allocation(x)["entries"],
+        "envy_ok": True,
+    }
+
+
+@pytest.mark.parametrize("objective", ["utilitarian", "proportional"])
+def test_solve_couples_prints_the_library_result(tmp_path, capsys, objective):
+    inst = Instance(
+        [AgentSpec("s1", 1, {"g": "g1"}), AgentSpec("s2", 1, {"g": "g2"}), AgentSpec("c", 2)],
+        [("r1", 2), ("r2", 1)],
+        dimensions=("g",),
+    )
+    ci = CouplesInstance(
+        inst,
+        {"r1": ["c", "s1", "s2"], "r2": ["s2", "s1", "c"]},
+        {a.id: enumerate_bundles(a.id, inst) for a in inst.agents},
+    )
+    u = UtilityModel(
+        additive={"s1": {"r1": 2, "r2": 1}, "s2": {"r1": 1, "r2": 2}, "c": {"r1": 1, "r2": 1}}
+    )
+    path = write(tmp_path, "couples.json", serialize_couples(ci, u))
+    code = main(
+        ["solve", "couples", "--instance", path, "--alpha", "5", "--delta", "4",
+         "--objective", objective]
+    )
+    out = json.loads(capsys.readouterr().out)
+    result = couples.fair_stable_allocation(
+        ci, u, getattr(FairObjective, objective)(), (5,), 4
+    )
+    assert code == 0
+    assert out == json.loads(json.dumps({
+        "allocation": serialize_allocation(result.rounded)["entries"],
+        "fractional": serialize_allocation(result.fractional)["entries"],
+        "stable": True,
+        "resource_excess": result.resource_excess,
+        "total_weighted_excess": result.total_weighted_excess,
+        "certificate": result.certificate.to_json(),
+    }))
+
+
+def test_apportion_instance_file_prints_the_library_result(tmp_path, capsys):
+    ma = MAInstance(
+        dims=("party", "district"),
+        groups={"party": ("A", "B"), "district": ("d1", "d2")},
+        votes={("A", "d1"): 30, ("A", "d2"): 10, ("B", "d1"): 20, ("B", "d2"): 40},
+        lower={("party", "A"): 3},
+        upper={},
+        house=10,
+    )
+    path = write(tmp_path, "ma.json", serialize_ma(ma))
+    code = main(["apportion", "--instance", path])
+    out = json.loads(capsys.readouterr().out)
+    result = apportionment.approx_apportionment(ma, apportionment.SignpostMethod.webster(), (1, 1))
+    assert code == 0
+    assert out["seats"] == [{"tuple": list(e), "seats": n} for e, n in sorted(result.seats.items())]
+    assert out["group_seats"] == [
+        {"dimension": d, "group": g, "seats": n} for (d, g), n in sorted(result.group_seats.items())
+    ]
+    assert out["house"] == result.total_seats() == 10
+    assert out["house_deviation"] == result.house_deviation
+    assert out["delta_bound"] == result.delta_bound
+
+
 def test_scale_guard_exit_code(tmp_path):
     # three couples with full acceptability over four roomy resources give
     # more than twenty packing variables, tripping the enumeration guard
@@ -370,8 +497,6 @@ def test_scale_guard_exit_code(tmp_path):
     u = UtilityModel(
         additive={f"c{i}": {f"r{j}": 1 for j in range(4)} for i in range(3)}
     )
-    from nearfair.schema import serialize_couples
-
     path = tmp_path / "big.json"
     path.write_text(json.dumps(serialize_couples(ci, u)))
     code = main(["solve", "couples", "--instance", str(path), "--delta", "2"])

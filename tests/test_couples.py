@@ -213,6 +213,40 @@ def test_fair_stable_condition_violated():
         fair_stable_allocation(ci, u, FairObjective.utilitarian(), (), 1)
 
 
+def two_singles(resources, b_value):
+    """Singles a (group g1) and b (g2) over unit resources that all rank a
+    first; a values every resource at 1, b at ``b_value``."""
+    agents = [AgentSpec("a", 1, {"grp": "g1"}), AgentSpec("b", 1, {"grp": "g2"})]
+    inst = Instance(agents, [(r, 1) for r in resources], dimensions=("grp",))
+    ci = CouplesInstance(
+        inst,
+        {r: ["a", "b"] for r in resources},
+        {s: [Bundle.of({r: 1}) for r in resources] for s in ("a", "b")},
+    )
+    u = UtilityModel(
+        additive={"a": {r: 1 for r in resources}, "b": {r: b_value for r in resources}}
+    )
+    return ci, u
+
+
+def test_proportional_takes_a_dominating_vertex_scored_minus_infinity():
+    # {a: r} is the only dominating vertex; b gets nothing there, so the
+    # proportional objective scores it log 0 = -inf
+    ci, u = two_singles(["r"], 1)
+    for objective in (FairObjective.utilitarian(), FairObjective.proportional()):
+        result = fair_stable_allocation(ci, u, objective, (5,), 4)
+        assert result.fractional.values == {("a", Bundle.of({"r": 1})): 1}
+        assert result.rounded.values == result.fractional.values
+
+
+def test_group_valuing_nothing_rounds_within_budget():
+    # g2's bound is alpha * 0 = 0, and its deviation 0 is within it
+    ci, u = two_singles(["r1", "r2"], 0)
+    result = fair_stable_allocation(ci, u, FairObjective.utilitarian(), (5,), 4)
+    assert result.certificate.group_deviations[("grp", "g2")] == (0, 0)
+    assert result.certificate.ok()
+
+
 def test_fair_stable_random_tiny():
     rng = random.Random(37)
     done = 0
@@ -230,6 +264,6 @@ def test_fair_stable_random_tiny():
         assert result.block_report.stable
         assert all(v <= delta for v in result.resource_excess.values())
         assert result.total_weighted_excess <= 4
-        for a in ci.instance.agents:
-            assert result.rounded.agent_total(a.id) <= 1
+        # couples markets bind no agent: everyone holds at most one bundle
+        assert result.rounded.check_allocation(ci.instance, capacities=False) == []
         done += 1

@@ -27,6 +27,25 @@ def two_singletons():
     return HomogeneousInstance(inst, u)
 
 
+def test_envy_of_a_group_valuing_nothing_is_within_budget():
+    agents = [AgentSpec("a1", 1, {"g": "g1"}), AgentSpec("a2", 1, {"g": "g2"})]
+    inst = Instance(agents, [("r1", 1), ("r2", 1)], binding={"a1", "a2"}, dimensions=("g",))
+    u = UtilityModel(additive={"a1": {"r1": 2, "r2": 1}, "a2": {"r1": 0, "r2": 0}})
+    h = HomogeneousInstance(inst, u)
+    y = Allocation({("a1", Bundle.of({"r2": 1})): 1, ("a2", Bundle.of({"r1": 1})): 1})
+    report = check_ef_deviation(h, y, (7,), 3)
+    # g2 envies g1 by 0 against the bound 7 * 0; g1 envies g2 by 2 - 1 = 1 < 7 * 2
+    assert report["pairs"] == {
+        ("g", "g1", "g2"): (True, 1, 14),
+        ("g", "g2", "g1"): (True, 0, 0),
+    }
+    assert report["ok"]
+    # a positive envy still fails against the bound 0
+    strict = check_ef_deviation(h, y, (0,), 3)
+    assert strict["pairs"][("g", "g1", "g2")] == (False, 1, 0)
+    assert not strict["ok"]
+
+
 def test_heterogeneous_demands_rejected():
     agents = [AgentSpec("a1", 1), AgentSpec("a2", 2)]
     inst = Instance(agents, [("r1", 3)])
@@ -296,5 +315,5 @@ def test_ef_round_with_active_envy_rows():
         y = ef_round(h, x, (7,), 3)
         report = check_ef_deviation(h, y, (7,), 3)
         assert report["ok"], report
-        for a in h.instance.agents:
-            assert y.agent_total(a.id) == 1
+        # every agent of a homogeneous instance is binding
+        assert y.check_allocation(h.instance, capacities=False) == []

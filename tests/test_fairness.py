@@ -194,8 +194,8 @@ def test_pipeline_verifies_on_random_instances():
             raise
         assert result.certificate.ok()
         assert result.total_excess <= result.delta_plus
-        for a in inst.agents:
-            assert result.rounded.agent_total(a.id) == 1
+        # every agent is binding (all_binding=True): each holds exactly one bundle
+        assert result.rounded.check_allocation(inst, capacities=False) == []
         done += 1
 
 

@@ -369,5 +369,4 @@ def test_roundings_respect_binding():
     roundings = list(enumerate_roundings(inst, x))
     assert len(roundings) == 4
     for y in roundings:
-        assert y.agent_total("a1") == 1
-        assert y.agent_total("a2") == 1
+        assert y.check_allocation(inst, capacities=False) == []  # a1, a2 binding

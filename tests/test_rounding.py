@@ -162,10 +162,8 @@ def test_rounding_property_and_count_bound_on_random_instances():
                 assert y.value(*e) == 1
         for e in y.values:
             assert e in x.values
-        # binding agents exactly one
-        for a in inst.agents:
-            total = y.agent_total(a.id)
-            assert total == 1 if a.id in inst.binding else total <= 1
+        # binding agents exactly one, the others at most one
+        assert y.check_allocation(inst, capacities=False) == []
         # per-iteration constraint-count bound from the trace
         for state in cert.trace:
             assert state.constraints <= state.fractional
@@ -214,6 +212,29 @@ def test_verify_boundary_is_strict():
     assert not cert3.ok()  # exact boundary fails strictly
 
 
+def test_verify_zero_deviation_is_within_a_zero_budget():
+    inst = Instance(
+        [AgentSpec("a1", 1, {"d": "g"})],
+        [("r1", 1), ("r2", 1)],
+        binding={"a1"},
+        dimensions=("d",),
+    )
+    b1, b2 = Bundle.of({"r1": 1}), Bundle.of({"r2": 1})
+    x = Allocation({("a1", b1): Fraction(1, 2), ("a1", b2): Fraction(1, 2)})
+    y = Allocation({("a1", b1): 1})
+    budget = DeviationBudget((1,), 2, 2, 1, 1)
+    # a group that values nothing has the bound alpha * 0 = 0 and deviates 0
+    nothing = UtilityModel(additive={"a1": {"r1": 0, "r2": 0}})
+    cert = verify_approximation(inst, x, y, nothing, budget)
+    assert cert.group_deviations[("d", "g")] == (0, 0)
+    assert cert.ok()
+    # a positive deviation still fails against the bound 0
+    u = UtilityModel(additive={"a1": {"r1": 2, "r2": 0}})
+    cert = verify_approximation(inst, x, y, u, DeviationBudget((0,), 2, 2, 1, 1))
+    assert cert.group_deviations[("d", "g")] == (1, 0)
+    assert cert.violations == ["group (d,g) deviates 1, budget 0"]
+
+
 def test_verify_rejects_a_moved_agent():
     # three unit agents spread evenly over three unit resources: delta = 1
     # admits only perfect matchings, so moving any one agent onto another's
@@ -228,7 +249,7 @@ def test_verify_rejects_a_moved_agent():
     budget = DeviationBudget((), 1, 2, 1, 1)
     y, cert = iterative_round(inst, x, u, budget)
     assert cert.ok()
-    (a, q), *_ = y.support()
+    (a, q), *_ = sorted(y.values)
     target = next(r for r, _ in resources if y.resource_usage(r) == 1 and not q.multiplicity(r))
     moved = dict(y.values)
     del moved[(a, q)]

@@ -1,5 +1,6 @@
-"""Source hygiene: every import in the library modules is used, and the
-oracle stays independent of the exact simplex it cross-checks.
+"""Source hygiene: every import in the library modules is used, the oracle
+stays independent of the exact simplex it cross-checks, and no library
+function, class or method is reachable only from the tests.
 
 ``__init__.py`` is skipped by the unused-import check: its imports are the
 package's re-exports.
@@ -7,8 +8,10 @@ package's re-exports.
 
 import ast
 from pathlib import Path
+from typing import Iterable, Mapping
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "nearfair"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nearfair"
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -191,3 +194,99 @@ def test_budget_condition_has_one_owner():
     found = {p.name: condition_raises(p.read_text()) for p in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert condition_raises((SRC / "rounding.py").read_text())
+
+
+def _definitions(source: str) -> list[tuple[str, str]]:
+    """(qualified name, bare name) of every top-level function and class and
+    of every method."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (f"{node.name}.{item.name}", item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    return out
+
+
+def _references(source: str, strings: bool = False) -> set[str]:
+    """Names a module loads or reads as attributes; with ``strings`` also its
+    identifier strings, since a string can name what code reaches (a
+    ``HOOKS`` entry names the attribute the tracer patches, a kind tag such
+    as ``"custom"`` names its constructor)."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def api_reached_only_by_tests(
+    library: Mapping[str, str], exports: str, bench: Iterable[str], tests: Iterable[str]
+) -> list[str]:
+    """``module.name`` of every definition in ``library`` (module -> source)
+    that the tests reference but no library module or bench file does, and
+    that the package does not export (``exports`` is ``__init__.py``)."""
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(exports))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    reached = set().union(
+        *(_references(text, strings=True) for text in [*library.values(), *bench])
+    )
+    tested = set().union(*map(_references, tests))
+    return sorted(
+        f"{module}.{qual}"
+        for module, source in library.items()
+        for qual, name in _definitions(source)
+        if name in tested and name not in reached and qual not in exported
+    )
+
+
+def test_test_only_api_detector():
+    library = {
+        "model": (
+            "class Box:\n"
+            "    def used(self): return self.size()\n"
+            "    def size(self): ...\n"
+            "    def only_tested(self): ...\n"
+            "def helper(): ...\n"
+            "def hooked(): ...\n"
+            "def tagged(): ...\n"
+            "def public(): ...\n"
+            "def nowhere(): ...\n"
+        ),
+        "cli": 'from .model import Box\nBox().used()\nKIND = "tagged"\n',
+    }
+    bench = ['HOOKS = [("nearfair.model", "hooked", "model.hooked", None)]\n']
+    tests = [
+        "from nearfair.model import Box, helper, hooked, public, tagged\n"
+        "Box().only_tested(); Box().used(); helper(); hooked(); public(); tagged()\n"
+        'SKIP = "nowhere"\n'
+    ]
+    exports = "from .model import Box, public\n"
+    assert api_reached_only_by_tests(library, exports, bench, tests) == [
+        "model.Box.only_tested",
+        "model.helper",
+    ]
+
+
+def test_no_library_api_is_reached_only_from_tests():
+    """Library code that only tests call is either exported or deleted."""
+    library = {
+        p.stem: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"
+    }
+    bench = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    exports = (SRC / "__init__.py").read_text()
+    assert api_reached_only_by_tests(library, exports, bench, tests) == []
