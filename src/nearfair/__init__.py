@@ -57,7 +57,6 @@ from .couples import (
     BlockReport,
     CouplesInstance,
     fair_stable_allocation,
-    lp_stable_polytope,
     realized_capacities,
     stability_check,
 )

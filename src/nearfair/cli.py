@@ -1,6 +1,6 @@
 """Command-line interface: instance I/O, pipeline dispatch, certificates.
 
-Exit codes: 0 success, 1 I/O or schema error, 2 infeasible instance,
+Exit codes: 0 success, 1 usage, I/O or schema error, 2 infeasible instance,
 3 budget condition violated (or a requested verification failed),
 4 brute-force scale guard tripped, 5 internal failure (a broken invariant
 or another library error; always a bug, never bad input).
@@ -86,10 +86,9 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def cmd_solve(args) -> int:
-    paths = _expand_instances(args.instance)
-    if len(paths) > 1:
-        return _run_batch(args, paths)
-    doc = load_json(paths[0])
+    if os.path.isdir(args.instance):
+        return _run_batch(args)
+    doc = load_json(args.instance)
     if args.pipeline == "assignment":
         instance, utilities = parse_instance(doc)
         if utilities is None:
@@ -189,10 +188,15 @@ def _ma_from_csv(path: str, house: int | None):
     parties = []
     votes = {}
     for row in rows[1:]:
+        if not row:
+            raise SchemaError("vote table has an empty row")
         party = row[0].strip()
         parties.append(party)
         for district, cell in zip(districts, row[1:]):
-            v = int(cell)
+            try:
+                v = int(cell)
+            except ValueError:
+                raise SchemaError(f"bad vote count {cell!r} for {party}, {district}") from None
             if v > 0:
                 votes[(party, district)] = v
     return app.MAInstance(
@@ -298,14 +302,6 @@ def cmd_budget(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _expand_instances(path: str) -> list[str]:
-    if os.path.isdir(path):
-        return sorted(
-            os.path.join(path, f) for f in os.listdir(path) if f.endswith(".json")
-        )
-    return [path]
-
-
 def _batch_worker(args: argparse.Namespace) -> tuple[str, int]:
     try:
         code = _dispatch(args)
@@ -315,16 +311,30 @@ def _batch_worker(args: argparse.Namespace) -> tuple[str, int]:
     return args.instance, code
 
 
-def _run_batch(args, paths: list[str]) -> int:
-    """Run the parsed command once per file, with only ``instance`` replaced."""
+def _run_batch(args) -> int:
+    """Run the parsed command once per ``*.json`` file of the ``--instance``
+    directory, with only ``instance`` replaced and, when ``--out`` names a
+    directory, each file's output going to ``<out>/<file name>``."""
+    names = sorted(f for f in os.listdir(args.instance) if f.endswith(".json"))
+    if not names:
+        raise SchemaError(f"no *.json instance files in {args.instance}")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    per_file = [
+        argparse.Namespace(**{
+            **vars(args),
+            "instance": os.path.join(args.instance, name),
+            "out": args.out and os.path.join(args.out, name),
+        })
+        for name in names
+    ]
     jobs = max(1, args.jobs)
-    worst = EXIT_OK
-    per_file = [argparse.Namespace(**{**vars(args), "instance": p}) for p in paths]
     if jobs == 1:
         results = map(_batch_worker, per_file)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_batch_worker, per_file))
+    worst = EXIT_OK
     for path, code in results:
         print(f"{path}: exit {code}", file=sys.stderr)
         worst = max(worst, code)
@@ -336,8 +346,17 @@ def _run_batch(args, paths: list[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like any other bad input; argparse's own 2 is
+    this program's "infeasible"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nearfair",
         description="Near-feasible fair allocations by exact iterative LP rounding.",
     )
@@ -352,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--objective", default="utilitarian", choices=["utilitarian", "proportional"]
     )
     solve.add_argument("--jobs", type=int, default=1)
-    solve.add_argument("--out")
+    solve.add_argument("--out", help="output file; a directory when --instance is one")
     solve.set_defaults(func=cmd_solve)
 
     ap = sub.add_parser("apportion", help="multidimensional apportionment")

@@ -8,12 +8,13 @@ move when it has room left or ranks the mover above one of its current
 occupants.
 
 Fractional stable points are taken from the packing polytope over agent-
-bundle pairs (capacity rows plus at-most-one-bundle rows).  At desk scale we
-enumerate its vertices exhaustively and call a vertex *dominating* when
-every rounding of it is stable under the capacities it realizes; rounding a
-dominating vertex with the usual budget machinery, under the "couples" row
-of ``rounding.CONDITIONS``, then yields near-feasible stable (and fair)
-integral allocations.
+bundle pairs (at-most-one-bundle rows plus capacity rows), which is
+``fairness.allocation_polytope`` of a market with no binding agent.  At
+desk scale we enumerate its vertices exhaustively and call a vertex
+*dominating* when every rounding of it is stable under the capacities it
+realizes; rounding a dominating vertex with the usual budget machinery,
+under the "couples" row of ``rounding.CONDITIONS``, then yields near-
+feasible stable (and fair) integral allocations.
 
 The vertices come from ``oracle.vertex_enumerate``, which pivots between
 lexicographically positive bases.  The polytope is highly degenerate (most
@@ -34,19 +35,18 @@ from .errors import (
     InvariantViolation,
     NoDominatingVertexError,
 )
-from .exactlp import LinearProgram
-from .fairness import FairObjective
+from .fairness import FairObjective, allocation_polytope
 from .model import (
     Allocation,
     Bundle,
     Instance,
     UtilityModel,
-    enumerate_bundles,
     group_utility,
+    pair_index,
     pair_universe,
 )
 from .oracle import enumerate_roundings, vertex_enumerate
-from .rationals import ONE, ZERO
+from .rationals import ZERO
 from .rounding import CONDITIONS, Certificate, DeviationBudget, capacity_excess, iterative_round
 
 
@@ -71,7 +71,7 @@ class CouplesInstance:
                 )
         self.resource_prefs = {r: tuple(v) for r, v in self.resource_prefs.items()}
         self.agent_prefs = {a: tuple(v) for a, v in self.agent_prefs.items()}
-        bundles = {a.id: enumerate_bundles(a.id, inst) for a in inst.agents}
+        by_agent, by_resource = pair_index(pair_universe(inst))
         self._res_rank: dict[str, dict[str, int]] = {}
         for r, order in self.resource_prefs.items():
             if r not in dict(inst.resources):
@@ -84,13 +84,13 @@ class CouplesInstance:
             order = self.agent_prefs.get(a.id, ())
             if len(set(order)) != len(order):
                 raise InvalidInstanceError(f"agent {a.id!r} ranks a bundle twice")
-            if set(order) != set(bundles[a.id]):
+            if set(order) != {q for _, q in by_agent.get(a.id, ())}:
                 raise InvalidInstanceError(
                     f"agent {a.id!r} must rank exactly its acceptable bundles"
                 )
             self._agent_rank[a.id] = {q: i for i, q in enumerate(order)}
         for r, _ in inst.resources:
-            users = {a for a, qs in bundles.items() for q in qs if q.multiplicity(r)}
+            users = {a for a, _ in by_resource.get(r, ())}
             missing = users - set(self.resource_prefs.get(r, ()))
             if missing:
                 raise InvalidInstanceError(
@@ -154,16 +154,13 @@ def stability_check(
         if assigned[a] is not None:
             raise InvalidInstanceError(f"agent {a!r} holds two bundles")
         assigned[a] = q
-    usage = {r: 0 for r, _ in inst.resources}
-    for a, q in assigned.items():
-        if q is not None:
-            for r, m in q.items:
-                usage[r] += m
+    loads = y.loads()
+    spare = {r: c - int(loads.get(r, ZERO)) for r, c in capacities.items()}
 
     def available_units(r: str, mover: str) -> int:
         """Units the mover could obtain at r: spare capacity, its own units
         there, and units of occupants the resource likes less."""
-        free = capacities[r] - usage[r]
+        free = spare[r]
         own = assigned[mover].multiplicity(r) if assigned[mover] is not None else 0
         worse = 0
         for b, qb in assigned.items():
@@ -200,30 +197,6 @@ def stability_check(
 # ---------------------------------------------------------------------------
 
 
-def lp_stable_polytope(ci: CouplesInstance) -> LinearProgram:
-    """Capacity rows plus at-most-one-bundle rows over the acceptable pairs.
-
-    Variable order matches ``pair_universe``.
-    """
-    inst = ci.instance
-    pairs = pair_universe(inst)
-    lp = LinearProgram()
-    col = {e: lp.add_variable(f"x[{e[0]},{e[1]}]") for e in pairs}
-    for r, c in inst.resources:
-        coeffs = {}
-        for e in pairs:
-            m = e[1].multiplicity(r)
-            if m:
-                coeffs[col[e]] = Fraction(m)
-        if coeffs:
-            lp.add_constraint(coeffs, "<=", Fraction(c))
-    for a in inst.agents:
-        coeffs = {col[e]: ONE for e in pairs if e[0] == a.id}
-        if coeffs:
-            lp.add_constraint(coeffs, "<=", ONE)
-    return lp
-
-
 def all_roundings_stable(ci: CouplesInstance, x: Allocation) -> bool:
     """The operational dominance test: every rounding of x (respecting the
     at-most-one-bundle rows) is stable under the capacities it realizes."""
@@ -235,8 +208,8 @@ def all_roundings_stable(ci: CouplesInstance, x: Allocation) -> bool:
 
 def dominating_vertices(ci: CouplesInstance) -> Iterator[Allocation]:
     """The vertices of the stable polytope that pass ``all_roundings_stable``."""
-    pairs = pair_universe(ci.instance)
-    for vertex in vertex_enumerate(lp_stable_polytope(ci)):
+    lp, pairs, _ = allocation_polytope(ci.instance)
+    for vertex in vertex_enumerate(lp):
         x = Allocation({e: v for e, v in zip(pairs, vertex) if v != 0})
         if all_roundings_stable(ci, x):
             yield x

@@ -313,7 +313,6 @@ def ef_round(
         None,
         group_rows=_envy_rows(h),
         check=_counting_bound(h, alpha, delta),
-        cap_slack=40,
         solve=feasible_vertex,
     )
     return y

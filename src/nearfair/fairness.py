@@ -34,6 +34,7 @@ from .model import (
     Pair,
     UtilityModel,
     group_utility,
+    pair_index,
     pair_universe,
 )
 from .rationals import ONE, snap
@@ -116,23 +117,26 @@ def allocation_polytope(
     instance: Instance,
 ) -> tuple[LinearProgram, list[Pair], dict[Pair, int]]:
     """LP over all acceptable (agent, bundle) pairs: binding agents sum to 1,
-    others to at most 1, resource loads within capacity."""
+    others to at most 1, resource loads within capacity.
+
+    A non-binding agent with no pair gets no row; a binding one makes the
+    instance infeasible.  With binding = {} this is the couples packing
+    polytope (Nguyen & Vohra 2018).
+    """
     pairs = pair_universe(instance)
+    by_agent, by_resource = pair_index(pairs)
     lp = LinearProgram()
     col = {e: lp.add_variable(f"x[{e[0]},{e[1]}]") for e in pairs}
     for a in instance.agents:
-        coeffs = {col[e]: ONE for e in pairs if e[0] == a.id}
-        if not coeffs:
+        own = by_agent.get(a.id)
+        binding = a.id in instance.binding
+        if binding and not own:
             raise InfeasibleInstanceError(f"agent {a.id!r} has no acceptable bundle")
-        rel = "=" if a.id in instance.binding else "<="
-        lp.add_constraint(coeffs, rel, ONE)
+        if own:
+            lp.add_constraint({col[e]: ONE for e in own}, "=" if binding else "<=", ONE)
     for r, c in instance.resources:
-        coeffs = {}
-        for e in pairs:
-            m = e[1].multiplicity(r)
-            if m:
-                coeffs[col[e]] = Fraction(m)
-        if coeffs:
+        if r in by_resource:
+            coeffs = {col[e]: Fraction(m) for e, m in by_resource[r].items()}
             lp.add_constraint(coeffs, "<=", Fraction(c))
     return lp, pairs, col
 

@@ -225,6 +225,20 @@ def pair_universe(instance: Instance) -> list[tuple[str, Bundle]]:
 Pair = tuple[str, Bundle]
 
 
+def pair_index(
+    pairs: Sequence[Pair],
+) -> tuple[dict[str, list[Pair]], dict[str, dict[Pair, int]]]:
+    """The rows a set of pairs induces, in one pass: each agent's pairs and
+    each resource's ``{pair: multiplicity}``, both in the order of ``pairs``."""
+    by_agent: dict[str, list[Pair]] = {}
+    by_resource: dict[str, dict[Pair, int]] = {}
+    for e in pairs:
+        by_agent.setdefault(e[0], []).append(e)
+        for r, m in e[1].items:
+            by_resource.setdefault(r, {})[e] = m
+    return by_agent, by_resource
+
+
 @dataclass
 class Allocation:
     """Sparse mapping from (agent, bundle) pairs to values in [0, 1]."""
@@ -257,7 +271,10 @@ class Allocation:
         out: dict[str, Fraction] = {}
         for (_, q), v in self.values.items():
             for r, m in q.items:
-                out[r] = out.get(r, ZERO) + m * v
+                # skips the Fraction product and the add to zero where it can:
+                # on integral allocations that is most of the work
+                w = v if m == 1 else m * v
+                out[r] = out[r] + w if r in out else w
         return out
 
     def resource_usage(self, resource: str) -> Fraction:

@@ -32,7 +32,7 @@ from typing import Callable, Hashable, Optional, Sequence
 
 from .errors import BudgetError, InvalidInstanceError, InvariantViolation
 from .exactlp import LinearProgram, VertexSolution, feasible_vertex
-from .model import Allocation, Instance, Pair, UtilityModel, group_utility
+from .model import Allocation, Instance, Pair, UtilityModel, group_utility, pair_index
 from .rationals import ONE, ZERO, ceil_frac, rat_str
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,6 @@ def _round_loop(
     *,
     group_rows: GroupRows,
     check: Callable[[IterationState, list[Pair]], None],
-    cap_slack: int,
     solve: Callable[[LinearProgram], VertexSolution],
 ) -> tuple[Allocation, list[IterationState]]:
     """The iterative rounder shared by every pipeline.
@@ -364,8 +363,9 @@ def _round_loop(
     Delta + 1 agents are left below one; ``solve`` returns a vertex of those
     rows.  ``check`` is the family's counting bound on each iteration's
     state, and the measure (|F|, agents left below one, -|sticky rows|) must
-    strictly decrease.  Returns the rounded mapping and one state per
-    iteration, the last being the one that needed no row.
+    strictly decrease; it is bounded, so the loop ends.  Returns the rounded
+    mapping and one state per iteration, the last being the one that needed
+    no row.
     """
     group_keys = instance.group_keys()
     members = {key: instance.group_members(*key) for key in group_keys}
@@ -377,29 +377,21 @@ def _round_loop(
     trace: list[IterationState] = []
     prev_measure: Optional[tuple[int, int, int]] = None
     t = 0
-    max_iterations = (
-        3 * len(x_cur) + len(instance.agents) + len(instance.resources) + cap_slack
-    )
 
     while True:
         F = _fractional_support(x_cur)
-        frac_sum: dict[str, Fraction] = {}
-        for a, q in F:
-            frac_sum[a] = frac_sum.get(a, ZERO) + x_cur[(a, q)]
-        agents_F = sorted(frac_sum)
-        tilde_A = [a for a in agents_F if frac_sum[a] == 1]
+        by_agent, by_resource = pair_index(F)  # F is sorted: agents in order
+        tilde_A = [a for a, own in by_agent.items() if sum(x_cur[e] for e in own) == 1]
         tilde_G = []
         for key in group_keys:
-            li = dim_index[key[0]]
-            incident = [e for e in F if e[0] in members[key]]
-            if len(incident) >= alpha[li] + 1:
+            incident = sum(len(by_agent.get(a, ())) for a in members[key])
+            if incident >= alpha[dim_index[key[0]]] + 1:
                 tilde_G.append(key)
-        tilde_R = []
-        for r, _ in instance.resources:
-            load = sum(q.multiplicity(r) for _, q in F)
-            if load >= delta + 1:
-                tilde_R.append(r)
-        outside = len(agents_F) - len(tilde_A)
+        tilde_R = [
+            r for r, _ in instance.resources
+            if sum(by_resource.get(r, {}).values()) >= delta + 1
+        ]
+        outside = len(by_agent) - len(tilde_A)
         chi = 1 if Delta is not None and outside >= Delta + 1 else 0
 
         state = IterationState(
@@ -416,10 +408,6 @@ def _round_loop(
         trace.append(state)
         if not tilde_A and not tilde_G and not tilde_R and chi == 0:
             break
-        if t >= max_iterations:
-            raise InvariantViolation(
-                _dump("iteration cap hit", t, F, "rounder failed to make progress")
-            )
 
         measure = (len(F), outside, -len(sticky))
         if prev_measure is not None and measure >= prev_measure:
@@ -436,27 +424,20 @@ def _round_loop(
 
         lp = LinearProgram()
         col = {e: lp.add_variable(f"y[{e[0]},{e[1]}]") for e in F}
-        for a in agents_F:
-            coeffs = {col[e]: ONE for e in F if e[0] == a}
-            lp.add_constraint(coeffs, "=" if a in tilde_A else "<=", ONE)
-        loose: list[tuple[Hashable, dict[int, Fraction], Fraction]] = []
+        for a, own in by_agent.items():
+            lp.add_constraint({col[e]: ONE for e in own}, "=" if a in tilde_A else "<=", ONE)
+        loose: list[tuple[Hashable, int]] = []
         for key in tilde_G:
             for row_key, by_pair, rhs in group_rows(members, key, F, x_cur):
                 coeffs = {col[e]: c for e, c in by_pair.items()}
                 if row_key is None or row_key in sticky:
                     lp.add_constraint(coeffs, "=", rhs)
                 else:
-                    lp.add_constraint(coeffs, ">=", rhs)
-                    loose.append((row_key, coeffs, rhs))
+                    loose.append((row_key, lp.add_constraint(coeffs, ">=", rhs)))
         for r in tilde_R:
-            coeffs = {}
-            rhs = ZERO
-            for e in F:
-                m = e[1].multiplicity(r)
-                if m:
-                    coeffs[col[e]] = Fraction(m)
-                    rhs += m * x_cur[e]
-            lp.add_constraint(coeffs, "=", rhs)
+            uses = by_resource[r]
+            rhs = sum((m * x_cur[e] for e, m in uses.items()), ZERO)
+            lp.add_constraint({col[e]: Fraction(m) for e, m in uses.items()}, "=", rhs)
         if chi:
             coeffs = {col[e]: Fraction(demand[e[0]]) for e in F}
             rhs = sum((demand[e[0]] * x_cur[e] for e in F), ZERO)
@@ -467,9 +448,7 @@ def _round_loop(
             raise InvariantViolation(
                 _dump("per-iteration LP infeasible", t, F, "current point is feasible")
             )
-        for row_key, coeffs, rhs in loose:
-            if sum((c * solution.value(j) for j, c in coeffs.items()), ZERO) == rhs:
-                sticky.add(row_key)
+        sticky.update(k for k, idx in loose if idx in solution.tight_constraints)
         for e in F:
             v = solution.value(col[e])
             if v == 0:
@@ -560,7 +539,6 @@ def iterative_round(
         budget.Delta,
         group_rows=_utility_rows(utilities),
         check=_constraint_count,
-        cap_slack=10,
         solve=feasible_vertex,
     )
     cert = verify_approximation(instance, x, y, utilities, budget)

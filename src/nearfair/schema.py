@@ -8,6 +8,7 @@ rejected so files stay exact.  Bundles serialize as sorted
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -16,6 +17,19 @@ from .couples import CouplesInstance
 from .errors import SchemaError
 from .model import Allocation, AgentSpec, Bundle, Instance, UtilityModel
 from .rationals import rat, rat_str
+
+
+@contextmanager
+def _reading(what: str):
+    """Report a malformed document part as a SchemaError: a missing key or
+    index, a value of the wrong type, or text that does not parse.  Only the
+    reading of a document goes inside; the model constructors stay outside,
+    so a library bug is not reported as bad input."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        detail = f"missing {exc}" if isinstance(exc, LookupError) else str(exc)
+        raise SchemaError(f"bad {what}: {detail}") from None
 
 
 def bundle_to_json(bundle: Bundle) -> list[str]:
@@ -30,10 +44,7 @@ def bundle_from_json(data) -> Bundle:
         if not isinstance(item, str) or ":" not in item:
             raise SchemaError(f"bad bundle item {item!r}")
         r, _, m = item.rpartition(":")
-        try:
-            counts[r] = counts.get(r, 0) + int(m)
-        except ValueError:
-            raise SchemaError(f"bad multiplicity in {item!r}") from None
+        counts[r] = counts.get(r, 0) + int(m)  # callers read inside _reading
     return Bundle.of(counts)
 
 
@@ -46,54 +57,46 @@ def parse_instance(doc: dict) -> tuple[Instance, Optional[UtilityModel]]:
     """Build (instance, utilities) from a JSON document."""
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be an object")
-    try:
-        agents_doc = doc["agents"]
-        resources_doc = doc["resources"]
-    except KeyError as exc:
-        raise SchemaError(f"missing field {exc}") from None
     agents = []
     binding = set()
     additive: dict[str, dict[str, Fraction]] = {}
     explicit: dict = {}
     modes = set()
-    for a in agents_doc:
-        if "id" not in a:
-            raise SchemaError("agent without id")
-        spec = AgentSpec(
-            id=str(a["id"]),
-            demand=int(a.get("demand", 1)),
-            groups={str(k): str(v) for k, v in a.get("groups", {}).items()},
-        )
-        agents.append(spec)
-        if a.get("binding", False):
-            binding.add(spec.id)
-        if "utilities" in a:
-            modes.add("additive")
-            additive[spec.id] = {str(r): rat(v) for r, v in a["utilities"].items()}
-        if "bundleUtilities" in a:
-            modes.add("explicit")
-            for entry in a["bundleUtilities"]:
-                explicit[(spec.id, bundle_from_json(entry["bundle"]))] = rat(
-                    entry["value"]
-                )
+    with _reading("instance"):
+        for a in doc["agents"]:
+            if "id" not in a:
+                raise SchemaError("agent without id")
+            spec = AgentSpec(
+                id=str(a["id"]),
+                demand=int(a.get("demand", 1)),
+                groups={str(k): str(v) for k, v in a.get("groups", {}).items()},
+            )
+            agents.append(spec)
+            if a.get("binding", False):
+                binding.add(spec.id)
+            if "utilities" in a:
+                modes.add("additive")
+                additive[spec.id] = {str(r): rat(v) for r, v in a["utilities"].items()}
+            if "bundleUtilities" in a:
+                modes.add("explicit")
+                for entry in a["bundleUtilities"]:
+                    explicit[(spec.id, bundle_from_json(entry["bundle"]))] = rat(
+                        entry["value"]
+                    )
+        resources = [(str(r["id"]), int(r["capacity"])) for r in doc["resources"]]
+        acceptability = None
+        if "acceptability" in doc:
+            acceptability = frozenset(
+                (str(a), str(r)) for a, r in doc["acceptability"]
+            )
+        dimensions = tuple(doc["dimensions"]) if "dimensions" in doc else None
     if len(modes) > 1:
         raise SchemaError("mix of additive and bundle utilities")
-    resources = []
-    for r in resources_doc:
-        try:
-            resources.append((str(r["id"]), int(r["capacity"])))
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError(f"bad resource entry {r!r}") from None
-    acceptability = None
-    if "acceptability" in doc:
-        acceptability = frozenset(
-            (str(a), str(r)) for a, r in doc["acceptability"]
-        )
     instance = Instance(
         agents=agents,
         resources=resources,
         binding=frozenset(binding),
-        dimensions=tuple(doc["dimensions"]) if "dimensions" in doc else None,
+        dimensions=dimensions,
         acceptability=acceptability,
     )
     utilities = None
@@ -142,7 +145,7 @@ def parse_couples(doc: dict) -> tuple[CouplesInstance, Optional[UtilityModel]]:
     prefs = doc.get("preferences")
     if not isinstance(prefs, dict):
         raise SchemaError("couples instance needs a 'preferences' object")
-    try:
+    with _reading("preferences"):
         res_prefs = {
             str(r): [str(a) for a in order]
             for r, order in prefs["resources"].items()
@@ -151,14 +154,13 @@ def parse_couples(doc: dict) -> tuple[CouplesInstance, Optional[UtilityModel]]:
             str(a): [bundle_from_json(b) for b in order]
             for a, order in prefs["agents"].items()
         }
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad preferences: {exc}") from None
     return CouplesInstance(instance, res_prefs, agent_prefs), utilities
 
 
 def parse_ma(doc: dict) -> MAInstance:
-    block = doc.get("apportionment", doc)
-    try:
+    lower, upper = {}, {}
+    with _reading("apportionment block"):
+        block = doc.get("apportionment", doc)
         # tuples built from lists: see model.Bundle.resources
         dims = tuple([str(d) for d in block["dimensions"]])
         groups = {
@@ -169,13 +171,11 @@ def parse_ma(doc: dict) -> MAInstance:
             key = tuple([str(g) for g in entry["tuple"]])
             votes[key] = int(entry["votes"])
         house = int(block["house"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad apportionment block: {exc}") from None
-    lower, upper = {}, {}
-    for dim, table in block.get("bounds", {}).items():
-        for g, pair in table.items():
-            lower[(str(dim), str(g))] = int(pair[0])
-            upper[(str(dim), str(g))] = int(pair[1])
+        for dim, table in block.get("bounds", {}).items():
+            for g, pair in table.items():
+                lo, hi = pair
+                lower[(str(dim), str(g))] = int(lo)
+                upper[(str(dim), str(g))] = int(hi)
     return MAInstance(
         dims=dims, groups=groups, votes=votes, lower=lower, upper=upper, house=house
     )
@@ -190,12 +190,10 @@ def parse_allocation(doc: dict) -> Allocation:
     if not isinstance(doc, dict) or "entries" not in doc:
         raise SchemaError("allocation document needs an 'entries' list")
     values = {}
-    for entry in doc["entries"]:
-        try:
+    with _reading("allocation entry"):
+        for entry in doc["entries"]:
             pair = (str(entry["agent"]), bundle_from_json(entry["bundle"]))
             values[pair] = rat(entry["value"])
-        except KeyError as exc:
-            raise SchemaError(f"allocation entry missing {exc}") from None
     return Allocation(values)
 
 

@@ -314,6 +314,62 @@ def test_schema_exit_code(tmp_path):
     assert code == 1
 
 
+def _instance_doc(agent=None, **fields):
+    """A one-agent, one-resource assignment document with ``agent`` or the
+    top-level ``fields`` replaced."""
+    agent = agent or {"id": "a", "utilities": {"r1": 1}}
+    return {"agents": [agent], "resources": [{"id": "r1", "capacity": 1}], **fields}
+
+
+SOLVE_BAD = ["solve", "assignment", "--instance", "{dir}/bad.json", "--delta", "1"]
+MA_BAD_BOUNDS = {
+    "dimensions": ["party", "district"],
+    "groups": {"party": ["p1", "p2"], "district": ["d1"]},
+    "votes": [{"tuple": ["p1", "d1"], "votes": 10}, {"tuple": ["p2", "d1"], "votes": 5}],
+    "house": 4,
+    "bounds": {"party": {"p1": 5}},
+}
+MALFORMED = {
+    "demand": (_instance_doc({"id": "a", "demand": "x"}), SOLVE_BAD),
+    "groups": (_instance_doc({"id": "a", "groups": [1]}), SOLVE_BAD),
+    "agents": (_instance_doc(agents=3), SOLVE_BAD),
+    "utilities": (_instance_doc({"id": "a", "utilities": [1]}), SOLVE_BAD),
+    "acceptability": (_instance_doc(acceptability=[["a"]]), SOLVE_BAD),
+    "bundle utility": (_instance_doc({"id": "a", "bundleUtilities": [{"value": 1}]}), SOLVE_BAD),
+    "dimensions": (_instance_doc(dimensions=5), SOLVE_BAD),
+    "usage": (_instance_doc(), SOLVE_BAD[:-1] + ["zz"]),
+    "bounds": (MA_BAD_BOUNDS, ["apportion", "--instance", "{dir}/bad.json"]),
+    "csv vote": ("x,d1\np1,x\n", ["apportion", "--csv", "{dir}/bad.json", "--house", "3"]),
+    "csv row": ("x,d1\n\np1,3\n", ["apportion", "--csv", "{dir}/bad.json", "--house", "3"]),
+}
+
+
+def _exit_code(argv):
+    """What ``main`` returns, or the code it exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_1_without_a_traceback(tmp_path, capsys, case):
+    content, argv = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    assert _exit_code([a.format(dir=tmp_path) for a in argv]) == 1
+    if argv[0] == "solve":  # a batch reports the file as bad input, not a crash
+        batch = [str(tmp_path) if a == "{dir}/bad.json" else a for a in argv]
+        assert _exit_code(batch) == 1
+        if case != "usage":
+            assert f"{path}: exit 1" in capsys.readouterr().err
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_batch_of_an_empty_directory_exits_1(tmp_path):
+    assert main(["solve", "assignment", "--instance", str(tmp_path), "--delta", "1"]) == 1
+
+
 def test_budget_exit_code_on_solve(tmp_path):
     inst, u = demo_instance()
     inst_file = write(tmp_path, "inst.json", serialize_instance(inst, u))
@@ -375,18 +431,24 @@ def test_batch_directory(tmp_path, capsys):
 
 def test_batch_jobs_two_matches_a_single_run(tmp_path, capsys):
     inst, u = demo_instance()
+    other = Instance(
+        inst.agents, [("r1", 2), ("r2", 2)], inst.binding, inst.dimensions, inst.acceptability
+    )
     batch = tmp_path / "batch"
     batch.mkdir()
-    for name in ("one.json", "two.json"):
-        write(batch, name, serialize_instance(inst, u))
+    write(batch, "one.json", serialize_instance(inst, u))
+    write(batch, "two.json", serialize_instance(other, u))
     flags = ["--alpha", "3", "--delta", "6"]
-    single = tmp_path / "single.json"
-    assert main(
-        ["solve", "assignment", "--instance", str(batch / "one.json"), *flags,
-         "--out", str(single)]
-    ) == 0
-    # both workers write the same document to the one --out file
-    out = tmp_path / "batch.json"
+    singles = {}
+    for name in ("one.json", "two.json"):
+        singles[name] = tmp_path / f"single-{name}"
+        assert main(
+            ["solve", "assignment", "--instance", str(batch / name), *flags,
+             "--out", str(singles[name])]
+        ) == 0
+    assert singles["one.json"].read_text() != singles["two.json"].read_text()
+    # in batch mode --out names a directory: one output per instance file
+    out = tmp_path / "outputs"
     code = main(
         ["solve", "assignment", "--instance", str(batch), *flags, "--jobs", "2",
          "--out", str(out)]
@@ -395,7 +457,9 @@ def test_batch_jobs_two_matches_a_single_run(tmp_path, capsys):
     assert code == 0
     assert f"{batch / 'one.json'}: exit 0" in err
     assert f"{batch / 'two.json'}: exit 0" in err
-    assert out.read_text() == single.read_text()
+    assert sorted(os.listdir(out)) == ["one.json", "two.json"]
+    for name, single in singles.items():
+        assert (out / name).read_text() == single.read_text()
 
 
 @pytest.mark.parametrize("a2_values", [{"r1": 1, "r2": 3}, {"r1": 0, "r2": 0}])

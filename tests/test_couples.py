@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearfair.couples import (
     CouplesInstance,
@@ -11,12 +12,12 @@ from nearfair.couples import (
     couples_condition,
     dominating_vertices,
     fair_stable_allocation,
-    lp_stable_polytope,
     realized_capacities,
     stability_check,
 )
 from nearfair.errors import BudgetError, NoDominatingVertexError
-from nearfair.fairness import FairObjective
+from nearfair.exactlp import LinearProgram
+from nearfair.fairness import FairObjective, allocation_polytope
 from nearfair.model import (
     AgentSpec,
     Allocation,
@@ -24,8 +25,9 @@ from nearfair.model import (
     Instance,
     UtilityModel,
     enumerate_bundles,
+    pair_universe,
 )
-from nearfair.oracle import enumerate_integral
+from nearfair.oracle import enumerate_integral, vertex_enumerate
 
 from generators import random_couples
 
@@ -152,7 +154,7 @@ def test_couple_blocking_conditions():
 def test_lp_polytope_shapes():
     # singles only
     ci, b1, b2 = classic_two_by_two()
-    lp = lp_stable_polytope(ci)
+    lp = allocation_polytope(ci.instance)[0]
     assert lp.n == 4 and len(lp.constraints) == 4  # 2 capacity + 2 agent rows
     # couples only
     inst = Instance([AgentSpec("c", 2)], [("r1", 2), ("r2", 2)], binding=set())
@@ -160,7 +162,7 @@ def test_lp_polytope_shapes():
     ci2 = CouplesInstance(
         inst, {"r1": ["c"], "r2": ["c"]}, {"c": bundles}
     )
-    lp2 = lp_stable_polytope(ci2)
+    lp2 = allocation_polytope(ci2.instance)[0]
     assert lp2.n == 3 and len(lp2.constraints) == 3
     # mixed
     inst3 = Instance(
@@ -171,8 +173,35 @@ def test_lp_polytope_shapes():
         {"r1": ["c", "s"], "r2": ["c", "s"]},
         {"c": enumerate_bundles("c", inst3), "s": enumerate_bundles("s", inst3)},
     )
-    lp3 = lp_stable_polytope(ci3)
+    lp3 = allocation_polytope(ci3.instance)[0]
     assert lp3.n == 5 and len(lp3.constraints) == 4
+
+
+def resource_rows_first(ci):
+    """The couples packing polytope written directly: every capacity row,
+    then every at-most-one-bundle row, each found by scanning all pairs."""
+    inst = ci.instance
+    pairs = pair_universe(inst)
+    lp = LinearProgram()
+    col = {e: lp.add_variable(f"x[{e[0]},{e[1]}]") for e in pairs}
+    for r, c in inst.resources:
+        coeffs = {col[e]: e[1].multiplicity(r) for e in pairs if e[1].multiplicity(r)}
+        if coeffs:
+            lp.add_constraint(coeffs, "<=", c)
+    for a in inst.agents:
+        coeffs = {col[e]: 1 for e in pairs if e[0] == a.id}
+        if coeffs:
+            lp.add_constraint(coeffs, "<=", 1)
+    return lp
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 1))
+def test_couples_polytope_is_the_allocation_polytope(seed, dims):
+    ci, _ = random_couples(random.Random(seed), dims=dims)
+    assert vertex_enumerate(allocation_polytope(ci.instance)[0]) == vertex_enumerate(
+        resource_rows_first(ci)
+    )
 
 
 def test_dominating_vertex_in_classic_market():

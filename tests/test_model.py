@@ -15,6 +15,8 @@ from nearfair.model import (
     UtilityModel,
     enumerate_bundles,
     group_utility,
+    pair_index,
+    pair_universe,
 )
 
 
@@ -278,6 +280,26 @@ def test_loads_match_per_resource_sums(data):
         )
         assert loads.get(r, Fraction(0)) == expected == y.resource_usage(r)
     assert set(loads) <= set(inst.resource_ids())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pair_index_matches_per_agent_and_per_resource_scans(data):
+    inst = Instance(
+        [AgentSpec("a1", 2), AgentSpec("a2", 1), AgentSpec("a3", 3)],
+        [("r1", 2), ("r2", 1), ("r3", 3), ("r4", 1)],
+    )
+    universe = pair_universe(inst)
+    pairs = data.draw(st.lists(st.sampled_from(universe), unique=True))
+    by_agent, by_resource = pair_index(pairs)
+    agents = list(dict.fromkeys(a for a, _ in pairs))
+    assert list(by_agent) == agents
+    for a in agents:
+        assert by_agent[a] == [e for e in pairs if e[0] == a]
+    for r, _ in inst.resources:
+        scan = [(e, e[1].multiplicity(r)) for e in pairs if e[1].multiplicity(r)]
+        assert list(by_resource.get(r, {}).items()) == scan
+    assert set(by_resource) <= set(inst.resource_ids())
 
 
 def test_verify_needs_no_bundle_enumeration_for_additive_utilities(monkeypatch):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearfair import oracle
-from nearfair.couples import lp_stable_polytope
 from nearfair.errors import InvariantViolation, ScaleExceededError
 from nearfair.exactlp import LinearProgram
+from nearfair.fairness import allocation_polytope
 from nearfair.model import AgentSpec, Allocation, Bundle, Instance, UtilityModel
 from nearfair.oracle import (
     best_deviation,
@@ -230,7 +230,8 @@ def infeasible_lp(rng):
 
 
 def couples_lp(rng):
-    return lp_stable_polytope(random_couples(rng, max_agents=2, max_resources=2)[0])
+    ci, _ = random_couples(rng, max_agents=2, max_resources=2)
+    return allocation_polytope(ci.instance)[0]
 
 
 VERTEX_CASES = {
@@ -278,7 +279,7 @@ def test_search_stays_on_lex_positive_bases(monkeypatch):
     monkeypatch.setattr(oracle, "_lex_leaving", checked)
     rng = random.Random(5)
     lps = _degenerate_lps() + [degenerate_lp(rng) for _ in range(20)]
-    lps += [lp_stable_polytope(random_couples(rng)[0]) for _ in range(10)]
+    lps += [allocation_polytope(random_couples(rng)[0].instance)[0] for _ in range(10)]
     for lp in lps:
         vertex_enumerate(lp)
     assert scanned > 1000
