@@ -100,6 +100,7 @@ def cmd_solve(args) -> int:
             {
                 "allocation": serialize_allocation(result.rounded)["entries"],
                 "fractional": serialize_allocation(result.fractional)["entries"],
+                "fractional_path": result.fractional_path,
                 "delta_plus": result.delta_plus,
                 "total_excess": result.total_excess,
                 "certificate": result.certificate.to_json(),

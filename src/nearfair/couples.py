@@ -73,8 +73,9 @@ class CouplesInstance:
         self.agent_prefs = {a: tuple(v) for a, v in self.agent_prefs.items()}
         by_agent, by_resource = pair_index(pair_universe(inst))
         self._res_rank: dict[str, dict[str, int]] = {}
+        known = {r for r, _ in inst.resources}
         for r, order in self.resource_prefs.items():
-            if r not in dict(inst.resources):
+            if r not in known:
                 raise InvalidInstanceError(f"preferences for unknown resource {r!r}")
             if len(set(order)) != len(order):
                 raise InvalidInstanceError(f"resource {r!r} ranks an agent twice")

@@ -1,11 +1,12 @@
 """Group-fair assignment pipeline.
 
 Maximizes a concave function of each group's utility over the fractional
-allocation polytope (Frank-Wolfe with an exact LP linearization oracle),
-refines the float optimum to an exact vertex that guarantees every group at
-least the utility it had, and rounds that vertex with a budget admitted by
-the "assignment" row of ``rounding.CONDITIONS`` (per-resource budget
-delta + 1, psi = 1).
+allocation polytope and rounds the resulting vertex with a budget admitted
+by the "assignment" row of ``rounding.CONDITIONS`` (per-resource budget
+delta + 1, psi = 1).  The utilitarian objective is linear, so one exact LP
+gives its optimum as a vertex.  Only non-linear objectives run Frank-Wolfe
+(with an exact LP linearization oracle) and then refine the float optimum to
+an exact vertex that guarantees every group at least the utility it had.
 
 The rounded assignment gives every agent exactly one bundle, lets each
 group's utility drift strictly less than alpha_l times its best single
@@ -63,7 +64,8 @@ class FairObjective:
 
     @staticmethod
     def utilitarian() -> "FairObjective":
-        return FairObjective("utilitarian", lambda z: z, lambda z: 1.0)
+        # linear: solved as one exact LP, so Frank-Wolfe needs no gradient
+        return FairObjective("utilitarian", lambda z: z)
 
     @staticmethod
     def proportional() -> "FairObjective":
@@ -176,16 +178,25 @@ def solve_fair_fractional(
     utilities: UtilityModel,
     objective: FairObjective,
 ) -> Allocation:
-    """Approximately maximize sum_g f(U_g) over fractional allocations.
+    """Maximize sum_g f(U_g) over fractional allocations.
 
-    Runs conditional-gradient steps with an exact LP oracle and exact line
-    search on each segment, then snaps the float iterate to rationals with a
-    bounded denominator.  The snap is reconciled downstream by
-    ``refine_to_vertex``.
+    The utilitarian objective is linear: one exact LP returns its optimum,
+    an exact vertex.  Any other objective runs conditional-gradient steps
+    with an exact LP oracle and exact line search on each segment, then
+    snaps the float iterate to rationals with a bounded denominator; the
+    snap is reconciled downstream by ``refine_to_vertex``.
     """
     instance = _assignment_instance(instance)
     objective.spot_check()
     lp, pairs, col = allocation_polytope(instance)
+    if objective.kind == "utilitarian":
+        # sum_g U_g counts each pair once per group its agent belongs to
+        weight = {a.id: sum(dim in a.groups for dim in instance.dimensions) for a in instance.agents}
+        lp.set_objective({col[e]: -weight[e[0]] * utilities.of(*e) for e in pairs})
+        sol = solve_vertex(lp)
+        if not sol.optimal:
+            raise InfeasibleInstanceError("no fractional allocation exists")
+        return Allocation({e: sol.value(col[e]) for e in pairs if sol.value(col[e]) != 0})
     # every LP below optimizes over this one polytope: one phase 1 serves all
     snapshot = phase_one(lp)
     start = feasible_vertex(lp, snapshot)
@@ -338,6 +349,7 @@ def fairness_condition(instance: Instance, alpha: tuple[int, ...], delta: int) -
 @dataclass
 class FairResult:
     fractional: Allocation
+    fractional_path: str  # "exact_lp" or "frank_wolfe_refined"
     rounded: Allocation
     delta: int
     delta_plus: int
@@ -353,11 +365,13 @@ def approx_fair_allocation(
     alpha: tuple[int, ...],
     delta: int,
 ) -> FairResult:
-    """Full pipeline: fair fractional point, vertex refinement, rounding."""
+    """Full pipeline: fair fractional vertex (refined from the Frank-Wolfe
+    point unless the objective is utilitarian), rounding."""
     instance = _assignment_instance(instance)
     CONDITIONS["assignment"].require(alpha, delta, instance.omega_star, d=len(instance.dimensions))
     x_star = solve_fair_fractional(instance, utilities, objective)
-    x_fair = refine_to_vertex(instance, utilities, x_star)
+    exact = objective.kind == "utilitarian"  # x_star is already an exact vertex
+    x_fair = x_star if exact else refine_to_vertex(instance, utilities, x_star)
 
     budget = DeviationBudget(
         alpha=tuple(alpha),
@@ -377,6 +391,7 @@ def approx_fair_allocation(
         )
     return FairResult(
         fractional=x_fair,
+        fractional_path="exact_lp" if exact else "frank_wolfe_refined",
         rounded=y,
         delta=delta,
         delta_plus=dplus,

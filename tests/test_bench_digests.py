@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
     "round": "bea9a9780ac752c155ee97b35b85c3701c70e5b04f47fde3ef09cc1bf60d1891",
-    "assign": "b8436c0f7dfd9f800ba51adb250fba1602fbb42ba43bb74bd03bdc2caa416ce7",
+    "assign": "18fa004941a5ce42f0edbc18941ab9d855844078b566ae00e3a7d944ba6dc663",
     "couples": "9eb7c494d69cf3d1c126126e6fafdf8d32f6dfb238a04b752e9a1ee8793ec39c",
     "apportion": "1565092eebac474c1fa33f7d1c6b80cfa769f8e700c675598da7b54057eaf571",
 }

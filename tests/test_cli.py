@@ -243,6 +243,17 @@ def test_gen_round_trip_and_solve(tmp_path, capsys):
     assert sol["certificate"]["violations"] == []
 
 
+@pytest.mark.parametrize(
+    "objective, path", [("utilitarian", "exact_lp"), ("proportional", "frank_wolfe_refined")]
+)
+def test_solve_assignment_names_the_fractional_path(tmp_path, capsys, objective, path):
+    inst_file = write(tmp_path, "inst.json", serialize_instance(*demo_instance()))
+    code = main(["solve", "assignment", "--instance", inst_file, "--alpha", "3",
+                 "--delta", "6", "--objective", objective])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["fractional_path"] == path
+
+
 def test_round_identity_on_integral(tmp_path, capsys):
     inst, u = demo_instance()
     inst_file = write(tmp_path, "inst.json", serialize_instance(inst, u))

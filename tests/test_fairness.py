@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nearfair.errors import BudgetError, RefinementInfeasibleError
-from nearfair.exactlp import _Tableau, solve_vertex
+from nearfair import fairness
+from nearfair.errors import BudgetError, InfeasibleInstanceError, RefinementInfeasibleError
+from nearfair.exactlp import _Tableau, solve_vertex, vertex_rank
 from nearfair.fairness import (
     FairObjective,
     allocation_polytope,
@@ -87,34 +89,74 @@ def test_single_agent_single_resource():
     assert sum(u.of(*e) * v for e, v in x.values.items()) == 5
 
 
+def group_count(inst, agent_id):
+    """Groups an agent belongs to: its weight in the utilitarian objective."""
+    return sum(1 for dim in inst.dimensions if dim in inst.agent(agent_id).groups)
+
+
 def test_utilitarian_matches_exact_lp():
     rng = random.Random(3)
     checked = 0
     while checked < 8:
         inst, utilities = random_instance(rng, max_agents=5, max_resources=3, all_binding=True)
         lp, pairs, col = allocation_polytope(inst)
-        weights = {}
-        for e in pairs:
-            w = sum(
-                1 for dim in inst.dimensions if dim in inst.agent(e[0]).groups
-            )
-            weights[col[e]] = -w * utilities.of(*e)
-        lp.set_objective(weights)
+        lp.set_objective({col[e]: -group_count(inst, e[0]) * utilities.of(*e) for e in pairs})
         sol = solve_vertex(lp)
         if not sol.optimal:
             continue
-        exact = -sol.objective
         x = solve_fair_fractional(inst, utilities, FairObjective.utilitarian())
         got = sum(
-            (
-                sum(1 for dim in inst.dimensions if dim in inst.agent(e[0]).groups)
-                * utilities.of(*e) * v
-                for e, v in x.values.items()
-            ),
+            (group_count(inst, e[0]) * utilities.of(*e) * v for e, v in x.values.items()),
             Fraction(0),
         )
-        assert abs(float(got) - float(exact)) <= 1e-6 * max(1.0, abs(float(exact)))
+        assert got == -sol.objective
         checked += 1
+
+
+def test_utilitarian_capacity_family_needs_no_rounding():
+    """The exact LP optimum of the capacity family is integral: no snap to
+    denominators of 10^6, so the rounder has nothing to do."""
+    inst, u = gen_lower_bound_instance("capacity", 20)
+    result = approx_fair_allocation(inst, u, FairObjective.utilitarian(), (3,), 6)
+    assert result.fractional_path == "exact_lp"
+    assert {v.denominator for v in result.fractional.values.values()} == {1}
+    assert result.certificate.iterations == 0
+    assert result.certificate.ok()
+
+
+def test_only_non_linear_objectives_refine(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("refine_to_vertex ran")
+
+    monkeypatch.setattr(fairness, "refine_to_vertex", refused)
+    inst, u = gen_lower_bound_instance("utility-cycle", 6)
+    result = approx_fair_allocation(inst, u, FairObjective.utilitarian(), (3,), 2)
+    assert result.certificate.ok()
+    with pytest.raises(AssertionError, match="refine_to_vertex ran"):
+        approx_fair_allocation(inst, u, FairObjective.proportional(), (3,), 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32))
+def test_utilitarian_fractional_point_is_a_certified_vertex(seed):
+    inst, utilities = random_instance(
+        random.Random(seed), max_agents=6, max_resources=4, all_binding=True
+    )
+    alpha = (5,) * len(inst.dimensions)  # admissible for d <= 2 at some delta
+    delta = 2 * inst.omega_star
+    while fairness_condition(inst, alpha, delta) < 0:
+        delta += 1
+    try:
+        result = approx_fair_allocation(
+            inst, utilities, FairObjective.utilitarian(), alpha, delta
+        )
+    except InfeasibleInstanceError:
+        return  # the allocation polytope is empty
+    assert result.fractional_path == "exact_lp"
+    assert result.certificate.ok()
+    lp, pairs, _ = allocation_polytope(inst)
+    values = [result.fractional.values.get(e, Fraction(0)) for e in pairs]
+    assert vertex_rank(lp, values) == lp.n
 
 
 def test_symmetric_proportional_balances_groups():
