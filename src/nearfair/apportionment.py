@@ -224,12 +224,6 @@ def solve_lp_ma(
     """
     method.validate_prefix(ma.house)
     variables = _seat_variables(ma)
-    if ma.house == 0 or not variables:
-        for dim in ma.dims:
-            for g in ma.groups[dim]:
-                if ma.bounds(dim, g)[0] > 0:
-                    raise InfeasibleInstanceError("positive lower bound with no seats")
-        return {}
     raw: dict[tuple, Optional[float]] = {}
     finite_max = 0.0
     for e, t in variables:
@@ -253,7 +247,7 @@ def solve_lp_ma(
             if not coeffs:
                 if b > 0:
                     raise InfeasibleInstanceError(
-                        f"group ({dim},{g}) has lower bound {b} but no votes"
+                        f"group ({dim},{g}) has lower bound {b} but no seat to fill"
                     )
                 continue
             if b > 0:

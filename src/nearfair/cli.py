@@ -150,6 +150,8 @@ def cmd_solve(args) -> int:
 def cmd_apportion(args) -> int:
     if args.csv:
         ma = _ma_from_csv(args.csv, args.house)
+    elif args.house is not None:
+        raise SchemaError("--house applies only to --csv; an instance file sets its own house")
     else:
         ma = parse_ma(load_json(args.instance))
     method = app.SignpostMethod.named(args.method)
@@ -239,6 +241,8 @@ def cmd_round(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.oracle and not args.against:
+        raise SchemaError("--oracle needs --against")
     instance, utilities = parse_instance(load_json(args.instance))
     y = parse_allocation(load_json(args.allocation))
     problems = y.check_allocation(instance, capacities=args.capacities)
@@ -376,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=cmd_solve)
 
     ap = sub.add_parser("apportion", help="multidimensional apportionment")
-    ap.add_argument("--instance")
-    ap.add_argument("--csv", help="party x district vote table")
+    source = ap.add_mutually_exclusive_group(required=True)
+    source.add_argument("--instance")
+    source.add_argument("--csv", help="party x district vote table")
     ap.add_argument("--house", type=int)
     ap.add_argument(
         "--method", default="webster", choices=["adams", "webster", "jefferson"]

@@ -17,13 +17,12 @@ be pivoted out after phase 1 are provably redundant and get dropped.
 
 Phase 1 reads only the bounds and the constraint rows, never the objective,
 and it is deterministic, so its final tableau is a function of the polytope
-alone.  ``phase_one(lp)`` runs it once and returns that tableau as a
-snapshot; ``solve_vertex(lp, start)`` runs phase 2 on a copy of it, so a
-caller that optimizes several objectives over one polytope pays for phase 1
-once and still gets exactly the answer a fresh solve would give.  A snapshot
-belongs to one ``LinearProgram`` object: using it with another one, or after
-a variable or constraint was added, raises ``InvariantViolation``; the
-objective may change freely.
+alone.  Each ``LinearProgram`` keeps the tableau of its first phase 1 until
+a variable or a constraint is added; ``solve_vertex`` runs phase 2 on a copy
+of it and ``feasible_vertex`` reads it, so a caller that optimizes several
+objectives over one polytope pays for phase 1 once and still gets exactly
+the answer a fresh solve would give.  The tableau holds no reference to its
+LP and is freed with it.
 
 Every optimal answer is a vertex: the tight bounds and tight constraint rows
 have full column rank, and ``solve_vertex``/``feasible_vertex`` verify that
@@ -65,12 +64,14 @@ class LinearProgram:
         self.variables: list[Variable] = []
         self.constraints: list[Constraint] = []
         self.objective: dict[int, Fraction] = {}
+        self._phase1: Optional[_Tableau] = None  # see ``_phase_one``
 
     def add_variable(self, name: str, lb=ZERO, ub=ONE) -> int:
         lb, ub = rat(lb), rat(ub)
         if lb > ub:
             raise InvalidInstanceError(f"variable {name!r} has lb {lb} > ub {ub}")
         self.variables.append(Variable(name, lb, ub))
+        self._phase1 = None
         return len(self.variables) - 1
 
     def add_constraint(self, coeffs: Mapping[int, object], rel: str, rhs) -> int:
@@ -81,6 +82,7 @@ class LinearProgram:
             if not 0 <= j < len(self.variables):
                 raise InvalidInstanceError(f"constraint references unknown variable {j}")
         self.constraints.append(Constraint(clean, rel, rat(rhs)))
+        self._phase1 = None
         return len(self.constraints) - 1
 
     def set_objective(self, coeffs: Mapping[int, object]) -> None:
@@ -211,10 +213,8 @@ class _Tableau:
     """
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        self.shape = (lp.n, len(lp.constraints))
-        self.feasible: Optional[bool] = None  # set by ``phase_one``
-        n = lp.n
+        n = self.n = lp.n  # the tableau keeps no reference to ``lp``
+        self.feasible: Optional[bool] = None  # set by ``_phase_one``
         self.lb: list[Fraction] = [v.lb for v in lp.variables]
         self.ub: list[Optional[Fraction]] = [v.ub for v in lp.variables]
         rows: list[Row] = []
@@ -443,9 +443,9 @@ class _Tableau:
     # -- extraction ---------------------------------------------------------
 
     def solution_values(self) -> list[Fraction]:
-        vals = [self._value(j) for j in range(self.lp.n)]
+        vals = [self._value(j) for j in range(self.n)]
         for i in range(self.m):
-            if self.live[i] and self.basis[i] < self.lp.n:
+            if self.live[i] and self.basis[i] < self.n:
                 vals[self.basis[i]] = self.beta[i]
         return vals
 
@@ -535,44 +535,30 @@ def _finish(lp: LinearProgram, tab: _Tableau) -> VertexSolution:
     )
 
 
-def phase_one(lp: LinearProgram) -> _Tableau:
-    """Run phase 1 once; the returned snapshot's ``feasible`` says whether
-    the polytope is empty.  Pass it as ``start`` to ``solve_vertex`` or
-    ``feasible_vertex`` for any objective on the same, unchanged ``lp``."""
-    tab = _Tableau(lp)
-    tab.feasible = tab.phase1()
-    return tab
+def _phase_one(lp: LinearProgram) -> Optional[_Tableau]:
+    """The LP's feasible phase-1 tableau, computed on its first solve and
+    kept until a variable or a constraint is added; None when the polytope
+    is empty.  Callers may read it but must pivot only a copy."""
+    tab = lp._phase1
+    if tab is None:
+        tab = lp._phase1 = _Tableau(lp)
+        tab.feasible = tab.phase1()
+    return tab if tab.feasible else None
 
 
-def _after_phase_one(lp: LinearProgram, start: Optional[_Tableau]) -> Optional[_Tableau]:
-    """The feasible tableau phase 2 may pivot (a fresh one, or ``start``
-    itself), or None when the polytope is empty."""
-    if start is None:
-        start = phase_one(lp)
-    elif start.lp is not lp or start.shape != (lp.n, len(lp.constraints)):
-        raise InvariantViolation("phase-1 snapshot belongs to another polytope")
-    return start if start.feasible else None
-
-
-def solve_vertex(lp: LinearProgram, start: Optional[_Tableau] = None) -> VertexSolution:
-    """Minimize the objective; any optimal answer is an extreme point.
-
-    ``start`` is a ``phase_one(lp)`` snapshot; phase 2 runs on a copy of it
-    and the answer equals a fresh solve's.
-    """
-    tab = _after_phase_one(lp, start)
+def solve_vertex(lp: LinearProgram) -> VertexSolution:
+    """Minimize the objective; any optimal answer is an extreme point."""
+    tab = _phase_one(lp)
     if tab is None:
         return VertexSolution(status="infeasible")
-    if start is not None:
-        tab = tab.copy()
+    tab = tab.copy()
     tab.phase2(lp.objective)
     return _finish(lp, tab)
 
 
-def feasible_vertex(lp: LinearProgram, start: Optional[_Tableau] = None) -> VertexSolution:
-    """Any vertex of the feasible region (phase-1 only); ``start`` as in
-    ``solve_vertex``."""
-    tab = _after_phase_one(lp, start)
+def feasible_vertex(lp: LinearProgram) -> VertexSolution:
+    """Any vertex of the feasible region (phase-1 only)."""
+    tab = _phase_one(lp)
     if tab is None:
         return VertexSolution(status="infeasible")
     return _finish(lp, tab)

@@ -27,7 +27,7 @@ from .errors import (
     InvariantViolation,
     RefinementInfeasibleError,
 )
-from .exactlp import LinearProgram, VertexSolution, feasible_vertex, phase_one, solve_vertex
+from .exactlp import LinearProgram, VertexSolution, feasible_vertex, solve_vertex
 from .model import (
     Allocation,
     AgentSpec,
@@ -80,6 +80,12 @@ class FairObjective:
         f: Callable[[float], float], fprime: Optional[Callable[[float], float]] = None
     ) -> "FairObjective":
         return FairObjective("custom", f, fprime)
+
+    @property
+    def linear(self) -> bool:
+        """One exact LP optimizes a linear objective and returns an exact
+        vertex; the others run Frank-Wolfe and then ``refine_to_vertex``."""
+        return self.kind == "utilitarian"
 
     def grad(self, z: float) -> float:
         if self.fprime is not None:
@@ -145,15 +151,14 @@ def allocation_polytope(
 
 def _group_optimum(
     lp: LinearProgram, pairs: list[Pair], col: dict[Pair, int],
-    utilities: UtilityModel, members: frozenset[str], start=None,
+    utilities: UtilityModel, members: frozenset[str],
 ) -> VertexSolution:
     """Vertex maximizing the members' utility over the allocation polytope
-    ``lp`` (``start`` is its ``phase_one`` snapshot, if any); its objective
-    is minus that maximum."""
+    ``lp``; its objective is minus that maximum."""
     lp.set_objective(
         {col[e]: -utilities.of(*e) for e in pairs if e[0] in members}
     )
-    sol = solve_vertex(lp, start)
+    sol = solve_vertex(lp)
     if not sol.optimal:
         raise InfeasibleInstanceError("no fractional allocation exists")
     return sol
@@ -189,7 +194,7 @@ def solve_fair_fractional(
     instance = _assignment_instance(instance)
     objective.spot_check()
     lp, pairs, col = allocation_polytope(instance)
-    if objective.kind == "utilitarian":
+    if objective.linear:
         # sum_g U_g counts each pair once per group its agent belongs to
         weight = {a.id: sum(dim in a.groups for dim in instance.dimensions) for a in instance.agents}
         lp.set_objective({col[e]: -weight[e[0]] * utilities.of(*e) for e in pairs})
@@ -197,9 +202,9 @@ def solve_fair_fractional(
         if not sol.optimal:
             raise InfeasibleInstanceError("no fractional allocation exists")
         return Allocation({e: sol.value(col[e]) for e in pairs if sol.value(col[e]) != 0})
-    # every LP below optimizes over this one polytope: one phase 1 serves all
-    snapshot = phase_one(lp)
-    start = feasible_vertex(lp, snapshot)
+    # every LP below optimizes over this one polytope, so ``lp`` runs phase 1
+    # once for all of them
+    start = feasible_vertex(lp)
     if not start.optimal:
         raise InfeasibleInstanceError("no fractional allocation exists")
 
@@ -211,7 +216,7 @@ def solve_fair_fractional(
         kept = []
         vertices = []
         for key in keys:
-            sol = _group_optimum(lp, pairs, col, utilities, members[key], snapshot)
+            sol = _group_optimum(lp, pairs, col, utilities, members[key])
             if -sol.objective > 0:
                 kept.append(key)
                 vertices.append([float(sol.value(col[e])) for e in pairs])
@@ -245,7 +250,7 @@ def solve_fair_fractional(
         lp.set_objective(
             {col[e]: -snap(grad[i], 10**9) for i, e in enumerate(pairs) if grad[i]}
         )
-        sol = solve_vertex(lp, snapshot)
+        sol = solve_vertex(lp)
         v = [float(sol.value(col[e])) for e in pairs]
         us_v = group_utils(v)
 
@@ -285,10 +290,9 @@ def refine_to_vertex(
     instance: Instance,
     utilities: UtilityModel,
     x_star: Allocation,
-    tolerance: Fraction = REFINE_TOLERANCE,
 ) -> Allocation:
     """Exact vertex of the polytope of allocations that give every group at
-    least (1 - tolerance) times the utility it enjoys under ``x_star``.
+    least (1 - REFINE_TOLERANCE) times the utility it enjoys under ``x_star``.
 
     Retries once with a looser tolerance when float drift in ``x_star`` made
     the first polytope empty.
@@ -310,7 +314,7 @@ def refine_to_vertex(
             {e: sol.value(col[e]) for e in pairs if sol.value(col[e]) != 0}
         )
 
-    out = attempt(tolerance)
+    out = attempt(REFINE_TOLERANCE)
     if out is None:
         out = attempt(REFINE_RETRY_TOLERANCE)
     if out is None:
@@ -370,8 +374,7 @@ def approx_fair_allocation(
     instance = _assignment_instance(instance)
     CONDITIONS["assignment"].require(alpha, delta, instance.omega_star, d=len(instance.dimensions))
     x_star = solve_fair_fractional(instance, utilities, objective)
-    exact = objective.kind == "utilitarian"  # x_star is already an exact vertex
-    x_fair = x_star if exact else refine_to_vertex(instance, utilities, x_star)
+    x_fair = x_star if objective.linear else refine_to_vertex(instance, utilities, x_star)
 
     budget = DeviationBudget(
         alpha=tuple(alpha),
@@ -391,7 +394,7 @@ def approx_fair_allocation(
         )
     return FairResult(
         fractional=x_fair,
-        fractional_path="exact_lp" if exact else "frank_wolfe_refined",
+        fractional_path="exact_lp" if objective.linear else "frank_wolfe_refined",
         rounded=y,
         delta=delta,
         delta_plus=dplus,
@@ -423,10 +426,9 @@ def check_proportionality(
     if not groups:
         return out
     lp, pairs, col = allocation_polytope(instance)
-    snapshot = phase_one(lp)
     for g in groups:
         mem = instance.group_members(dim, g)
-        best = -_group_optimum(lp, pairs, col, utilities, mem, snapshot).objective
+        best = -_group_optimum(lp, pairs, col, utilities, mem).objective
         ustar = utilities.group_max(instance, dim, g)
         got = group_utility(y, utilities, instance, dim, g)
         margin = got - (best / k - alpha * ustar)

@@ -8,7 +8,7 @@ from typing import Optional
 
 from nearfair.couples import CouplesInstance
 from nearfair.envyfree import HomogeneousInstance
-from nearfair.exactlp import LinearProgram, feasible_vertex, phase_one, solve_vertex
+from nearfair.exactlp import LinearProgram, feasible_vertex, solve_vertex
 from nearfair.apportionment import MAInstance
 from nearfair.fairness import allocation_polytope
 from nearfair.model import (
@@ -70,15 +70,14 @@ def fractional_allocation(rng: random.Random, inst: Instance) -> Allocation | No
     Returns None when the instance is infeasible.
     """
     lp, pairs, col = allocation_polytope(inst)
-    snapshot = phase_one(lp)  # shared by the feasibility check and all three objectives
-    if feasible_vertex(lp, snapshot).status != "optimal":
+    if feasible_vertex(lp).status != "optimal":
         return None
     points = []
     for _ in range(3):
         lp.set_objective(
             {col[e]: Fraction(rng.randint(-6, 6)) for e in pairs}
         )
-        sol = solve_vertex(lp, snapshot)
+        sol = solve_vertex(lp)
         points.append([sol.value(col[e]) for e in pairs])
     weights = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
     values = {}

@@ -88,6 +88,31 @@ def test_house_zero():
     assert solve_lp_ma(ma, WEB) == {}
 
 
+def house_zero(d, window=None):
+    dims = tuple(f"dim{i}" for i in range(d))
+    return MAInstance(
+        dims=dims,
+        groups={dim: ("a", "b") for dim in dims},
+        votes={e: 3 for e in itertools.product(("a", "b"), repeat=d)},
+        lower=window or {},
+        upper=window or {},
+        house=0,
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_house_zero_seats_nobody(d):
+    res = approx_apportionment(house_zero(d), WEB, (d - 1,) * d)
+    assert res.total_seats() == 0
+    assert res.house_deviation == 0
+    assert set(res.group_deviation.values()) == {0}
+
+
+def test_house_zero_with_a_positive_lower_bound_is_infeasible():
+    with pytest.raises(InfeasibleError, match=r"\(dim0,a\) has lower bound 1 but no seat"):
+        solve_lp_ma(house_zero(2, {("dim0", "a"): 1}), WEB)
+
+
 def _has_priority_tie(method, votes, house):
     priorities = []
     for e, v in votes.items():

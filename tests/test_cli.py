@@ -306,6 +306,18 @@ def test_check_reproduces_certificate(tmp_path, capsys):
     assert out["oracle_frontier"]
 
 
+def test_check_oracle_needs_against(tmp_path, capsys):
+    inst, u = demo_instance()
+    inst_file = write(tmp_path, "inst.json", serialize_instance(inst, u))
+    y = Allocation({("a1", Bundle.of({"r1": 1})): 1, ("a2", Bundle.of({"r2": 1})): 1})
+    y_file = write(tmp_path, "y.json", serialize_allocation(y))
+    code = main(["check", "--instance", inst_file, "--allocation", y_file, "--oracle"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--oracle needs --against" in captured.err
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     inst = Instance(
         [AgentSpec("a1", 1), AgentSpec("a2", 1)], [("r1", 1)], binding={"a1", "a2"}
@@ -352,6 +364,15 @@ MALFORMED = {
     "bounds": (MA_BAD_BOUNDS, ["apportion", "--instance", "{dir}/bad.json"]),
     "csv vote": ("x,d1\np1,x\n", ["apportion", "--csv", "{dir}/bad.json", "--house", "3"]),
     "csv row": ("x,d1\n\np1,3\n", ["apportion", "--csv", "{dir}/bad.json", "--house", "3"]),
+    "no vote source": ("x,d1\np1,3\n", ["apportion", "--house", "3"]),
+    "house with an instance": (
+        dict(MA_BAD_BOUNDS, bounds={}),
+        ["apportion", "--instance", "{dir}/bad.json", "--house", "3"],
+    ),
+    "two vote sources": (
+        "x,d1\np1,3\n",
+        ["apportion", "--instance", "{dir}/bad.json", "--csv", "{dir}/bad.json", "--house", "3"],
+    ),
 }
 
 
@@ -553,6 +574,27 @@ def test_apportion_instance_file_prints_the_library_result(tmp_path, capsys):
     assert out["house"] == result.total_seats() == 10
     assert out["house_deviation"] == result.house_deviation
     assert out["delta_bound"] == result.delta_bound
+
+
+@pytest.mark.parametrize(
+    "votes, window, house, message",
+    [
+        ({("A",): 30, ("B",): 20}, {("party", "A"): 1}, 0, "lower bound 1 but no seat"),
+        ({}, {}, 3, "window polytope is empty"),  # no votes, yet seats to fill
+    ],
+)
+def test_apportion_without_a_seat_to_give_exits_2(tmp_path, capsys, votes, window, house, message):
+    ma = MAInstance(
+        dims=("party",),
+        groups={"party": ("A", "B")},
+        votes=votes,
+        lower=window,
+        upper=window,
+        house=house,
+    )
+    path = write(tmp_path, "ma.json", serialize_ma(ma))
+    assert main(["apportion", "--instance", path]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_scale_guard_exit_code(tmp_path):

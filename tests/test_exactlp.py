@@ -1,19 +1,18 @@
 """LP engine: optimality, vertex certificates, determinism, cross-checks."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import gcd
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearfair.errors import InvariantViolation
 from nearfair.exactlp import (
     LinearProgram,
     Row,
     _rank,
     feasible_vertex,
-    phase_one,
     solve_vertex,
     vertex_rank,
 )
@@ -336,7 +335,7 @@ def test_vertex_rank_edge_midpoint_is_not_a_vertex():
 
 
 # ---------------------------------------------------------------------------
-# phase-1 snapshots
+# the phase-1 tableau an LP keeps
 # ---------------------------------------------------------------------------
 
 
@@ -349,49 +348,78 @@ lp_cases = st.tuples(st.sampled_from([random_lp, degenerate_lp]), st.integers(0,
 
 @settings(max_examples=200, deadline=None)
 @given(lp_cases)
-def test_snapshot_matches_fresh_solves(case):
+def test_repeated_solves_match_fresh_solves(case):
     build, seed = case
     rng = random.Random(seed)
     lp = build(rng)
-    snapshot = phase_one(lp)
-    assert answer(feasible_vertex(lp, snapshot)) == answer(feasible_vertex(lp))
     objectives = [dict(lp.objective)] + [
         {j: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(lp.n)}
         for _ in range(3)
     ]
-    # A, B, C, D, then A again: no solve may leave a mark on the snapshot
+
+    def fresh(c):
+        other = build(random.Random(seed))  # equal to ``lp``, never solved
+        other.set_objective(c)
+        return other
+
+    first = answer(feasible_vertex(lp))
+    assert first == answer(feasible_vertex(fresh(lp.objective)))
+    # A, B, C, D, then A again: no solve may leave a mark on the kept tableau
     for c in objectives + objectives[:1]:
         lp.set_objective(c)
-        assert answer(solve_vertex(lp, snapshot)) == answer(solve_vertex(lp))
+        assert answer(solve_vertex(lp)) == answer(solve_vertex(fresh(c)))
+    assert answer(feasible_vertex(lp)) == first
 
 
-def test_snapshot_on_infeasible_lp():
+def test_growing_a_solved_lp_matches_a_fresh_lp():
+    """``add_variable`` and ``add_constraint`` drop the kept tableau: each
+    step below makes the previous answer wrong for the grown LP."""
+    steps = [
+        lambda lp: lp.add_constraint({0: 1, 1: 1}, "<=", 1),  # cuts off (1, 1)
+        lambda lp: lp.add_variable("z"),  # z = 1 improves the objective
+        lambda lp: lp.add_constraint({0: 1, 1: 1, 2: 1}, ">=", 3),  # empties it
+    ]
+
+    def grown(k):
+        lp = LinearProgram()
+        lp.add_variable("x")
+        lp.add_variable("y")
+        for step in steps[:k]:
+            step(lp)
+        lp.set_objective({j: -1 for j in range(lp.n)})
+        return lp
+
+    lp = grown(0)
+    assert solve_vertex(lp).values == [1, 1]
+    for k, step in enumerate(steps, 1):
+        step(lp)
+        lp.set_objective({j: -1 for j in range(lp.n)})
+        assert answer(feasible_vertex(lp)) == answer(feasible_vertex(grown(k)))
+        assert answer(solve_vertex(lp)) == answer(solve_vertex(grown(k)))
+    assert solve_vertex(lp).status == "infeasible"
+
+
+def test_infeasible_lp_runs_phase_one_once(phase_one_runs):
     lp = LinearProgram()
     x = lp.add_variable("x")
     y = lp.add_variable("y")
     lp.add_constraint({x: 1, y: 1}, ">=", 3)
-    snapshot = phase_one(lp)
-    assert not snapshot.feasible
     for c in ({x: 1}, {y: -1}):
         lp.set_objective(c)
-        assert solve_vertex(lp, snapshot).status == "infeasible"
         assert solve_vertex(lp).status == "infeasible"
-    assert feasible_vertex(lp, snapshot).status == "infeasible"
+        assert feasible_vertex(lp).status == "infeasible"
+    assert len(phase_one_runs) == 1
 
 
-def test_snapshot_rejects_another_polytope():
-    rng = random.Random(5)
-    lp = random_lp(rng)
-    snapshot = phase_one(lp)
-    with pytest.raises(InvariantViolation):
-        solve_vertex(random_lp(random.Random(5)), snapshot)  # equal, not the same
-    lp.add_constraint({0: 1}, "<=", 1)
-    with pytest.raises(InvariantViolation):
-        solve_vertex(lp, snapshot)
-    with pytest.raises(InvariantViolation):
-        feasible_vertex(lp, snapshot)
-    lp2 = random_lp(rng)
-    snapshot2 = phase_one(lp2)
-    lp2.add_variable("extra")
-    with pytest.raises(InvariantViolation):
-        feasible_vertex(lp2, snapshot2)
+def test_solved_lp_is_freed_without_the_cycle_collector():
+    """The kept tableau holds no reference to its LP, so reference counting
+    alone frees a solved LP."""
+    lp = random_lp(random.Random(5))
+    solve_vertex(lp)
+    ref = weakref.ref(lp)
+    gc.disable()
+    try:
+        del lp
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -123,7 +123,7 @@ def test_no_progress_guard(monkeypatch, family):
     inst, u, x = matching_setup()
     held = {f"y[{a},{q}]": v for (a, q), v in x.values.items()}
 
-    def stuck(lp, start=None):
+    def stuck(lp):
         """A solver that hands back the point the rounder already holds."""
         return VertexSolution("optimal", [held[v.name] for v in lp.variables])
 

@@ -78,9 +78,9 @@ def exactlp_imports(source: str) -> set[str]:
 
 
 def test_exactlp_import_detector():
-    assert exactlp_imports("from .exactlp import LinearProgram, phase_one\n") == {
+    assert exactlp_imports("from .exactlp import LinearProgram, solve_vertex\n") == {
         "LinearProgram",
-        "phase_one",
+        "solve_vertex",
     }
     assert exactlp_imports("from . import exactlp\nimport nearfair.exactlp\n") == {"exactlp"}
     assert exactlp_imports("from .model import Bundle\n") == set()
@@ -88,7 +88,7 @@ def test_exactlp_import_detector():
 
 def test_oracle_shares_only_the_lp_model_and_row_kernel():
     """``vertex_enumerate`` is the independent check on the exact simplex, so
-    the oracle may not run any of it (``phase_one``, ``_Tableau``, ...)."""
+    the oracle may not run any of it (``solve_vertex``, ``_Tableau``, ...)."""
     names = exactlp_imports((SRC / "oracle.py").read_text())
     assert names <= {"LinearProgram", "Row"}, sorted(names)
 
