@@ -55,6 +55,7 @@ class Constraint:
     coeffs: dict[int, Fraction]
     rel: str  # '<=', '=', '>='
     rhs: Fraction
+    row: "Row"  # ``coeffs`` as integer numerators over one denominator
 
 
 class LinearProgram:
@@ -81,7 +82,7 @@ class LinearProgram:
         for j in clean:
             if not 0 <= j < len(self.variables):
                 raise InvalidInstanceError(f"constraint references unknown variable {j}")
-        self.constraints.append(Constraint(clean, rel, rat(rhs)))
+        self.constraints.append(Constraint(clean, rel, rat(rhs), Row.of(clean)))
         self._phase1 = None
         return len(self.constraints) - 1
 
@@ -201,6 +202,12 @@ class Row:
 # ---------------------------------------------------------------------------
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """The rational num/den (den > 0) as a pair in lowest terms."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 class _Tableau:
     """Sparse working rows with implicit variable bounds.
 
@@ -210,20 +217,25 @@ class _Tableau:
     ``beta[i]`` holds the current *value* of the basic variable of row i,
     and a nonbasic variable rests at the bound ``status[j]`` names.  Every
     lower bound is finite; slacks and artificials have no upper bound.
+    Bounds and basic values are rationals held as integer pairs
+    ``(numerator, denominator)`` in lowest terms with a positive
+    denominator, so the pivot loop does only integer arithmetic.
     """
 
     def __init__(self, lp: LinearProgram):
         n = self.n = lp.n  # the tableau keeps no reference to ``lp``
         self.feasible: Optional[bool] = None  # set by ``_phase_one``
-        self.lb: list[Fraction] = [v.lb for v in lp.variables]
-        self.ub: list[Optional[Fraction]] = [v.ub for v in lp.variables]
+        self.lb: list[tuple[int, int]] = [v.lb.as_integer_ratio() for v in lp.variables]
+        self.ub: list[Optional[tuple[int, int]]] = [
+            v.ub.as_integer_ratio() for v in lp.variables
+        ]
         rows: list[Row] = []
         col = n
         for c in lp.constraints:
-            row = Row.of(c.coeffs)
+            row = c.row.copy()
             if c.rel in ("<=", ">="):
                 row.num[col] = row.den if c.rel == "<=" else -row.den
-                self.lb.append(ZERO)
+                self.lb.append((0, 1))
                 self.ub.append(None)  # slack, unbounded above
                 col += 1
             rows.append(row)
@@ -231,27 +243,29 @@ class _Tableau:
         self.m = len(rows)
         self.art_of_row = list(range(col, col + self.m))
         for _ in range(self.m):
-            self.lb.append(ZERO)
+            self.lb.append((0, 1))
             self.ub.append(None)
         self.ncols = col + self.m
         self.arts = frozenset(self.art_of_row)
 
         self.status: list[int] = [_L] * self.ncols
-        self.beta: list[Fraction] = []
+        self.beta: list[tuple[int, int]] = []
         self.basis: list[int] = []
         for i, (row, c) in enumerate(zip(rows, lp.constraints)):
-            # slacks start at 0, so only the structural columns contribute
-            resid = c.rhs - sum((v * self.lb[j] for j, v in c.coeffs.items()), ZERO)
+            # slacks start at 0, so only the structural columns with a
+            # nonzero lower bound move the residual off the right-hand side
+            shift = [v * lp.variables[j].lb for j, v in c.coeffs.items() if self.lb[j][0]]
+            p, q = (c.rhs - sum(shift) if shift else c.rhs).as_integer_ratio()
             num = row.num
-            if resid < 0:
+            if p < 0:
                 # flip the working row so the artificial basis column is +e_i
                 for j, v in num.items():
                     num[j] = -v
-                resid = -resid
+                p = -p
             a = self.art_of_row[i]
             num[a] = row.den
             self.basis.append(a)
-            self.beta.append(resid)
+            self.beta.append((p, q))
         self.T = rows
         self.live = [True] * self.m
         self.basic_set = set(self.basis)
@@ -296,7 +310,7 @@ class _Tableau:
                 z.eliminate(self.T[i], self.basis[i])
         return z
 
-    def _value(self, j: int) -> Fraction:
+    def _value(self, j: int) -> tuple[int, int]:
         """Value of a nonbasic column: the bound it rests at."""
         return self.lb[j] if self.status[j] == _L else self.ub[j]
 
@@ -307,11 +321,10 @@ class _Tableau:
         degenerate_streak = 0
         bland = False
         switch_at = 4 * (self.m + self.ncols) + 20
+        lb, ub, beta, basis = self.lb, self.ub, self.beta, self.basis
         # a fixed variable can never move
         skip = forbidden | {
-            j
-            for j in range(self.ncols)
-            if self.ub[j] is not None and self.lb[j] == self.ub[j]
+            j for j in range(self.ncols) if ub[j] is not None and lb[j] == ub[j]
         }
         z = self._reduced_costs(c)
         while True:
@@ -346,32 +359,40 @@ class _Tableau:
                 if self.live[i] and (n := row.num.get(enter))
             ]
 
-            t_best: Optional[Fraction] = None
+            # ratio test: the step t = (beta_i - bound) * d / n of each
+            # blocking row as tn / td with td > 0, compared by
+            # cross-multiplication; ties go to the smaller basic index
+            tn = td = 0
             leave_row = -1
             leave_to = _L
             for i, n, d in col:
-                b = self.basis[i]
+                b = basis[i]
                 if n > 0:
-                    bound, to = self.lb[b], _L
+                    bound, to = lb[b], _L
                 else:
-                    bound, to = self.ub[b], _U
+                    bound, to = ub[b], _U
                 if bound is None:
                     continue
-                t = (self.beta[i] - bound) * d / n
-                if (
-                    t_best is None
-                    or t < t_best
-                    or (t == t_best and b < self.basis[leave_row])
-                ):
-                    t_best, leave_row, leave_to = t, i, to
+                (p, q), (bn, bd) = beta[i], bound
+                rn = (p * bd - bn * q) * d
+                rd = q * bd * n
+                if n < 0:
+                    rn, rd = -rn, -rd
+                if leave_row == -1:
+                    tn, td, leave_row, leave_to = rn, rd, i, to
+                    continue
+                lhs, rhs = rn * td, tn * rd
+                if lhs < rhs or (lhs == rhs and b < basis[leave_row]):
+                    tn, td, leave_row, leave_to = rn, rd, i, to
 
-            span = None if self.ub[enter] is None else self.ub[enter] - self.lb[enter]
-
-            if span is not None and (t_best is None or span <= t_best):
+            span = ub[enter]
+            if span is not None:
+                (un, ud), (ln, ld) = span, lb[enter]
+                span = (un * ld - ln * ud, ud * ld)
+            if span is not None and (leave_row == -1 or span[0] * td <= tn * span[1]):
                 # entering runs all the way to its other bound: no basis change
-                if span > 0:
-                    for i, n, d in col:
-                        self.beta[i] -= span * n / d
+                if span[0] > 0:
+                    self._step(col, *span)
                     degenerate_streak = 0
                 else:
                     degenerate_streak += 1
@@ -380,40 +401,46 @@ class _Tableau:
                     bland = True
                 continue
 
-            if t_best is None:
+            if leave_row == -1:
                 raise InvariantViolation(f"no bound blocks improving column {enter}")
 
-            t = t_best
-            if t > 0:
-                for i, n, d in col:
-                    self.beta[i] -= t * n / d
+            tn, td = _reduced(tn, td)
+            if tn > 0:
+                self._step(col, tn, td)
                 degenerate_streak = 0
             else:
                 degenerate_streak += 1
                 if degenerate_streak > switch_at:
                     bland = True
-            leaving = self.basis[leave_row]
-            new_value = self._value(enter) + direction * t
+            leaving = basis[leave_row]
+            vn, vd = self._value(enter)
+            new_value = _reduced(vn * td + direction * tn * vd, vd * td)
             self.status[leaving] = leave_to
             self._pivot_matrix(leave_row, enter)
-            self.beta[leave_row] = new_value
+            beta[leave_row] = new_value
             # keep the reduced costs in step with the basis change; z[enter]
             # cancels against the pivot row's unit entry
             if enter in z.num:
                 z.eliminate(self.T[leave_row], enter)
 
+    def _step(self, col: list[tuple[int, int, int]], tn: int, td: int) -> None:
+        """Move the entering variable by tn / td: each basic value in its
+        column drops by (tn / td) * (n / d), one integer update per row."""
+        beta = self.beta
+        for i, n, d in col:
+            p, q = beta[i]
+            beta[i] = _reduced(p * td * d - q * tn * n, q * td * d)
+
     # -- phases -------------------------------------------------------------
 
     def phase1(self) -> bool:
         self._simplex(Row(dict.fromkeys(self.art_of_row, 1)), forbidden=frozenset())
-        total = ZERO
-        for i in range(self.m):
-            if self.live[i] and self.basis[i] in self.arts:
-                total += self.beta[i]
         for j in self.art_of_row:
             if j not in self.basic_set and self.status[j] == _U:
                 raise InvariantViolation("artificial at upper bound")
-        if total != 0:
+        # every artificial is nonnegative: the phase-1 optimum is zero iff
+        # each basic artificial is
+        if any(self.beta[i][0] for i in range(self.m) if self.live[i] and self.basis[i] in self.arts):
             return False
         # pivot lingering zero-value artificials out of the basis; rows where
         # no structural column is available are dependent on others: drop them
@@ -447,7 +474,7 @@ class _Tableau:
         for i in range(self.m):
             if self.live[i] and self.basis[i] < self.n:
                 vals[self.basis[i]] = self.beta[i]
-        return vals
+        return [Fraction(p, q) for p, q in vals]
 
 
 # ---------------------------------------------------------------------------
@@ -496,27 +523,38 @@ def vertex_rank(
     }
     if tight is None:
         tight = _check_feasible(lp, values)
-    rest = [
-        Row.of({j: v for j, v in lp.constraints[idx].coeffs.items() if j not in at_bound})
-        for idx in tight
-    ]
+    rest = []
+    for idx in tight:
+        num = lp.constraints[idx].row.num
+        rest.append(Row({j: v for j, v in num.items() if j not in at_bound}))
     return len(at_bound) + _rank(rest)
 
 
 def _check_feasible(lp: LinearProgram, values: Sequence[Fraction]) -> frozenset[int]:
     """Raise unless ``values`` meets every bound and constraint; return the
-    constraints it meets with equality."""
+    constraints it meets with equality.
+
+    The point is read as integers ``x`` over one common denominator, so each
+    row's left-hand side is the integer sum of its numerators times ``x``,
+    compared with the right-hand side by cross-multiplication."""
     for j, var in enumerate(lp.variables):
         if not (var.lb <= values[j] <= var.ub):
             raise InvariantViolation(
                 f"solver returned {values[j]} outside [{var.lb},{var.ub}] for {var.name!r}"
             )
+    ratios = [v.as_integer_ratio() for v in values]
+    den = reduce(lcm, [q for _, q in ratios], 1)
+    x = [p * (den // q) for p, q in ratios]
     tight = set()
     for idx, c in enumerate(lp.constraints):
-        lhs = sum((v * values[j] for j, v in c.coeffs.items()), ZERO)
-        if lhs == c.rhs:
+        row = c.row
+        lhs = sum(v * x[j] for j, v in row.num.items())  # over row.den * den
+        rn, rd = c.rhs.as_integer_ratio()
+        diff = lhs * rd - rn * row.den * den  # the sign of lhs - rhs
+        if not diff:
             tight.add(idx)
-        elif not ((c.rel == "<=" and lhs < c.rhs) or (c.rel == ">=" and lhs > c.rhs)):
+        elif not ((c.rel == "<=" and diff < 0) or (c.rel == ">=" and diff > 0)):
+            lhs = Fraction(lhs, row.den * den)
             raise InvariantViolation(f"solver violated constraint {idx}: {lhs} {c.rel} {c.rhs}")
     return frozenset(tight)
 
