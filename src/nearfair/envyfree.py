@@ -29,7 +29,7 @@ from .model import (
     enumerate_bundles,
     group_utility,
 )
-from .rationals import ZERO
+from .rationals import ONE, ZERO
 from .rounding import CONDITIONS, GroupRows, IterationState, _dump, _round_loop
 
 
@@ -222,37 +222,38 @@ def _envy_rows(h: HomogeneousInstance) -> GroupRows:
     keyed rows: i keeps no scaled envy toward j, and j none toward i."""
     inst = h.instance
 
-    def envy_row(members, dim, i, j, F, x_cur):
-        ratio = Fraction(len(members[(dim, i)]), len(members[(dim, j)]))
+    def envy_row(members, dim, i, j, by_agent, whole):
+        mi, mj = members[(dim, i)], members[(dim, j)]
+        ratio = Fraction(len(mi), len(mj))
+        # i's members count their bundles at i's utility, j's members at
+        # -ratio times it; the groups are disjoint and sorted, so the merged
+        # members read F in order
+        scale = dict.fromkeys(mi, ONE)
+        scale.update(dict.fromkeys(mj, -ratio))
         coeffs: dict[Pair, Fraction] = {}
         rhs = ZERO
-        for e in F:
-            a, q = e
-            u = h.group_utility_of(dim, i, q)
-            if a in members[(dim, i)]:
-                coeffs[e] = u
-            elif a in members[(dim, j)]:
-                coeffs[e] = -ratio * u
-        for e, v in x_cur.items():
-            if v != 1:
-                continue
-            a, q = e
-            u = h.group_utility_of(dim, i, q)
-            if a in members[(dim, i)]:
-                rhs -= u
-            elif a in members[(dim, j)]:
-                rhs += ratio * u
+        for a in sorted(scale):
+            f = scale[a]
+            for e in by_agent.get(a, ()):
+                coeffs[e] = f * h.group_utility_of(dim, i, e[1])
+            for e in whole.get(a, ()):
+                rhs -= f * h.group_utility_of(dim, i, e[1])
         return coeffs, rhs
 
-    def rows(members, key, F, x_cur):
-        dim, i = key
+    def rows(members, groups, by_agent, x_cur):
+        # each agent's entries at one: outside F, they move the right-hand side
+        whole: dict[str, list[Pair]] = {}
+        for e, v in x_cur.items():
+            if v == 1:
+                whole.setdefault(e[0], []).append(e)
         out = []
-        for j in inst.groups_in(dim):
-            if j == i:
-                continue
-            for side, (gi, gj) in (("fwd", (i, j)), ("rev", (j, i))):
-                coeffs, rhs = envy_row(members, dim, gi, gj, F, x_cur)
-                out.append(((dim, i, j, side), coeffs, rhs))
+        for dim, i in groups:
+            for j in inst.groups_in(dim):
+                if j == i:
+                    continue
+                for side, (gi, gj) in (("fwd", (i, j)), ("rev", (j, i))):
+                    coeffs, rhs = envy_row(members, dim, gi, gj, by_agent, whole)
+                    out.append(((dim, i, j, side), coeffs, rhs))
         return out
 
     return rows

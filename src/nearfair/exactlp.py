@@ -6,8 +6,12 @@ rows, which keeps the working basis small.  The working rows are
 fraction-free: a ``Row`` holds integer numerators keyed by column over one
 positive integer denominator, content-reduced, and every row reduction here,
 in the vertex certificate and in ``nearfair.oracle`` is the one integer
-update ``Row.eliminate``.  The model, the bounds, the basic values and every
-answer stay ``fractions.Fraction``.  Pricing is largest-coefficient with a
+update ``Row.eliminate``.  The pivot loop holds the bounds and the basic
+values as integer ``(numerator, denominator)`` pairs and compares ratio-test
+steps by cross-multiplication, and the feasibility check sums each row's
+integer numerators over the point's common denominator; only the model
+(``LinearProgram`` with its bounds) and every answer (``VertexSolution``)
+are ``fractions.Fraction``.  Pricing is largest-coefficient with a
 smallest-index tie-break; after a long degenerate streak the solver switches
 permanently to Bland's rule, so termination is guaranteed and identical
 inputs give identical outputs.

@@ -336,10 +336,13 @@ def _dump(tag: str, t: int, F: Sequence[Pair], detail: str) -> str:
     return f"{tag} at iteration {t}: {detail}; fractional support [{pairs}]{more}"
 
 
-# A group-row family: rows(members, group, F, x_cur) lists the rows that
-# protect one active group as (key, coefficients over F, rhs).  A row without
-# a key is an equality.  A keyed row is ">=" until a vertex makes it tight,
-# and an equality ("sticky") from then on.
+# A group-row family: rows(members, groups, by_agent, x_cur) lists the rows
+# that protect the active groups, group by group, as (key, coefficients over
+# F, rhs).  ``members`` holds each group's agents sorted and ``by_agent``
+# each agent's pairs in F, which is sorted, so reading a group's pairs
+# member by member keeps F's order.  A row without a key is an equality.  A
+# keyed row is ">=" until a vertex makes it tight, and an equality
+# ("sticky") from then on.
 GroupRows = Callable[..., list[tuple[Optional[Hashable], dict[Pair, Fraction], Fraction]]]
 
 
@@ -368,7 +371,7 @@ def _round_loop(
     no row.
     """
     group_keys = instance.group_keys()
-    members = {key: instance.group_members(*key) for key in group_keys}
+    members = {key: tuple(sorted(instance.group_members(*key))) for key in group_keys}
     dim_index = {dim: i for i, dim in enumerate(instance.dimensions)}
     demand = {a.id: a.demand for a in instance.agents}
 
@@ -427,13 +430,12 @@ def _round_loop(
         for a, own in by_agent.items():
             lp.add_constraint({col[e]: ONE for e in own}, "=" if a in tilde_A else "<=", ONE)
         loose: list[tuple[Hashable, int]] = []
-        for key in tilde_G:
-            for row_key, by_pair, rhs in group_rows(members, key, F, x_cur):
-                coeffs = {col[e]: c for e, c in by_pair.items()}
-                if row_key is None or row_key in sticky:
-                    lp.add_constraint(coeffs, "=", rhs)
-                else:
-                    loose.append((row_key, lp.add_constraint(coeffs, ">=", rhs)))
+        for row_key, by_pair, rhs in group_rows(members, tilde_G, by_agent, x_cur):
+            coeffs = {col[e]: c for e, c in by_pair.items()}
+            if row_key is None or row_key in sticky:
+                lp.add_constraint(coeffs, "=", rhs)
+            else:
+                loose.append((row_key, lp.add_constraint(coeffs, ">=", rhs)))
         for r in tilde_R:
             uses = by_resource[r]
             rhs = sum((m * x_cur[e] for e, m in uses.items()), ZERO)
@@ -484,15 +486,18 @@ def _round_loop(
 def _utility_rows(utilities: UtilityModel) -> GroupRows:
     """One equality row per active group: its utility stays where it is."""
 
-    def rows(members, key, F, x_cur):
-        coeffs = {}
-        rhs = ZERO
-        for e in F:
-            if e[0] in members[key]:
-                u = utilities.of(*e)
-                coeffs[e] = u
-                rhs += u * x_cur[e]
-        return [(None, coeffs, rhs)]
+    def rows(members, groups, by_agent, x_cur):
+        out = []
+        for key in groups:
+            coeffs = {}
+            rhs = ZERO
+            for a in members[key]:
+                for e in by_agent.get(a, ()):
+                    u = utilities.of(*e)
+                    coeffs[e] = u
+                    rhs += u * x_cur[e]
+            out.append((None, coeffs, rhs))
+        return out
 
     return rows
 

@@ -221,7 +221,12 @@ def _reject_float(text: str):
 
 
 def dump_json(doc: dict, path: Optional[str]) -> str:
-    text = json.dumps(doc, indent=2, sort_keys=False)
+    """Compact JSON text of ``doc``, also written to ``path`` when given.
+
+    Without ``indent`` json uses its C encoder, which builds no reference
+    cycle per call (the pure-Python indenting encoder leaves one for the
+    cycle collector) and writes about half the bytes."""
+    text = json.dumps(doc, separators=(",", ":"))
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

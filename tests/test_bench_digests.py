@@ -17,10 +17,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
-    "round": "bea9a9780ac752c155ee97b35b85c3701c70e5b04f47fde3ef09cc1bf60d1891",
-    "assign": "18fa004941a5ce42f0edbc18941ab9d855844078b566ae00e3a7d944ba6dc663",
-    "couples": "9eb7c494d69cf3d1c126126e6fafdf8d32f6dfb238a04b752e9a1ee8793ec39c",
-    "apportion": "1565092eebac474c1fa33f7d1c6b80cfa769f8e700c675598da7b54057eaf571",
+    "round": "8cda691745f2f6bad4a87928b29b8de560a1d8131238c512312b2cd7ecb0cea6",
+    "assign": "07856d9fbcc5f9494c546d8f1814403ad3d121252bc4d7dd68747bca5008dff0",
+    "couples": "92801ae16d60cbd1248f05b90be6061d023b88fbb70577480c2fc13d14bd901d",
+    "apportion": "8309ecce261e0364e93d097b9281bc7288d451520c8bbe4e48bf9527444c9707",
 }
 
 

@@ -1,5 +1,6 @@
 """CLI surface: schema round-trips, subcommands, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
@@ -13,9 +14,11 @@ from nearfair import apportionment, couples, envyfree
 from nearfair.cli import main
 from nearfair.couples import CouplesInstance
 from nearfair.model import AgentSpec, Allocation, Bundle, Instance, UtilityModel, enumerate_bundles
+from nearfair.rounding import DeviationBudget, iterative_round
 from nearfair.schema import (
     bundle_from_json,
     bundle_to_json,
+    dump_json,
     parse_allocation,
     parse_couples,
     parse_instance,
@@ -271,20 +274,45 @@ def test_round_identity_on_integral(tmp_path, capsys):
     assert out["certificate"]["iterations"] == 0
 
 
-def test_check_reproduces_certificate(tmp_path, capsys):
-    inst, u = demo_instance()
-    inst_file = write(tmp_path, "inst.json", serialize_instance(inst, u))
-    b1 = Bundle.of({"r1": 1})
-    b2 = Bundle.of({"r2": 1})
-    x = Allocation(
+def demo_allocation():
+    """A fractional allocation of ``demo_instance`` that needs rounding."""
+    return Allocation(
         {
-            ("a1", b1): Fraction(1, 2),
-            ("a1", b2): Fraction(1, 2),
+            ("a1", Bundle.of({"r1": 1})): Fraction(1, 2),
+            ("a1", Bundle.of({"r2": 1})): Fraction(1, 2),
             ("a2", Bundle.of({"r1": 2})): Fraction(1, 2),
             ("a2", Bundle.of({"r1": 1, "r2": 1})): Fraction(1, 2),
         }
     )
-    x_file = write(tmp_path, "x.json", serialize_allocation(x))
+
+
+def test_dump_json_round_trips_a_certificate_and_leaves_no_garbage(tmp_path):
+    """Outputs are compact JSON: the text and the file decode to the
+    document, and writing them leaves nothing for the cycle collector."""
+    inst, u = demo_instance()
+    y, cert = iterative_round(inst, demo_allocation(), u, DeviationBudget((3,), 7, 2, 1, 2))
+    doc = {"allocation": serialize_allocation(y)["entries"], "certificate": cert.to_json()}
+    assert doc["certificate"]["trace"]
+    path = tmp_path / "out.json"
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        text = dump_json(doc, str(path))
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
+    assert "\n" not in text and ", " not in text and ": " not in text
+    assert json.loads(text) == doc
+    assert path.read_text() == text + "\n"
+
+
+def test_check_reproduces_certificate(tmp_path, capsys):
+    inst, u = demo_instance()
+    inst_file = write(tmp_path, "inst.json", serialize_instance(inst, u))
+    x_file = write(tmp_path, "x.json", serialize_allocation(demo_allocation()))
     code = main(
         ["round", "--instance", inst_file, "--allocation", x_file,
          "--alpha", "3", "--delta", "7", "--psi", "1",
