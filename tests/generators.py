@@ -340,6 +340,29 @@ def random_lp(rng: random.Random, max_vars: int = 6) -> LinearProgram:
     return lp
 
 
+def rational_lp(rng: random.Random, max_vars: int = 4) -> LinearProgram:
+    """LP whose data have non-unit denominators: negative and fractional
+    bounds, some variables fixed (lb == ub), fractional coefficients and
+    right-hand sides, which are often below the row's value at the lower
+    bounds, so that phase 1 starts the row flipped."""
+    n = rng.randint(2, max_vars)
+    lp = LinearProgram()
+    for j in range(n):
+        lb = Fraction(rng.randint(-6, 4), rng.randint(1, 4))
+        width = 0 if rng.random() < 0.2 else Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        lp.add_variable(f"x{j}", lb, lb + width)
+    for _ in range(rng.randint(1, 4)):
+        coeffs = {
+            j: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for j in range(n)
+            if rng.random() < 0.8
+        }
+        rel = rng.choice(("<=", "<=", ">=", "="))
+        lp.add_constraint(coeffs, rel, Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
+    lp.set_objective({j: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for j in range(n)})
+    return lp
+
+
 def degenerate_lp(rng: random.Random, max_vars: int = 5) -> LinearProgram:
     """LP whose rows all pass through one 0/1 point: many bases share that
     vertex, and some rows repeat, scale or sum earlier ones."""

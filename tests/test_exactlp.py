@@ -6,11 +6,14 @@ import weakref
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from nearfair.errors import InvariantViolation
 from nearfair.exactlp import (
     LinearProgram,
     Row,
+    _check_feasible,
     _rank,
     feasible_vertex,
     solve_vertex,
@@ -18,7 +21,7 @@ from nearfair.exactlp import (
 )
 from nearfair.oracle import vertex_enumerate
 
-from generators import degenerate_lp, random_lp
+from generators import degenerate_lp, random_lp, rational_lp
 
 
 def test_min_over_box():
@@ -97,22 +100,96 @@ def test_vertex_certificate_on_random_lps():
 
 
 def test_value_matches_vertex_enumeration():
-    rng = random.Random(13)
-    compared = 0
-    for _ in range(60):
-        lp = random_lp(rng, max_vars=4)
+    """Integer data, then data with non-unit denominators everywhere."""
+    for build, seed in ((random_lp, 13), (rational_lp, 17)):
+        rng = random.Random(seed)
+        compared = 0
+        for _ in range(60):
+            lp = build(rng, max_vars=4)
+            sol = solve_vertex(lp)
+            vertices = vertex_enumerate(lp)
+            if sol.optimal:
+                compared += 1
+                best = min(
+                    sum((c * v[j] for j, c in lp.objective.items()), Fraction(0))
+                    for v in vertices
+                )
+                assert sol.objective == best
+                assert sol.values in vertices
+            else:
+                assert not vertices
+        assert compared > 15
+
+
+def flipped_rows(lp):
+    """Rows whose right-hand side lies below their value at the lower
+    bounds: phase 1 negates them to start from the artificial basis."""
+    return [
+        c
+        for c in lp.constraints
+        if c.rhs < sum((v * lp.variables[j].lb for j, v in c.coeffs.items()), Fraction(0))
+    ]
+
+
+def test_rational_lps_cover_their_kinds():
+    """Over the seeds the differential tests use, ``rational_lp`` has every
+    feature with non-unit denominators, and both statuses."""
+    rng = random.Random(17)
+    lps = [rational_lp(rng, max_vars=4) for _ in range(60)]
+    variables = [v for lp in lps for v in lp.variables]
+    assert any(v.lb < 0 and v.lb.denominator > 1 for v in variables)
+    assert any(v.ub.denominator > 1 and v.lb != v.ub for v in variables)
+    assert any(v.lb == v.ub for v in variables)
+    rows = [c for lp in lps for c in lp.constraints]
+    assert any(c.rhs.denominator > 1 for c in rows)
+    assert any(q.denominator > 1 for c in rows for q in c.coeffs.values())
+    assert sum(len(flipped_rows(lp)) for lp in lps) > 20
+    statuses = {solve_vertex(lp).status for lp in lps}
+    assert statuses == {"optimal", "infeasible"}
+
+
+def reference_tight(lp, x):
+    """Fraction evaluation of a point: None when it breaks a bound or a
+    row, else the rows it meets with equality."""
+    if any(not var.lb <= v <= var.ub for var, v in zip(lp.variables, x)):
+        return None
+    tight = set()
+    for idx, c in enumerate(lp.constraints):
+        lhs = sum((a * x[j] for j, a in c.coeffs.items()), Fraction(0))
+        if lhs == c.rhs:
+            tight.add(idx)
+        elif {"<=": lhs > c.rhs, ">=": lhs < c.rhs, "=": True}[c.rel]:
+            return None
+    return frozenset(tight)
+
+
+def test_check_feasible_matches_fractions_on_moved_vertices():
+    """Move a returned vertex by 2**-64, far below float resolution, along
+    each variable of each tight row: the integer check raises exactly when
+    the Fraction evaluation finds the point infeasible, and otherwise
+    returns the same tight set."""
+    rng = random.Random(23)
+    eps = Fraction(1, 2**64)
+    broken_rows = kept = 0
+    for _ in range(200):
+        lp = rational_lp(rng, max_vars=4)
         sol = solve_vertex(lp)
-        vertices = vertex_enumerate(lp)
-        if sol.optimal:
-            compared += 1
-            best = min(
-                sum((c * v[j] for j, c in lp.objective.items()), Fraction(0))
-                for v in vertices
-            )
-            assert sol.objective == best
-        else:
-            assert not vertices
-    assert compared > 15
+        if not sol.optimal:
+            continue
+        assert _check_feasible(lp, sol.values) == reference_tight(lp, sol.values)
+        for j in {j for idx in sol.tight_constraints for j in lp.constraints[idx].coeffs}:
+            for step in (eps, -eps):
+                x = list(sol.values)
+                x[j] += step
+                expected = reference_tight(lp, x)
+                if expected is None:
+                    with pytest.raises(InvariantViolation) as err:
+                        _check_feasible(lp, x)
+                    broken_rows += "violated constraint" in str(err.value)
+                else:
+                    assert _check_feasible(lp, x) == expected
+                    kept += 1
+    assert broken_rows > 50 and kept > 20
 
 
 def test_negative_lower_bounds():
