@@ -389,9 +389,9 @@ class _Tableau:
                 if lhs < rhs or (lhs == rhs and b < basis[leave_row]):
                     tn, td, leave_row, leave_to = rn, rd, i, to
 
-            span = ub[enter]
-            if span is not None:
-                (un, ud), (ln, ld) = span, lb[enter]
+            span = None  # the entering variable's box width, as a pair
+            if ub[enter] is not None:
+                (un, ud), (ln, ld) = ub[enter], lb[enter]
                 span = (un * ld - ln * ud, ud * ld)
             if span is not None and (leave_row == -1 or span[0] * td <= tn * span[1]):
                 # entering runs all the way to its other bound: no basis change
@@ -444,8 +444,9 @@ class _Tableau:
                 raise InvariantViolation("artificial at upper bound")
         # every artificial is nonnegative: the phase-1 optimum is zero iff
         # each basic artificial is
-        if any(self.beta[i][0] for i in range(self.m) if self.live[i] and self.basis[i] in self.arts):
-            return False
+        for i in range(self.m):
+            if self.live[i] and self.basis[i] in self.arts and self.beta[i][0]:
+                return False
         # pivot lingering zero-value artificials out of the basis; rows where
         # no structural column is available are dependent on others: drop them
         for i in range(self.m):
@@ -527,7 +528,7 @@ def vertex_rank(
     }
     if tight is None:
         tight = _check_feasible(lp, values)
-    rest = []
+    rest = []  # ``_rank`` reads only numerators, so the denominators stay 1
     for idx in tight:
         num = lp.constraints[idx].row.num
         rest.append(Row({j: v for j, v in num.items() if j not in at_bound}))

@@ -121,16 +121,6 @@ def test_value_matches_vertex_enumeration():
         assert compared > 15
 
 
-def flipped_rows(lp):
-    """Rows whose right-hand side lies below their value at the lower
-    bounds: phase 1 negates them to start from the artificial basis."""
-    return [
-        c
-        for c in lp.constraints
-        if c.rhs < sum((v * lp.variables[j].lb for j, v in c.coeffs.items()), Fraction(0))
-    ]
-
-
 def test_rational_lps_cover_their_kinds():
     """Over the seeds the differential tests use, ``rational_lp`` has every
     feature with non-unit denominators, and both statuses."""
@@ -143,7 +133,14 @@ def test_rational_lps_cover_their_kinds():
     rows = [c for lp in lps for c in lp.constraints]
     assert any(c.rhs.denominator > 1 for c in rows)
     assert any(q.denominator > 1 for c in rows for q in c.coeffs.values())
-    assert sum(len(flipped_rows(lp)) for lp in lps) > 20
+    # rows below their value at the lower bounds, which phase 1 starts negated
+    flipped = [
+        c
+        for lp in lps
+        for c in lp.constraints
+        if c.rhs < sum((v * lp.variables[j].lb for j, v in c.coeffs.items()), Fraction(0))
+    ]
+    assert len(flipped) > 20
     statuses = {solve_vertex(lp).status for lp in lps}
     assert statuses == {"optimal", "infeasible"}
 
