@@ -24,7 +24,7 @@ from .model import (
     Instance,
     UtilityModel,
     enumerate_bundles,
-    group_utility,
+    group_utilities,
     pair_universe,
 )
 from .exactlp import LinearProgram, VertexSolution, feasible_vertex, solve_vertex

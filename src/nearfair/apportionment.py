@@ -8,13 +8,16 @@ may round either way at the boundary.
 
 The fractional stage minimizes  sum x(e,t) ln(s(t)/V_e)  over the window
 polytope; its optima are exactly the proportional apportionments, and any
-0/1 rounding of an optimum keeps the divisor property.  For one or two
-dimensions the constraint matrix is an interval/network matrix, so the
-vertex optimum is already integral; with three or more dimensions the
-optimum is rounded through the same iterative machinery as everything else,
-with per-dimension budgets alpha+1 and the house tracked through the single
-synthetic resource.  Admissible alpha are those of the "apportion" row of
-``rounding.CONDITIONS``.
+0/1 rounding of an optimum keeps the divisor property.  Each cost is the
+float logarithm, read exactly as the dyadic rational it is, so the
+objective row shares one power-of-two denominator; the float stage ends at
+exact post-conditions (an integral vertex at d <= 2, ``divisor_certified``
+at d = 1 without windows).  For one or two dimensions the constraint matrix
+is an interval/network matrix, so the vertex optimum is already integral;
+with three or more dimensions the optimum is rounded through the same
+iterative machinery as everything else, with per-dimension budgets alpha+1
+and the house tracked through the single synthetic resource.  Admissible
+alpha are those of the "apportion" row of ``rounding.CONDITIONS``.
 """
 
 from __future__ import annotations
@@ -27,10 +30,8 @@ from typing import Callable, Mapping, Optional
 from .errors import BudgetError, InfeasibleInstanceError, InvalidInstanceError, InvariantViolation
 from .exactlp import LinearProgram, solve_vertex
 from .model import Allocation, AgentSpec, Bundle, Instance, UtilityModel
-from .rationals import ONE, ZERO, ceil_frac, snap
+from .rationals import ONE, ZERO, ceil_frac
 from .rounding import CONDITIONS, DeviationBudget, check_condition, iterative_round
-
-LOG_SNAP_DENOMINATOR = 10**9
 
 
 # ---------------------------------------------------------------------------
@@ -82,16 +83,17 @@ class SignpostMethod:
             raise InvalidInstanceError(f"signpost s({t})={value} outside [{t - 1},{t}]")
         return value
 
-    def validate_prefix(self, upto: int) -> None:
-        prev = None
+    def validate_prefix(self, upto: int) -> list[Fraction]:
+        """Check s(0..upto) and return them, indexed by t."""
+        values = []
         for t in range(upto + 1):
             v = self.s(t)
-            if t >= 2 and v <= prev:
+            if t >= 2 and v <= values[-1]:
                 raise InvalidInstanceError(
-                    f"signpost sequence not increasing at t={t}: {v} <= {prev}"
+                    f"signpost sequence not increasing at t={t}: {v} <= {values[-1]}"
                 )
-            if t >= 1:
-                prev = v
+            values.append(v)
+        return values
 
 
 def rounding_set(method: SignpostMethod, q) -> set[int]:
@@ -115,7 +117,7 @@ def divisor_certified(
     method: SignpostMethod, votes: Mapping, seats: Mapping
 ) -> bool:
     """True when some common multiplier reproduces the seat vector, i.e.
-    max_e s(n_e)/V_e <= min_e s(n_e + 1)/V_e."""
+    max_e s(n_e)/V_e <= min_e s(n_e + 1)/V_e; vacuously true without votes."""
     low = None
     high = None
     for e, v in votes.items():
@@ -124,7 +126,7 @@ def divisor_certified(
         hi = method.s(n + 1) / v
         low = lo if low is None else max(low, lo)
         high = hi if high is None else min(high, hi)
-    return low <= high
+    return low is None or low <= high
 
 
 def highest_averages(
@@ -209,40 +211,53 @@ class MAInstance:
 # ---------------------------------------------------------------------------
 
 
-def _seat_variables(ma: MAInstance) -> list[tuple[tuple[str, ...], int]]:
-    return [(e, t) for e in sorted(ma.votes) for t in range(1, ma.house + 1)]
+def seat_costs(
+    ma: MAInstance, method: SignpostMethod
+) -> dict[tuple[tuple[str, ...], int], Fraction]:
+    """Objective coefficient of every seat variable x(e,t), t = 1..house,
+    tuple-major in sorted tuple order (the LP's variable order).
+
+    The cost of x(e,t) is the float ln(s(t)/V_e) read exactly as the dyadic
+    rational it is, so every cost has a power-of-two denominator.  Zero
+    signposts make a seat's coefficient minus infinity; those entries get a
+    large negative constant that dominates every finite coefficient over the
+    whole house.
+    """
+    # each signpost once per seat index, as a float; None when it is zero
+    signposts = [float(sp) if sp else None for sp in method.validate_prefix(ma.house)]
+    raw: dict[tuple[tuple[str, ...], int], Optional[float]] = {}
+    finite_max = 0.0
+    for e in sorted(ma.votes):
+        for t in range(1, ma.house + 1):
+            sp = signposts[t]
+            if sp is None:
+                raw[(e, t)] = None
+            else:
+                coeff = math.log(sp / ma.votes[e])
+                raw[(e, t)] = coeff
+                finite_max = max(finite_max, abs(coeff))
+    big_m = Fraction(-(1.0 + ma.house * (1.0 + finite_max)))
+    return {v: big_m if c is None else Fraction(c) for v, c in raw.items()}
 
 
 def solve_lp_ma(
     ma: MAInstance, method: SignpostMethod
 ) -> dict[tuple[tuple[str, ...], int], Fraction]:
-    """Vertex optimum of the log-quotient program over the window polytope.
-
-    Zero signposts make a seat's coefficient minus infinity; those entries
-    are replaced by a large negative constant that dominates every finite
-    coefficient over the whole house.
-    """
-    method.validate_prefix(ma.house)
-    variables = _seat_variables(ma)
-    raw: dict[tuple, Optional[float]] = {}
-    finite_max = 0.0
-    for e, t in variables:
-        sp = method.s(t)
-        if sp == 0:
-            raw[(e, t)] = None
-        else:
-            coeff = math.log(float(sp) / ma.votes[e])
-            raw[(e, t)] = coeff
-            finite_max = max(finite_max, abs(coeff))
-    big_m = 1.0 + ma.house * (1.0 + finite_max)
-
+    """Vertex optimum of the log-quotient program over the window polytope,
+    with the costs of ``seat_costs``."""
+    costs = seat_costs(ma, method)
     lp = LinearProgram()
-    col = {v: lp.add_variable(f"x[{v[0]},{v[1]}]") for v in variables}
-    for dim_i, dim in enumerate(ma.dims):
+    col = {v: lp.add_variable(f"x[{v[0]},{v[1]}]") for v in costs}
+    # every group's window row, filled in one pass over the seat variables
+    rows: dict[tuple[str, str], dict[int, Fraction]] = {
+        (dim, g): {} for dim in ma.dims for g in ma.groups[dim]
+    }
+    for (e, _), j in col.items():
+        for dim, g in zip(ma.dims, e):
+            rows[(dim, g)][j] = ONE
+    for dim in ma.dims:
         for g in ma.groups[dim]:
-            coeffs = {
-                col[(e, t)]: ONE for e, t in variables if e[dim_i] == g
-            }
+            coeffs = rows[(dim, g)]
             b, bb = ma.bounds(dim, g)
             if not coeffs:
                 if b > 0:
@@ -254,21 +269,12 @@ def solve_lp_ma(
                 lp.add_constraint(coeffs, ">=", Fraction(b))
             if bb < ma.house:
                 lp.add_constraint(coeffs, "<=", Fraction(bb))
-    lp.add_constraint({col[v]: ONE for v in variables}, "=", Fraction(ma.house))
-    lp.set_objective(
-        {
-            col[v]: (
-                snap(raw[v], LOG_SNAP_DENOMINATOR)
-                if raw[v] is not None
-                else snap(-big_m, LOG_SNAP_DENOMINATOR)
-            )
-            for v in variables
-        }
-    )
+    lp.add_constraint(dict.fromkeys(col.values(), ONE), "=", Fraction(ma.house))
+    lp.set_objective({col[v]: c for v, c in costs.items()})
     sol = solve_vertex(lp)
     if not sol.optimal:
         raise InfeasibleInstanceError("window polytope is empty")
-    return {v: sol.value(col[v]) for v in variables}
+    return {v: sol.value(j) for v, j in col.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +319,20 @@ class ApportionmentResult:
         return sum(self.seats.values())
 
 
-def _lifted_budget(alpha: tuple[int, ...], psi: int) -> DeviationBudget:
+def _lifted_budget(alpha: tuple[int, ...]) -> DeviationBudget:
     """The budget of the lifted rounding: alpha_l + 1 per dimension, no
-    total budget, max demand 1, and the smallest per-resource delta that
-    ``check_condition`` admits.
+    total budget, no single-agent allowance (psi = 0, as d >= 3), max demand
+    1, and the smallest per-resource delta that ``check_condition`` admits.
 
     At delta = 0 the resource term 1/(delta + 1) spends exactly 1, so the
     slack there plus 1 is what the group terms leave, rem; the smallest
     delta with 1/(delta + 1) <= rem is ceil(1/rem - 1).
     """
     lifted = tuple(a + 1 for a in alpha)
-    rem = check_condition(DeviationBudget(lifted, 0, None, psi, 1)) + 1
+    rem = check_condition(DeviationBudget(lifted, 0, None, 0, 1)) + 1
     if rem <= 0:
         raise BudgetError(f"no per-resource budget fits: the group terms leave {rem}")
-    return DeviationBudget(lifted, ceil_frac(ONE / rem - 1), None, psi, 1)
+    return DeviationBudget(lifted, ceil_frac(ONE / rem - 1), None, 0, 1)
 
 
 def _lift_and_round(
@@ -334,8 +340,8 @@ def _lift_and_round(
     x_star: dict[tuple[tuple[str, ...], int], Fraction],
     alpha: tuple[int, ...],
 ) -> dict[tuple[tuple[str, ...], int], Fraction]:
-    """Round a fractional seat tensor through the general machinery: one
-    synthetic agent per potential seat, one house resource."""
+    """Round a fractional seat tensor (d >= 3) through the general
+    machinery: one synthetic agent per potential seat, one house resource."""
     names = {}
     agents = []
     for idx, ((e, t), _) in enumerate(sorted(x_star.items())):
@@ -355,12 +361,21 @@ def _lift_and_round(
     )
     util = UtilityModel(additive={a.id: {"house": ONE} for a in agents})
 
-    budget = _lifted_budget(alpha, psi=0 if ma.d >= 2 else 1)
+    budget = _lifted_budget(alpha)
     y, _cert = iterative_round(inst, alloc, util, budget)
     rounded = dict(x_star)
     for v in rounded:
         rounded[v] = y.value(names[v], unit)
     return rounded
+
+
+def _unwindowed(ma: MAInstance) -> bool:
+    """No group window cuts the house: every group may take 0 to all seats."""
+    return all(
+        b == 0 and bb >= ma.house
+        for dim in ma.dims
+        for b, bb in (ma.bounds(dim, g) for g in ma.groups[dim])
+    )
 
 
 def approx_apportionment(
@@ -370,15 +385,20 @@ def approx_apportionment(
 
     The result is always a 0/1 rounding of the fractional optimum, so the
     divisor property is inherited; group seat counts stay within alpha of
-    their windows and the house size within the explicit bound.
+    their windows and the house size within the explicit bound.  At d <= 2
+    the window matrix is totally unimodular, so a fractional vertex there is
+    an invariant violation, and at d = 1 without windows the seats must pass
+    ``divisor_certified``.
     """
     bound = delta_bound_ma(ma, alpha)
     x_star = solve_lp_ma(ma, method)
-    fractional_entries = [v for v, val in x_star.items() if 0 < val < 1]
-    if fractional_entries:
-        rounded = _lift_and_round(ma, x_star, alpha)
-    else:
-        rounded = x_star
+    fractional = [v for v, val in x_star.items() if 0 < val < 1]
+    if fractional and ma.d <= 2:
+        raise InvariantViolation(
+            f"fractional seat-LP vertex at d={ma.d}: {len(fractional)} entries, "
+            f"first x{fractional[0]} = {x_star[fractional[0]]}"
+        )
+    rounded = _lift_and_round(ma, x_star, alpha) if fractional else x_star
 
     for v, val in rounded.items():
         if x_star[v] == 0 and val != 0:
@@ -403,6 +423,10 @@ def approx_apportionment(
                 raise InvariantViolation(
                     f"group ({dim},{g}) misses its window by {dev} > alpha={alpha[li]}"
                 )
+    if ma.d == 1 and _unwindowed(ma) and not divisor_certified(method, ma.votes, seats):
+        raise InvariantViolation(
+            f"seats {sorted(seats.items())} fail the {method.tag} divisor certificate"
+        )
     total = sum(seats.values())
     house_dev = abs(total - ma.house)
     if house_dev > bound:

@@ -41,7 +41,7 @@ from .model import (
     Bundle,
     Instance,
     UtilityModel,
-    group_utility,
+    group_utilities,
     pair_index,
     pair_universe,
 )
@@ -249,12 +249,10 @@ def fair_stable_allocation(
     inst = ci.instance
     CONDITIONS["couples"].require(alpha, delta, d=len(inst.dimensions))
 
-    group_keys = inst.group_keys()
-
     def score(x: Allocation) -> float:
         total = 0.0
-        for key in group_keys:
-            total += objective.f(float(group_utility(x, utilities, inst, *key)))
+        for u in group_utilities(x, utilities, inst).values():
+            total += objective.f(float(u))
         return total
 
     # the first vertex is taken even at score -inf: a proportional objective

@@ -27,7 +27,7 @@ from .model import (
     Pair,
     UtilityModel,
     enumerate_bundles,
-    group_utility,
+    group_utilities,
 )
 from .rationals import ONE, ZERO
 from .rounding import CONDITIONS, GroupRows, IterationState, _dump, _round_loop
@@ -171,12 +171,13 @@ def _scaled_envy(
     """Scaled envy of group i toward group j for every ordered pair (dim, i, j):
     |i|/|j| times i's utility for j's allocation, minus i's own utility."""
     inst = h.instance
+    own_utility = group_utilities(x, h.utilities, inst)
     out = {}
     for dim in inst.dimensions:
         groups = inst.groups_in(dim)
         for i in groups:
             mem_i = inst.group_members(dim, i)
-            own = group_utility(x, h.utilities, inst, dim, i)
+            own = own_utility[(dim, i)]
             for j in groups:
                 if i == j:
                     continue
@@ -221,6 +222,7 @@ def _envy_rows(h: HomogeneousInstance) -> GroupRows:
     """For an active group i and every other group j of its dimension, two
     keyed rows: i keeps no scaled envy toward j, and j none toward i."""
     inst = h.instance
+    groups_of = {dim: inst.groups_in(dim) for dim in inst.dimensions}
 
     def envy_row(members, dim, i, j, by_agent, whole):
         mi, mj = members[(dim, i)], members[(dim, j)]
@@ -248,7 +250,7 @@ def _envy_rows(h: HomogeneousInstance) -> GroupRows:
                 whole.setdefault(e[0], []).append(e)
         out = []
         for dim, i in groups:
-            for j in inst.groups_in(dim):
+            for j in groups_of[dim]:
                 if j == i:
                     continue
                 for side, (gi, gj) in (("fwd", (i, j)), ("rev", (j, i))):
@@ -333,8 +335,9 @@ def check_ef_deviation(
     Returns {'pairs': {...}, 'capacity': {...}, 'ok': bool}.
     """
     inst = h.instance
+    maxima = h.utilities.group_maxima(inst)
     bounds = {
-        (dim, g): alpha[li] * h.utilities.group_max(inst, dim, g)
+        (dim, g): alpha[li] * maxima[(dim, g)]
         for li, dim in enumerate(inst.dimensions)
         for g in inst.groups_in(dim)
     }

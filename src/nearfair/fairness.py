@@ -34,7 +34,7 @@ from .model import (
     Instance,
     Pair,
     UtilityModel,
-    group_utility,
+    group_utilities,
     pair_index,
     pair_universe,
 )
@@ -298,13 +298,12 @@ def refine_to_vertex(
     the first polytope empty.
     """
     instance = _assignment_instance(instance)
-    keys = instance.group_keys()
+    targets = group_utilities(x_star, utilities, instance)
 
     def attempt(tol: Fraction) -> Optional[Allocation]:
         lp, pairs, col = allocation_polytope(instance)
-        for key in keys:
+        for key, target in targets.items():
             mem = instance.group_members(*key)
-            target = group_utility(x_star, utilities, instance, *key)
             coeffs = {col[e]: utilities.of(*e) for e in pairs if e[0] in mem}
             lp.add_constraint(coeffs, ">=", target * (1 - tol))
         sol = feasible_vertex(lp)
@@ -426,12 +425,12 @@ def check_proportionality(
     if not groups:
         return out
     lp, pairs, col = allocation_polytope(instance)
+    maxima = utilities.group_maxima(instance)
+    got = group_utilities(y, utilities, instance)
     for g in groups:
         mem = instance.group_members(dim, g)
         best = -_group_optimum(lp, pairs, col, utilities, mem).objective
-        ustar = utilities.group_max(instance, dim, g)
-        got = group_utility(y, utilities, instance, dim, g)
-        margin = got - (best / k - alpha * ustar)
+        margin = got[(dim, g)] - (best / k - alpha * maxima[(dim, g)])
         out[g] = (margin >= 0, margin)
     return out
 

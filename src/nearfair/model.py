@@ -391,23 +391,30 @@ class UtilityModel:
                 return total
         return ZERO
 
-    def group_max(self, instance: Instance, dim: str, group_id: str) -> Fraction:
-        """Largest single-bundle utility attainable by a member of the group."""
-        members = sorted(instance.group_members(dim, group_id))
-        return max((self.best(instance, a) for a in members), default=ZERO)
+    def group_maxima(self, instance: Instance) -> dict[tuple[str, str], Fraction]:
+        """Largest single-bundle utility attainable by a member of each
+        (dimension, group) of ``group_keys``; each agent's best bundle is
+        computed once."""
+        out = dict.fromkeys(instance.group_keys(), ZERO)
+        for a in instance.agents:
+            if a.groups:
+                best = self.best(instance, a.id)
+                for key in a.groups.items():
+                    out[key] = max(out[key], best)
+        return out
 
 
-def group_utility(
-    allocation: Allocation,
-    utilities: UtilityModel,
-    instance: Instance,
-    dim: str,
-    group_id: str,
-) -> Fraction:
-    """Total utility a group derives from an allocation."""
-    members = instance.group_members(dim, group_id)
-    total = ZERO
+def group_utilities(
+    allocation: Allocation, utilities: UtilityModel, instance: Instance
+) -> dict[tuple[str, str], Fraction]:
+    """Total utility each (dimension, group) of ``group_keys`` derives from
+    an allocation, in one pass over it; agents outside the instance count
+    for no group."""
+    totals = dict.fromkeys(instance.group_keys(), ZERO)
     for (a, q), v in allocation.values.items():
-        if a in members:
-            total += utilities.of(a, q) * v
-    return total
+        spec = instance._agent_by_id.get(a)
+        if spec is not None and spec.groups:
+            u = utilities.of(a, q) * v
+            for key in spec.groups.items():
+                totals[key] += u
+    return totals

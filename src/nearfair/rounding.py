@@ -32,7 +32,7 @@ from typing import Callable, Hashable, Optional, Sequence
 
 from .errors import BudgetError, InvalidInstanceError, InvariantViolation
 from .exactlp import LinearProgram, VertexSolution, feasible_vertex
-from .model import Allocation, Instance, Pair, UtilityModel, group_utility, pair_index
+from .model import Allocation, Instance, Pair, UtilityModel, group_utilities, pair_index
 from .rationals import ONE, ZERO, ceil_frac, rat_str
 
 # ---------------------------------------------------------------------------
@@ -270,13 +270,13 @@ def verify_approximation(
         cert.violations.append("output mapping is not integral")
     cert.violations.extend(y.check_allocation(instance, capacities=False))
 
+    y_groups = group_utilities(y, utilities, instance)
+    x_groups = group_utilities(x, utilities, instance)
+    maxima = utilities.group_maxima(instance)
     for li, dim in enumerate(instance.dimensions):
         for g in instance.groups_in(dim):
-            dev = abs(
-                group_utility(y, utilities, instance, dim, g)
-                - group_utility(x, utilities, instance, dim, g)
-            )
-            bound = budget.alpha[li] * utilities.group_max(instance, dim, g)
+            dev = abs(y_groups[(dim, g)] - x_groups[(dim, g)])
+            bound = budget.alpha[li] * maxima[(dim, g)]
             cert.group_deviations[(dim, g)] = (dev, bound)
             if not (dev < bound or dev == 0):
                 cert.violations.append(

@@ -318,6 +318,17 @@ def random_ma(
     )
 
 
+def vote_table(rng: random.Random, parties: int, districts: int) -> str:
+    """Party x district vote table in the CSV shape of ``nearfair apportion
+    --csv``, votes 100 to 100,000 drawn party by party: the election-scale
+    biproportional markets (Zurich: 125 seats over 9 districts)."""
+    lines = [",".join(["party"] + [f"d{j}" for j in range(districts)])]
+    for i in range(parties):
+        row = [str(rng.randint(100, 100_000)) for _ in range(districts)]
+        lines.append(",".join([f"p{i}"] + row))
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # random LPs
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 Run with:  pytest tests/test_acceptance.py -v -s
 """
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -15,6 +14,7 @@ from nearfair.apportionment import (
     approx_apportionment,
     divisor_certified,
     highest_averages,
+    seat_costs,
     solve_lp_ma,
 )
 from nearfair.couples import fair_stable_allocation, realized_capacities, stability_check
@@ -35,11 +35,9 @@ from nearfair.fairness import (
     fairness_condition,
     gen_lower_bound_instance,
 )
-from nearfair.model import group_utility
+from nearfair.model import group_utilities
 from nearfair.oracle import enumerate_integral, vertex_enumerate
-from nearfair.rationals import snap
 from nearfair.rounding import iterative_round
-from nearfair.apportionment import LOG_SNAP_DENOMINATOR
 
 from generators import (
     ef_budget,
@@ -172,7 +170,7 @@ def test_criterion_4_lower_bound_families():
             continue
         feasible.append(y)
         gap = max(
-            best[g] - group_utility(y, utilities2, inst2, "group", g)
+            best[g] - group_utilities(y, utilities2, inst2)[("group", g)]
             for g in inst2.groups_in("group")
         )
         gaps.append(gap)
@@ -237,28 +235,16 @@ def test_criterion_6_couples_pipeline():
 
 
 def _integral_optimum(ma, method):
-    """Enumerate seat vectors within the windows; value uses the same snapped
-    coefficients the LP sees, so the comparison is exact."""
+    """Enumerate seat vectors within the windows; value uses the costs the LP
+    sees (``seat_costs``), so the comparison is exact."""
     keys = sorted(ma.votes)
-    coeffs = {}
-    for e in keys:
-        for t in range(1, ma.house + 1):
-            sp = method.s(t)
-            if sp == 0:
-                coeffs[(e, t)] = None
-            else:
-                coeffs[(e, t)] = snap(
-                    math.log(float(sp) / ma.votes[e]), LOG_SNAP_DENOMINATOR
-                )
-    finite = [abs(v) for v in coeffs.values() if v is not None]
-    big = snap(-(1.0 + ma.house * (1.0 + float(max(finite, default=0)))), LOG_SNAP_DENOMINATOR)
+    costs = seat_costs(ma, method)
 
     def value(seat_vec):
         total = Fraction(0)
         for e, n in zip(keys, seat_vec):
             for t in range(1, n + 1):
-                c = coeffs[(e, t)]
-                total += big if c is None else c
+                total += costs[(e, t)]
         return total
 
     best = None
@@ -302,13 +288,8 @@ def test_criterion_7_apportionment():
         res = approx_apportionment(ma, WEB, (1, 1))
         assert res.house_deviation == 0
         oracle_best = _integral_optimum(ma, WEB)
-        got = Fraction(0)
-        for (e, t), val in res.fractional.items():
-            if val:
-                sp = WEB.s(t)
-                got += val * snap(
-                    math.log(float(sp) / ma.votes[e]), LOG_SNAP_DENOMINATOR
-                )
+        costs = seat_costs(ma, WEB)
+        got = sum((val * costs[v] for v, val in res.fractional.items()), Fraction(0))
         assert got == oracle_best
         checked_oracle += 1
 

@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from nearfair import apportionment
 from nearfair.apportionment import (
     MAInstance,
     SignpostMethod,
@@ -17,11 +19,18 @@ from nearfair.apportionment import (
     highest_averages,
     ma_condition,
     rounding_set,
+    seat_costs,
     solve_lp_ma,
 )
-from nearfair.errors import BudgetError, InfeasibleInstanceError as InfeasibleError, InvalidInstanceError
+from nearfair.cli import _ma_from_csv
+from nearfair.errors import (
+    BudgetError,
+    InfeasibleInstanceError as InfeasibleError,
+    InvalidInstanceError,
+    InvariantViolation,
+)
 
-from generators import random_ma
+from generators import random_ma, vote_table
 
 
 WEB = SignpostMethod.webster()
@@ -86,6 +95,11 @@ def test_sainte_lague_hand_example():
 def test_house_zero():
     ma = one_d([5], 0)
     assert solve_lp_ma(ma, WEB) == {}
+    # no votes at all: the divisor certificate holds vacuously
+    empty = MAInstance(
+        dims=("party",), groups={"party": ("p0",)}, votes={}, lower={}, upper={}, house=0
+    )
+    assert approx_apportionment(empty, WEB, (1,)).seats == {}
 
 
 def house_zero(d, window=None):
@@ -153,6 +167,92 @@ def test_jefferson_and_adams_certified():
             seats = lp_seats(ma, method)
             assert divisor_certified(method, ma.votes, seats)
             done += 1
+
+
+def moved_seats(seats):
+    """Every seat vector one seat away from ``seats``."""
+    for src, dst in itertools.permutations(seats, 2):
+        if seats[src]:
+            yield {**seats, src: seats[src] - 1, dst: seats[dst] + 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    method=st.sampled_from([WEB, JEF, ADA]),
+    base=st.integers(10**11, 10**12),
+    offsets=st.lists(st.integers(0, 12), min_size=2, max_size=5, unique=True),
+    extra=st.integers(0, 8),
+)
+def test_near_ties_at_d1_match_highest_averages(method, base, offsets, extra):
+    """Votes of 10^11 to 10^12 that differ by a few votes put quotients
+    within a relative 10^-10 of each other: the float logs, read exactly,
+    still order them, where one fixed denominator of 10^9 would not."""
+    house = len(offsets) + extra  # adams seats every party first
+    ma = one_d([base + o for o in offsets], house)
+    assume(not _has_priority_tie(method, ma.votes, house))
+    seats = approx_apportionment(ma, method, (1,)).seats
+    assert seats == highest_averages(method, ma.votes, house)
+    assert divisor_certified(method, ma.votes, seats)
+    assert not any(divisor_certified(method, ma.votes, m) for m in moved_seats(seats))
+
+
+def test_d1_result_failing_the_divisor_certificate_is_an_invariant_violation(monkeypatch):
+    ma = one_d([2, 1], 3)
+    x = solve_lp_ma(ma, WEB)
+    # give p1's second seat slot to p0: a 0/1 vertex of the wrong apportionment
+    x[(("p1",), 1)], x[(("p0",), 3)] = Fraction(0), Fraction(1)
+    monkeypatch.setattr(apportionment, "solve_lp_ma", lambda ma, method: x)
+    with pytest.raises(InvariantViolation, match="divisor certificate"):
+        approx_apportionment(ma, WEB, (1,))
+
+
+def test_d1_window_may_override_the_divisor_rule():
+    ma = one_d([2, 1], 3)
+    ma.lower[("party", "p1")] = 2
+    res = approx_apportionment(ma, WEB, (1,))
+    assert res.seats == {("p0",): 1, ("p1",): 2}
+    assert not divisor_certified(WEB, ma.votes, res.seats)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_fractional_vertex_at_d_le_2_is_an_invariant_violation(monkeypatch, d):
+    ma = random_ma(random.Random(71), d=d, max_groups=3, max_house=6)
+    x = solve_lp_ma(ma, WEB)
+    seated = next(v for v, val in x.items() if val == 1)
+    x[seated] = Fraction(1, 2)
+    monkeypatch.setattr(apportionment, "solve_lp_ma", lambda ma, method: x)
+    with pytest.raises(InvariantViolation, match=f"fractional seat-LP vertex at d={d}"):
+        approx_apportionment(ma, WEB, (1,) * d)
+
+
+# -- the seat LP's costs ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", [WEB, JEF, ADA], ids=lambda m: m.tag)
+def test_seat_costs_are_the_float_logs_read_exactly(method):
+    """Every cost is Fraction(ln(s(t)/V_e)) of the float log, or the big-M
+    cost of a zero signpost, so the objective row's common denominator is
+    a power of two."""
+    rng = random.Random(67)
+    for _ in range(20):
+        ma = random_ma(rng, d=rng.randint(1, 3), max_groups=3, max_house=10)
+        costs = seat_costs(ma, method)
+        assert list(costs) == [
+            (e, t) for e in sorted(ma.votes) for t in range(1, ma.house + 1)
+        ]
+        logs = {
+            (e, t): math.log(float(method.s(t)) / ma.votes[e])
+            for e, t in costs
+            if method.s(t) != 0
+        }
+        big_m = -(1.0 + ma.house * (1.0 + max(map(abs, logs.values()), default=0.0)))
+        for v, c in costs.items():
+            assert c == Fraction(logs.get(v, big_m))
+        denominator = math.lcm(*(c.denominator for c in costs.values()))
+        assert denominator & (denominator - 1) == 0
+        if len(logs) < len(costs):
+            # big-M outweighs every finite cost over the whole house
+            assert -Fraction(big_m) > ma.house * max(abs(Fraction(c)) for c in logs.values())
 
 
 # -- bounds ---------------------------------------------------------------------
@@ -226,17 +326,17 @@ def test_condition_rejects_overfull_alpha():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_lifted_budget_delta_matches_closed_form(d):
     """The per-resource budget of the lifted rounding, derived from
-    ``check_condition``, equals ceil(1/rem - 1) with
-    rem = 1 - psi/2 - sum 1/(alpha_l + 2), and neither exists when rem <= 0."""
-    psi = 0 if d >= 2 else 1
+    ``check_condition`` with psi = 0, equals ceil(1/rem - 1) with
+    rem = 1 - sum 1/(alpha_l + 2), and neither exists when rem <= 0."""
     checked = 0
     for alpha in itertools.product(range(7), repeat=d):
-        rem = 1 - Fraction(psi, 2) - sum(Fraction(1, a + 2) for a in alpha)
+        rem = 1 - sum(Fraction(1, a + 2) for a in alpha)
         if rem <= 0:
             with pytest.raises(BudgetError):
-                _lifted_budget(alpha, psi)
+                _lifted_budget(alpha)
         else:
-            budget = _lifted_budget(alpha, psi)
+            budget = _lifted_budget(alpha)
+            assert budget.psi == 0
             assert budget.delta == math.ceil(1 / rem - 1)
             assert budget.alpha == tuple(a + 1 for a in alpha)
             checked += 1
@@ -253,6 +353,40 @@ def test_d2_zero_deviations():
         res = approx_apportionment(ma, WEB, (1, 1))
         assert res.house_deviation == 0
         assert all(v == 0 for v in res.group_deviation.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    method=st.sampled_from([WEB, JEF, ADA]),
+    binding_dims=st.sampled_from([(), (0,), (1,)]),
+    window_dims=st.sampled_from([(), (0,), (1,), (0, 1)]),
+)
+def test_seat_lp_vertex_is_integral_at_d2(seed, method, binding_dims, window_dims):
+    """The window rows of the two dimensions are two laminar families, so
+    with the house row the matrix is totally unimodular."""
+    ma = random_ma(
+        random.Random(seed), d=2, max_groups=4, max_house=12,
+        binding_dims=binding_dims, window_dims=window_dims,
+    )
+    try:
+        x = solve_lp_ma(ma, method)
+    except InfeasibleError:
+        assume(False)
+    assert set(x.values()) <= {0, 1}
+    assert sum(x.values()) == ma.house
+
+
+def test_eight_by_six_table_with_100_seats(tmp_path):
+    """A scale that took more than 10 minutes while each log cost had its
+    own denominator."""
+    path = tmp_path / "votes.csv"
+    path.write_text(vote_table(random.Random(5), 8, 6))
+    ma = _ma_from_csv(str(path), 100)
+    res = approx_apportionment(ma, WEB, (1, 1))
+    assert res.total_seats() == 100
+    assert res.house_deviation == 0
+    assert set(res.group_deviation.values()) == {0}
 
 
 def cube_instance():
@@ -323,9 +457,6 @@ def test_rounding_property():
             if val == 1:
                 assert res.rounded[v] == 1
             assert res.rounded[v] in (0, 1)
-
-
-from hypothesis import given, settings, strategies as st
 
 
 @settings(max_examples=120, deadline=None)

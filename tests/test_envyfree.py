@@ -104,9 +104,10 @@ def test_greedy_symmetric_groups_equal_utilities():
     u = UtilityModel(additive={a.id: {"r1": 3, "r2": 1} for a in agents})
     h = HomogeneousInstance(inst, u)
     x, _ = greedy_fractional_ef(h)
-    from nearfair.model import group_utility
+    from nearfair.model import group_utilities
 
-    assert group_utility(x, u, inst, "g", "g1") == group_utility(x, u, inst, "g", "g2")
+    g1, g2 = group_utilities(x, u, inst).values()
+    assert g1 == g2
 
 
 def test_check_fractional_ef_adversarial():

@@ -27,7 +27,7 @@ from nearfair.model import (
     Bundle,
     Instance,
     UtilityModel,
-    group_utility,
+    group_utilities,
 )
 from nearfair.oracle import enumerate_integral
 
@@ -164,8 +164,7 @@ def test_symmetric_proportional_balances_groups():
     inst = Instance(agents, [("r1", 1), ("r2", 1)], binding={"a1", "a2"}, dimensions=("g",))
     u = UtilityModel(additive={"a1": {"r1": 3, "r2": 1}, "a2": {"r1": 3, "r2": 1}})
     x = solve_fair_fractional(inst, u, FairObjective.proportional())
-    g1 = group_utility(x, u, inst, "g", "g1")
-    g2 = group_utility(x, u, inst, "g", "g2")
+    g1, g2 = group_utilities(x, u, inst).values()
     assert abs(float(g1) - float(g2)) < 1e-4
 
 
@@ -184,8 +183,8 @@ def test_refine_keeps_group_utility_and_returns_vertex():
         }
     )
     xf = refine_to_vertex(inst, u, x_star)
-    target = group_utility(x_star, u, inst, "g", "g1")
-    assert group_utility(xf, u, inst, "g", "g1") >= target * (1 - Fraction(1, 10**6))
+    target = group_utilities(x_star, u, inst)[("g", "g1")]
+    assert group_utilities(xf, u, inst)[("g", "g1")] >= target * (1 - Fraction(1, 10**6))
     # an endpoint: everything integral on this polytope
     assert all(v == 1 for v in xf.values.values())
 
@@ -311,7 +310,7 @@ def test_utility_cycle_two_allocations(n):
     zeroed = set()
     for y in feasible:
         for g in inst.groups_in("group"):
-            if group_utility(y, u, inst, "group", g) == 0:
+            if group_utilities(y, u, inst)[("group", g)] == 0:
                 zeroed.add(g)
     assert zeroed == {"g1", "g2"}  # each allocation starves one group
 

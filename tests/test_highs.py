@@ -5,9 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nearfair.apportionment import SignpostMethod, seat_costs, solve_lp_ma
+from nearfair.errors import InfeasibleInstanceError
 from nearfair.exactlp import solve_vertex
 
-from generators import degenerate_lp, random_lp
+from generators import degenerate_lp, random_lp, random_ma
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -47,3 +49,56 @@ def test_optimum_matches_highs(build, seed):
     assert sol.status == status
     if sol.optimal:
         assert float(sol.objective) == pytest.approx(fun, rel=1e-7, abs=1e-7)
+
+
+def seat_lp_highs(ma, costs):
+    """(status, objective) of the seat LP by HiGHS, built from the windows,
+    the house and ``seat_costs`` without the library's LP."""
+    keys = list(costs)
+    a_ub, b_ub = [], []
+    for li, dim in enumerate(ma.dims):
+        for g in ma.groups[dim]:
+            row = [1.0 if e[li] == g else 0.0 for e, _ in keys]
+            b, bb = ma.bounds(dim, g)
+            a_ub += [[-v for v in row], row]
+            b_ub += [-b, bb]
+    res = optimize.linprog(
+        [float(c) for c in costs.values()],
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=[[1.0] * len(keys)],
+        b_eq=[ma.house],
+        bounds=(0, 1),
+        method="highs",
+    )
+    status = {0: "optimal", 2: "infeasible"}.get(res.status)
+    assert status is not None, res.message
+    return status, res.fun
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    d=st.integers(1, 3),
+    tag=st.sampled_from(["webster", "jefferson", "adams"]),
+    shaped=st.sampled_from(["free", "binding", "windows"]),
+)
+def test_seat_lp_optimum_matches_highs(seed, d, tag, shaped):
+    rng = random.Random(seed)
+    dims = tuple(range(d))
+    ma = random_ma(
+        rng, d, max_groups=3, max_house=8,
+        binding_dims=dims[:1] if shaped == "binding" else (),
+        window_dims=dims if shaped == "windows" else (),
+    )
+    method = SignpostMethod.named(tag)
+    costs = seat_costs(ma, method)
+    status, fun = seat_lp_highs(ma, costs)
+    try:
+        x = solve_lp_ma(ma, method)
+    except InfeasibleInstanceError:
+        assert status == "infeasible"
+        return
+    assert status == "optimal"
+    exact = sum(x[v] * c for v, c in costs.items())
+    assert float(exact) == pytest.approx(fun, rel=1e-7, abs=1e-7)

@@ -14,10 +14,12 @@ from nearfair.model import (
     Instance,
     UtilityModel,
     enumerate_bundles,
-    group_utility,
+    group_utilities,
     pair_index,
     pair_universe,
 )
+
+from generators import fractional_allocation, random_instance
 
 
 def inst_simple(caps=((("r1"), 2), ("r2", 1), ("r3", 3))):
@@ -82,12 +84,12 @@ def test_group_utility_examples():
     inst, b1 = one_group()
     u = UtilityModel(additive={"a1": {"r1": 2}, "a2": {"r1": 4}})
     empty = Allocation({})
-    assert group_utility(empty, u, inst, "d", "g1") == 0
+    assert group_utilities(empty, u, inst) == {("d", "g1"): 0}
     one = Allocation({("a1", b1): 1})
-    assert group_utility(one, u, inst, "d", "g1") == 2
+    assert group_utilities(one, u, inst) == {("d", "g1"): 2}
     half = Allocation({("a1", b1): Fraction(1, 2), ("a2", b1): Fraction(1, 2)})
     # hand sum: 2/2 + 4/2
-    assert group_utility(half, u, inst, "d", "g1") == 3
+    assert group_utilities(half, u, inst) == {("d", "g1"): 3}
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,9 +112,7 @@ def test_group_utility_linear(lam, u1, u2, x1, y1):
             for e in set(x.values) | set(y.values)
         }
     )
-    gx = group_utility(x, u, inst, "d", "g1")
-    gy = group_utility(y, u, inst, "d", "g1")
-    gmix = group_utility(mix, u, inst, "d", "g1")
+    gx, gy, gmix = (group_utilities(z, u, inst)[("d", "g1")] for z in (x, y, mix))
     assert gmix == lam * gx + (1 - lam) * gy
 
 
@@ -175,7 +175,7 @@ def test_group_max():
     )
     u = UtilityModel(additive={"a1": {"r1": 1, "r3": 4}, "a2": {"r1": 9}})
     # best bundle for a1 is {r3:2} worth 8, a2 single r1 worth 9
-    assert u.group_max(inst2, "d", "g") == 9
+    assert u.group_maxima(inst2) == {("d", "g"): 9}
 
 
 def test_explicit_bundle_utilities():
@@ -192,7 +192,7 @@ def test_explicit_bundle_utilities():
         explicit={("a", b11): Fraction(1), ("a", b12): Fraction(5), ("a", b22): Fraction(2)}
     )
     assert u.of("a", b12) == 5
-    assert u.group_max(inst, "d", "g") == 5  # complementarities, not additive
+    assert u.group_maxima(inst) == {("d", "g"): 5}  # complementarities, not additive
     with pytest.raises(InvalidInstanceError):
         u.of("a", Bundle.of({"r1": 1}))  # undefined pair
 
@@ -220,7 +220,7 @@ def test_best_fills_demand_from_the_top():
     # b's only resource holds two units of a three-unit demand: no bundle
     assert enumerate_bundles("b", inst) == []
     assert u.best(inst, "b") == 0
-    assert u.group_max(inst, "d", "g") == 11
+    assert u.group_maxima(inst) == {("d", "g"): 11}
 
 
 @settings(max_examples=120, deadline=None)
@@ -258,7 +258,7 @@ def test_best_and_group_max_match_enumeration(data):
         assert u.best(inst, a.id) == enumerated_best(u, inst, a.id)
     for g in inst.groups_in("d"):
         members = inst.group_members("d", g)
-        assert u.group_max(inst, "d", g) == max(enumerated_best(u, inst, a) for a in members)
+        assert u.group_maxima(inst)[("d", g)] == max(enumerated_best(u, inst, a) for a in members)
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,4 +326,29 @@ def test_verify_needs_no_bundle_enumeration_for_additive_utilities(monkeypatch):
         assert again.ok()
         assert again.group_deviations == cert.group_deviations
         assert again.resource_deviations == cert.resource_deviations
+        checked += 1
+
+
+def test_group_utilities_and_maxima_match_per_group_sums():
+    """The one-pass group tables equal a direct sum over each group's
+    members; an agent outside the instance counts for no group."""
+    rng = random.Random(73)
+    checked = 0
+    while checked < 25:
+        inst, u = random_instance(rng, max_dims=3)
+        x = fractional_allocation(rng, inst)
+        if x is None:
+            continue
+        stray = Allocation({**x.values, ("stranger", Bundle.of({"r0": 1})): Fraction(1, 2)})
+        keys = inst.group_keys()
+        members = {key: inst.group_members(*key) for key in keys}
+        assert group_utilities(stray, u, inst) == {
+            key: sum((u.of(a, q) * v for (a, q), v in x.values.items() if a in members[key]), Fraction(0))
+            for key in keys
+        }
+        assert list(group_utilities(stray, u, inst)) == keys
+        assert u.group_maxima(inst) == {
+            key: max((u.best(inst, a) for a in members[key]), default=Fraction(0))
+            for key in keys
+        }
         checked += 1

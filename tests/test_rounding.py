@@ -274,11 +274,7 @@ def test_integer_utilities_sharpen_group_bound():
                 for a in inst.agents
             }
         )
-        if any(
-            utilities.group_max(inst, dim, g) == 0
-            for dim in inst.dimensions
-            for g in inst.groups_in(dim)
-        ):
+        if 0 in utilities.group_maxima(inst).values():
             continue
         x = fractional_allocation(rng, inst)
         if x is None:

@@ -141,7 +141,7 @@ def test_inline_utility_sum_detector():
 
 
 def test_group_utility_has_one_owner():
-    """A group's utility is summed only by ``model.group_utility``; the
+    """A group's utility is summed only by ``model.group_utilities``; the
     oracle keeps its own sums as the independent reference."""
     modules = sorted(
         p for p in SRC.glob("*.py") if p.name not in ("model.py", "oracle.py")
