@@ -14,7 +14,10 @@ desk scale we enumerate its vertices exhaustively and call a vertex
 *dominating* when every rounding of it is stable under the capacities it
 realizes; rounding a dominating vertex with the usual budget machinery,
 under the "couples" row of ``rounding.CONDITIONS``, then yields near-
-feasible stable (and fair) integral allocations.
+feasible stable (and fair) integral allocations.  The vertices are scored
+by the fairness objective first and tested for dominance best score first,
+so the fairest dominating vertex is found without testing the vertices
+that score below it.
 
 The vertices come from ``oracle.vertex_enumerate``, which pivots between
 lexicographically positive bases.  The polytope is highly degenerate (most
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     InvalidInstanceError,
@@ -207,11 +210,25 @@ def all_roundings_stable(ci: CouplesInstance, x: Allocation) -> bool:
     return True
 
 
-def dominating_vertices(ci: CouplesInstance) -> Iterator[Allocation]:
-    """The vertices of the stable polytope that pass ``all_roundings_stable``."""
+def dominating_vertices(
+    ci: CouplesInstance, score: Callable[[Allocation], float]
+) -> Iterator[Allocation]:
+    """The vertices of the stable polytope that pass ``all_roundings_stable``,
+    best score first; ties keep the enumeration order.
+
+    Every vertex is scored first, which is cheap, and the exponential
+    dominance test runs lazily in that order, so a caller that takes the
+    first vertex tests only the vertices that outscore it.  A NaN score
+    (only a custom objective yields one) ranks below -inf.
+    """
     lp, pairs, _ = allocation_polytope(ci.instance)
+    ranked = []
     for vertex in vertex_enumerate(lp):
         x = Allocation({e: v for e, v in zip(pairs, vertex) if v != 0})
+        s = score(x)
+        ranked.append(((0, -s) if s == s else (1, 0.0), x))
+    ranked.sort(key=lambda t: t[0])  # stable: ties keep the enumeration order
+    for _, x in ranked:
         if all_roundings_stable(ci, x):
             yield x
 
@@ -255,14 +272,10 @@ def fair_stable_allocation(
             total += objective.f(float(u))
         return total
 
-    # the first vertex is taken even at score -inf: a proportional objective
-    # scores every vertex -inf while some group gets no utility
-    best: Optional[Allocation] = None
-    best_score = float("-inf")
-    for x in dominating_vertices(ci):
-        s = score(x)
-        if best is None or s > best_score:
-            best, best_score = x, s
+    # the highest-scoring dominating vertex, the first one on ties; it is
+    # taken even at score -inf: a proportional objective scores every vertex
+    # -inf while some group gets no utility
+    best = next(dominating_vertices(ci, score), None)
     if best is None:
         raise NoDominatingVertexError(
             "no vertex of the stable polytope passed the all-roundings-stable test"

@@ -10,11 +10,13 @@ lrs) after a small Bland's-rule phase 1 local to this module.  As in lrs the
 pivots are integer: the tableau rows are fraction-free ``Row``s (integer
 numerators over one positive denominator), the ratio tests compare
 numerators by cross-multiplication, and only an emitted vertex is built
-from ``Fraction``s.  Upper bounds that a nonnegative '<=' row already
-implies get no row, which cuts the bases of the couples packing polytopes
-about threefold.  The oracle is the independent check on
-``nearfair.exactlp``'s simplex, so it takes from that module only the
-``LinearProgram`` model and the row kernel ``Row``.
+from ``Fraction``s.  Each new vertex is checked against the LP in integers
+too: the point over one common denominator against each constraint's
+integer row.  Upper bounds that a nonnegative '<=' row already implies get
+no row, which cuts the bases of the couples packing polytopes about
+threefold.  The oracle is the independent check on ``nearfair.exactlp``'s
+simplex, so it takes from that module only the ``LinearProgram`` model and
+the row kernel ``Row``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .rationals import ONE, ZERO
 
 MAX_INTEGRAL = 10**6
 MAX_VERTICES = 10**5
-MAX_VERTEX_NODES = 2 * 10**6  # bases visited, about 2.5 minutes (see vertex_enumerate)
+MAX_VERTEX_NODES = 2 * 10**6  # bases visited, about 3 to 4 minutes (see vertex_enumerate)
 MAX_ROUNDING_FRACTIONALS = 20
 
 
@@ -201,12 +203,23 @@ def _lex_leaving(rows: list[Row], j: int, lex: Sequence[int]) -> Optional[int]:
 
     Minimizes ``(beta_i, T[i][lex]) / T[i][j]`` over the rows with
     T[i][j] > 0.  A row's denominator cancels in its ratios, so they are
-    compared as numerators by integer cross-multiplication.  ``lex`` holds
-    the start basis's columns, so the rows of T[:, lex] are independent and
-    the minimum is unique.  None when no entry is positive.
+    compared as numerators by integer cross-multiplication.  One scan finds
+    the rows with T[i][j] > 0 and the least ``beta_i`` ratio among them;
+    only rows tied there go on to the ``lex`` columns.  ``lex`` holds the
+    start basis's columns, so the rows of T[:, lex] are independent and the
+    minimum is unique.  None when no entry is positive.
     """
-    ties = [i for i, row in enumerate(rows) if row.num.get(j, 0) > 0]
-    for c in (_RHS, *lex):
+    ties: list[int] = []
+    for i, row in enumerate(rows):
+        num = row.num
+        a = num.get(j, 0)
+        if a > 0:
+            v = num.get(_RHS, 0)
+            if not ties or v * ba < bv * a:
+                ties, bv, ba = [i], v, a
+            elif v * ba == bv * a:
+                ties.append(i)
+    for c in lex:
         if len(ties) < 2:
             break
         best: list[int] = []
@@ -222,16 +235,28 @@ def _lex_leaving(rows: list[Row], j: int, lex: Sequence[int]) -> Optional[int]:
 
 
 def _feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
-    for j, var in enumerate(lp.variables):
-        if not (var.lb <= x[j] <= var.ub):
+    """Whether x meets every bound and constraint of lp, decided in integers.
+
+    The point is read as integer numerators ``p`` over one common
+    denominator ``den``, so a bound ``r/q`` holds as ``p_j*q`` against
+    ``r*den``, and a row's left-hand side is the integer sum of its
+    ``Constraint.row`` numerators times ``p`` over ``row.den * den``,
+    compared with the right-hand side by cross-multiplication.
+    """
+    ratios = [v.as_integer_ratio() for v in x]
+    den = reduce(lcm, [q for _, q in ratios], 1)
+    p = [a * (den // q) for a, q in ratios]
+    for pj, var in zip(p, lp.variables):
+        ln, ld = var.lb.as_integer_ratio()
+        un, ud = var.ub.as_integer_ratio()
+        if pj * ld < ln * den or pj * ud > un * den:
             return False
     for c in lp.constraints:
-        lhs = sum((v * x[jj] for jj, v in c.coeffs.items()), ZERO)
-        if c.rel == "<=" and lhs > c.rhs:
-            return False
-        if c.rel == ">=" and lhs < c.rhs:
-            return False
-        if c.rel == "=" and lhs != c.rhs:
+        row = c.row
+        lhs = sum(v * p[j] for j, v in row.num.items())
+        rn, rd = c.rhs.as_integer_ratio()
+        diff = lhs * rd - rn * row.den * den  # the sign of lhs - rhs
+        if diff > 0 and c.rel != ">=" or diff < 0 and c.rel != "<=":
             return False
     return True
 
@@ -246,12 +271,14 @@ def vertex_enumerate(lp: LinearProgram, max_vertices: int = MAX_VERTICES) -> lis
     a degenerate vertex costs only its few lexicographic bases; and every
     vertex is reached, since it is the unique optimum of some objective and
     the lexicographic simplex from B0 makes only these pivots.
-    ``MAX_VERTEX_NODES`` caps the bases visited; a basis (two integer
-    pivots, the ratio tests and the key of its point) costs about 70 us on
-    the couples packing polytopes of the benchmark (56-83 us on a shared
-    2-core x86 VM, Python 3.11), so the cap trips after roughly 2.5 minutes.
-    Each new vertex is checked exactly against ``lp``; a failure is a
-    broken invariant.
+    ``MAX_VERTEX_NODES`` caps the bases visited.  A basis (two integer
+    pivots, one ratio test per nonbasic column and the key of its point)
+    costs 32-53 us on the small couples packing polytopes of the benchmark
+    and 84-114 us on 18-pair ones near the 20-variable guard, where the
+    ratio tests are most of it (shared 2-core x86 VM, Python 3.11); only
+    polytopes that large can reach the cap, so it trips after roughly 3 to
+    4 minutes.  Each new vertex is checked exactly against ``lp``; a
+    failure is a broken invariant.
     """
     n = lp.n
     if n > 20:

@@ -25,6 +25,7 @@ from nearfair.model import (
     Instance,
     UtilityModel,
     enumerate_bundles,
+    group_utilities,
     pair_universe,
 )
 from nearfair.oracle import enumerate_integral, vertex_enumerate
@@ -206,11 +207,88 @@ def test_couples_polytope_is_the_allocation_polytope(seed, dims):
 
 def test_dominating_vertex_in_classic_market():
     ci, b1, b2 = classic_two_by_two()
-    x = next(dominating_vertices(ci))
+    x = next(dominating_vertices(ci, lambda x: 0.0))
     # the aligned matching is the unique stable matching here
     assert x.values == {("s1", b1): Fraction(1), ("s2", b2): Fraction(1)}
     zero = Allocation({})
     assert not all_roundings_stable(ci, zero)
+
+
+def two_stable_matchings():
+    """Two singles and two unit resources with crossed preferences: both
+    perfect matchings are stable, so both are dominating vertices."""
+    inst = Instance([AgentSpec("s1", 1), AgentSpec("s2", 1)], [("r1", 1), ("r2", 1)])
+    b1, b2 = Bundle.of({"r1": 1}), Bundle.of({"r2": 1})
+    ci = CouplesInstance(
+        inst,
+        {"r1": ["s2", "s1"], "r2": ["s1", "s2"]},
+        {"s1": [b1, b2], "s2": [b2, b1]},
+    )
+    return ci, {("s1", b1): 1, ("s2", b2): 1}, {("s1", b2): 1, ("s2", b1): 1}
+
+
+def test_dominating_vertices_come_best_score_first():
+    ci, m1, m2 = two_stable_matchings()
+
+    def order(score):
+        return [x.values for x in dominating_vertices(ci, score)]
+
+    first, second = order(lambda x: 0.0)  # ties keep the enumeration order
+    assert [first, second] in ([m1, m2], [m2, m1])
+    assert order(lambda x: 1.0 if x.values == second else 0.0) == [second, first]
+    assert order(lambda x: float("-inf") if x.values == first else 0.0) == [second, first]
+    # a NaN score ranks below -inf
+    nan = float("nan")
+    assert order(lambda x: nan if x.values == first else float("-inf")) == [second, first]
+    assert order(lambda x: nan) == [first, second]
+
+
+def reference_vertex(ci, utilities, objective):
+    """The choice written out: test every vertex for dominance in
+    enumeration order and keep a strictly better score; the first
+    dominating vertex is kept even at score -inf."""
+    inst = ci.instance
+    lp, pairs, _ = allocation_polytope(inst)
+    best, best_score = None, float("-inf")
+    for vertex in vertex_enumerate(lp):
+        x = Allocation({e: v for e, v in zip(pairs, vertex) if v != 0})
+        if not all_roundings_stable(ci, x):
+            continue
+        s = sum(objective.f(float(u)) for u in group_utilities(x, utilities, inst).values())
+        if best is None or s > best_score:
+            best, best_score = x, s
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 1),
+    st.sampled_from(["utilitarian", "proportional"]),
+    st.booleans(),
+)
+def test_fair_stable_picks_the_reference_vertex(seed, dims, kind, starve):
+    ci, utilities = random_couples(random.Random(seed), dims=dims)
+    inst = ci.instance
+    objective = getattr(FairObjective, kind)()
+    starved = {a.id for a in inst.agents if a.groups.get("dim0") == "dim0g1"}
+    if starve and starved:
+        # a group valuing nothing: the proportional objective scores every
+        # vertex -inf, so the first dominating vertex is taken
+        utilities = UtilityModel(
+            additive={
+                a.id: {r: 0 if a.id in starved else 1 for r, _ in inst.resources}
+                for a in inst.agents
+            }
+        )
+    expected = reference_vertex(ci, utilities, objective)
+    alpha, delta = ((5,), 4) if dims else ((), 2)
+    if expected is None:
+        with pytest.raises(NoDominatingVertexError):
+            fair_stable_allocation(ci, utilities, objective, alpha, delta)
+        return
+    result = fair_stable_allocation(ci, utilities, objective, alpha, delta)
+    assert result.fractional.values == expected.values
 
 
 def test_oracle_agreement_random():

@@ -20,7 +20,7 @@ from nearfair.oracle import (
     vertex_enumerate,
 )
 
-from generators import degenerate_lp, random_couples, random_lp
+from generators import degenerate_lp, random_couples, random_lp, rational_lp
 
 
 def two_bundle_instance(binding):
@@ -283,6 +283,45 @@ def test_search_stays_on_lex_positive_bases(monkeypatch):
     for lp in lps:
         vertex_enumerate(lp)
     assert scanned > 1000
+
+
+EPS = Fraction(1, 2**64)
+
+
+def feasibility_mutants(lp, x):
+    """``(what, point)``: x moved by 2**-64 across one bound it sits on
+    (``what`` is "bound"), or, for a row it meets with equality, one
+    coordinate of the row moved by 2**-64 so that the row is crossed while
+    every bound still holds (``what`` is the row's relation)."""
+    for j, var in enumerate(lp.variables):
+        for bound, step in ((var.lb, -EPS), (var.ub, EPS)):
+            if x[j] == bound:
+                yield "bound", x[:j] + [bound + step] + x[j + 1 :]
+    for c in lp.constraints:
+        if sum(a * x[j] for j, a in c.coeffs.items()) != c.rhs:
+            continue
+        for up in {"<=": (1,), ">=": (-1,), "=": (1, -1)}[c.rel]:
+            for j, a in c.coeffs.items():
+                v = x[j] + (EPS if (a > 0) == (up > 0) else -EPS)
+                if lp.variables[j].lb <= v <= lp.variables[j].ub:
+                    yield c.rel, x[:j] + [v] + x[j + 1 :]
+                    break
+
+
+@pytest.mark.parametrize("make", [rational_lp, degenerate_lp])
+def test_integer_vertex_check_rejects_every_near_miss(make):
+    """``_feasible`` decides in integers; a point 2**-64 outside one bound
+    or one row is rejected, as evaluating it in ``Fraction``s rejects it."""
+    seen = dict.fromkeys(("bound", "<=", ">=", "="), 0)
+    for seed in range(60):
+        lp = make(random.Random(seed))
+        for x in vertex_enumerate(lp):
+            assert oracle._feasible(lp, x) and _satisfies(lp, x)
+            for what, m in feasibility_mutants(lp, x):
+                assert not _satisfies(lp, m)
+                assert not oracle._feasible(lp, m), (seed, what, m)
+                seen[what] += 1
+    assert all(seen.values()), seen
 
 
 def test_vertex_origin_infeasible():
