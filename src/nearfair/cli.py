@@ -1,9 +1,8 @@
 """Command-line interface: instance I/O, pipeline dispatch, certificates.
 
-Exit codes: 0 success, 1 usage, I/O or schema error, 2 infeasible instance,
-3 budget condition violated (or a requested verification failed),
-4 brute-force scale guard tripped, 5 internal failure (a broken invariant
-or another library error; always a bug, never bad input).
+Exit codes: 0 success; a library error exits with its class's
+``exit_code`` (see ``nearfair.errors``), a usage or I/O error with 1 like
+bad input, and a failed verification with 3 like a failed budget.
 """
 
 from __future__ import annotations
@@ -21,17 +20,7 @@ from . import couples as cpl
 from . import envyfree as ef
 from . import fairness as fair
 from . import oracle
-from .errors import (
-    BudgetError,
-    InfeasibleInstanceError,
-    InvalidInstanceError,
-    InvariantViolation,
-    NearFairError,
-    NoDominatingVertexError,
-    RefinementInfeasibleError,
-    ScaleExceededError,
-    SchemaError,
-)
+from .errors import BudgetError, NearFairError, SchemaError
 from .rationals import rat_str
 from .rounding import (
     CONDITIONS,
@@ -51,14 +40,6 @@ from .schema import (
     serialize_allocation,
     serialize_instance,
 )
-
-EXIT_OK = 0
-EXIT_SCHEMA = 1
-EXIT_INFEASIBLE = 2
-EXIT_BUDGET = 3
-EXIT_SCALE = 4
-EXIT_INTERNAL = 5
-
 
 def _alpha(text: str) -> tuple[int, ...]:
     text = text.strip()
@@ -80,6 +61,12 @@ def _emit(doc: dict, out: str | None) -> None:
         print(text)
 
 
+def _require_utilities(utilities, message: str) -> None:
+    """SchemaError ``message`` when the instance file carries no utilities."""
+    if utilities is None:
+        raise SchemaError(message)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -91,8 +78,7 @@ def cmd_solve(args) -> int:
     doc = load_json(args.instance)
     if args.pipeline == "assignment":
         instance, utilities = parse_instance(doc)
-        if utilities is None:
-            raise SchemaError("assignment instances need utilities")
+        _require_utilities(utilities, "assignment instances need utilities")
         result = fair.approx_fair_allocation(
             instance, utilities, _objective(args.objective), args.alpha, args.delta
         )
@@ -107,11 +93,10 @@ def cmd_solve(args) -> int:
             },
             args.out,
         )
-        return EXIT_OK
+        return 0
     if args.pipeline == "envyfree":
         instance, utilities = parse_instance(doc)
-        if utilities is None:
-            raise SchemaError("envy-free instances need utilities")
+        _require_utilities(utilities, "envy-free instances need utilities")
         h = ef.HomogeneousInstance(instance, utilities)
         counts = [instance.group_count(dim) for dim in instance.dimensions]
         CONDITIONS["envyfree"].require(args.alpha, args.delta, h.omega_star, counts=counts)
@@ -126,10 +111,9 @@ def cmd_solve(args) -> int:
             },
             args.out,
         )
-        return EXIT_OK if report["ok"] else EXIT_BUDGET
+        return 0 if report["ok"] else BudgetError.exit_code
     ci, utilities = parse_couples(doc)  # argparse admits no other pipeline
-    if utilities is None:
-        raise SchemaError("couples instances need utilities")
+    _require_utilities(utilities, "couples instances need utilities")
     result = cpl.fair_stable_allocation(
         ci, utilities, _objective(args.objective), args.alpha, args.delta
     )
@@ -144,7 +128,7 @@ def cmd_solve(args) -> int:
         },
         args.out,
     )
-    return EXIT_OK
+    return 0
 
 
 def cmd_apportion(args) -> int:
@@ -172,7 +156,7 @@ def cmd_apportion(args) -> int:
         },
         args.out,
     )
-    return EXIT_OK
+    return 0
 
 
 def _ma_from_csv(path: str, house: int | None):
@@ -223,8 +207,7 @@ def _budget(args, instance, x) -> DeviationBudget:
 
 def cmd_round(args) -> int:
     instance, utilities = parse_instance(load_json(args.instance))
-    if utilities is None:
-        raise SchemaError("rounding needs utilities in the instance file")
+    _require_utilities(utilities, "rounding needs utilities in the instance file")
     x = parse_allocation(load_json(args.allocation))
     budget = _budget(args, instance, x)
     if budget.Delta is None:
@@ -237,7 +220,7 @@ def cmd_round(args) -> int:
         },
         args.out,
     )
-    return EXIT_OK
+    return 0
 
 
 def cmd_check(args) -> int:
@@ -247,10 +230,9 @@ def cmd_check(args) -> int:
     y = parse_allocation(load_json(args.allocation))
     problems = y.check_allocation(instance, capacities=args.capacities)
     doc: dict = {"allocation_problems": problems}
-    code = EXIT_OK if not problems else EXIT_BUDGET
+    code = 0 if not problems else BudgetError.exit_code
     if args.against:
-        if utilities is None:
-            raise SchemaError("verification needs utilities in the instance file")
+        _require_utilities(utilities, "verification needs utilities in the instance file")
         x = parse_allocation(load_json(args.against))
         budget = _budget(args, instance, x)
         cert = verify_approximation(instance, x, y, utilities, budget)
@@ -261,7 +243,7 @@ def cmd_check(args) -> int:
                 [rat_str(a), rat_str(b), rat_str(c)] for a, b, c in frontier
             ]
         if not cert.ok():
-            code = EXIT_BUDGET
+            code = BudgetError.exit_code
     _emit(doc, args.out)
     return code
 
@@ -269,28 +251,22 @@ def cmd_check(args) -> int:
 def cmd_gen(args) -> int:
     instance, utilities = fair.gen_lower_bound_instance(args.kind, args.n)
     _emit(serialize_instance(instance, utilities), args.out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_budget(args) -> int:
-    if args.assignment:
-        market = "assignment"
-    elif args.couples:
-        market = "couples"
-    elif args.envyfree is not None:
-        market = "envyfree"
-    else:
-        market = "round"
     psi = args.psi if args.psi is not None else 1
-    row = CONDITIONS[market]
-    slack = row.slack(args.alpha, args.delta, args.omega, psi=psi, counts=args.envyfree)
+    row = CONDITIONS[args.market]
+    if row.envy and args.groups is None:
+        raise SchemaError(f"the {args.market} condition needs --groups K_LIST")
+    slack = row.slack(args.alpha, args.delta, args.omega, psi=psi, counts=args.groups)
     passed = slack >= 0
     doc: dict = {"condition": row.text, "slack": rat_str(slack)}
-    if market == "assignment" and args.agents and args.resources:
+    if args.market == "assignment" and args.agents and args.resources:
         doc["delta_plus"] = fair.delta_plus(
             args.omega, args.agents, args.resources, sum(args.groups or ()), args.delta
         )
-    if market == "round" and passed:
+    if args.market == "round" and passed:
         budget = DeviationBudget(args.alpha, args.delta, None, psi, args.omega)
         try:
             doc["min_Delta"] = min_Delta(budget)
@@ -299,7 +275,7 @@ def cmd_budget(args) -> int:
             doc["min_Delta_error"] = str(exc)
     doc["passed"] = passed
     _emit(doc, args.out)
-    return EXIT_OK if passed else EXIT_BUDGET
+    return 0 if passed else BudgetError.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +288,7 @@ def _batch_worker(args: argparse.Namespace) -> tuple[str, int]:
         code = _dispatch(args)
     except Exception:  # one broken file must not take down the batch
         traceback.print_exc()
-        code = EXIT_INTERNAL
+        code = NearFairError.exit_code
     return args.instance, code
 
 
@@ -339,7 +315,7 @@ def _run_batch(args) -> int:
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_batch_worker, per_file))
-    worst = EXIT_OK
+    worst = 0
     for path, code in results:
         print(f"{path}: exit {code}", file=sys.stderr)
         worst = max(worst, code)
@@ -357,7 +333,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
+        self.exit(SchemaError.exit_code, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,20 +342,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Near-feasible fair allocations by exact iterative LP rounding.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags several subcommands share, each declared once
+    alpha = argparse.ArgumentParser(add_help=False)
+    alpha.add_argument("--alpha", type=_alpha, default=())
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file; a directory when --instance is one")
+    common = [alpha, out]
+    deviation = argparse.ArgumentParser(add_help=False, parents=common)
+    deviation.add_argument("--Delta", type=int, default=None)
+    deviation.add_argument("--psi", type=int, choices=[0, 1], default=None)
 
-    solve = sub.add_parser("solve", help="run a full pipeline on an instance file")
+    solve = sub.add_parser("solve", parents=common, help="run a full pipeline on an instance file")
     solve.add_argument("pipeline", choices=["assignment", "envyfree", "couples"])
     solve.add_argument("--instance", required=True, help="instance file or directory")
-    solve.add_argument("--alpha", type=_alpha, default=())
     solve.add_argument("--delta", type=int, required=True)
     solve.add_argument(
         "--objective", default="utilitarian", choices=["utilitarian", "proportional"]
     )
     solve.add_argument("--jobs", type=int, default=1)
-    solve.add_argument("--out", help="output file; a directory when --instance is one")
     solve.set_defaults(func=cmd_solve)
 
-    ap = sub.add_parser("apportion", help="multidimensional apportionment")
+    ap = sub.add_parser("apportion", parents=common, help="multidimensional apportionment")
     source = ap.add_mutually_exclusive_group(required=True)
     source.add_argument("--instance")
     source.add_argument("--csv", help="party x district vote table")
@@ -387,53 +370,42 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--method", default="webster", choices=["adams", "webster", "jefferson"]
     )
-    ap.add_argument("--alpha", type=_alpha, default=())
-    ap.add_argument("--out")
     ap.set_defaults(func=cmd_apportion)
 
-    rnd = sub.add_parser("round", help="round a provided fractional allocation")
+    rnd = sub.add_parser(
+        "round", parents=[deviation], help="round a provided fractional allocation"
+    )
     rnd.add_argument("--instance", required=True)
     rnd.add_argument("--allocation", required=True)
-    rnd.add_argument("--alpha", type=_alpha, default=())
     rnd.add_argument("--delta", type=int, required=True)
-    rnd.add_argument("--Delta", type=int, default=None)
-    rnd.add_argument("--psi", type=int, choices=[0, 1], default=None)
-    rnd.add_argument("--out")
     rnd.set_defaults(func=cmd_round)
 
-    chk = sub.add_parser("check", help="verify an allocation, optionally against a reference")
+    chk = sub.add_parser(
+        "check", parents=[deviation], help="verify an allocation, optionally against a reference"
+    )
     chk.add_argument("--instance", required=True)
     chk.add_argument("--allocation", required=True)
     chk.add_argument("--against", help="reference fractional allocation")
-    chk.add_argument("--alpha", type=_alpha, default=())
     chk.add_argument("--delta", type=int, default=1)
-    chk.add_argument("--Delta", type=int, default=None)
-    chk.add_argument("--psi", type=int, choices=[0, 1], default=None)
     chk.add_argument("--capacities", action="store_true", help="also enforce capacities")
     chk.add_argument("--oracle", action="store_true", help="brute-force deviation frontier")
-    chk.add_argument("--out")
     chk.set_defaults(func=cmd_check)
 
     gen = sub.add_parser("gen", help="generate named instance families")
     gen_sub = gen.add_subparsers(dest="family", required=True)
-    lb = gen_sub.add_parser("lowerbound")
+    lb = gen_sub.add_parser("lowerbound", parents=[out])
     lb.add_argument("--kind", required=True, choices=["capacity", "utility-cycle"])
     lb.add_argument("-n", type=int, required=True)
-    lb.add_argument("--out")
     lb.set_defaults(func=cmd_gen)
 
-    bud = sub.add_parser("budget", help="evaluate budget conditions and bounds")
-    bud.add_argument("--alpha", type=_alpha, default=())
+    bud = sub.add_parser("budget", parents=common, help="evaluate budget conditions and bounds")
+    bud.add_argument("market", nargs="?", default="round", choices=list(CONDITIONS))
     bud.add_argument("--delta", type=int, required=True)
     bud.add_argument("--omega", type=int, default=1)
     bud.add_argument("--psi", type=int, choices=[0, 1], default=None)
-    bud.add_argument("--assignment", action="store_true")
-    bud.add_argument("--couples", action="store_true")
-    bud.add_argument("--envyfree", type=_alpha, default=None, metavar="K_LIST")
     bud.add_argument("--agents", type=int)
     bud.add_argument("--resources", type=int)
-    bud.add_argument("--groups", type=_alpha, default=None)
-    bud.add_argument("--out")
+    bud.add_argument("--groups", type=_alpha, default=None, metavar="K_LIST")
     bud.set_defaults(func=cmd_budget)
 
     return parser
@@ -444,31 +416,16 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    """Run a parsed command, mapping each library error to its exit code."""
+    """Run a parsed command; a library error prints its class's label and
+    exits with its class's code."""
     try:
         return args.func(args)
-    except (SchemaError, InvalidInstanceError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (
-        InfeasibleInstanceError,
-        RefinementInfeasibleError,
-        NoDominatingVertexError,
-    ) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except BudgetError as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ScaleExceededError as exc:
-        print(f"scale: {exc}", file=sys.stderr)
-        return EXIT_SCALE
-    except InvariantViolation as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return SchemaError.exit_code
     except NearFairError as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

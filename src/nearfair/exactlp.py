@@ -206,6 +206,12 @@ class Row:
 # ---------------------------------------------------------------------------
 
 
+def bland_switch_at(m: int, ncols: int) -> int:
+    """Degenerate steps in a row after which ``_simplex`` switches to
+    Bland's rule, for a tableau of m rows and ncols columns."""
+    return 4 * (m + ncols) + 20
+
+
 def _reduced(num: int, den: int) -> tuple[int, int]:
     """The rational num/den (den > 0) as a pair in lowest terms."""
     g = gcd(num, den)
@@ -324,7 +330,7 @@ class _Tableau:
         improving column is always blocked by some bound."""
         degenerate_streak = 0
         bland = False
-        switch_at = 4 * (self.m + self.ncols) + 20
+        switch_at = bland_switch_at(self.m, self.ncols)
         lb, ub, beta, basis = self.lb, self.ub, self.beta, self.basis
         # a fixed variable can never move
         skip = forbidden | {
@@ -394,15 +400,11 @@ class _Tableau:
                 (un, ud), (ln, ld) = ub[enter], lb[enter]
                 span = (un * ld - ln * ud, ud * ld)
             if span is not None and (leave_row == -1 or span[0] * td <= tn * span[1]):
-                # entering runs all the way to its other bound: no basis change
-                if span[0] > 0:
-                    self._step(col, *span)
-                    degenerate_streak = 0
-                else:
-                    degenerate_streak += 1
+                # entering runs all the way to its other bound: no basis change;
+                # the box is wide, since a fixed column is skipped
+                self._step(col, *span)
+                degenerate_streak = 0
                 self.status[enter] = _U if self.status[enter] == _L else _L
-                if degenerate_streak > switch_at:
-                    bland = True
                 continue
 
             if leave_row == -1:
@@ -439,9 +441,6 @@ class _Tableau:
 
     def phase1(self) -> bool:
         self._simplex(Row(dict.fromkeys(self.art_of_row, 1)), forbidden=frozenset())
-        for j in self.art_of_row:
-            if j not in self.basic_set and self.status[j] == _U:
-                raise InvariantViolation("artificial at upper bound")
         # every artificial is nonnegative: the phase-1 optimum is zero iff
         # each basic artificial is
         for i in range(self.m):

@@ -248,7 +248,7 @@ def solve_fair_fractional(
                 if e[0] in members[key]:
                     grad[i] += g * util[e]
         lp.set_objective(
-            {col[e]: -snap(grad[i], 10**9) for i, e in enumerate(pairs) if grad[i]}
+            {col[e]: -Fraction(grad[i]) for i, e in enumerate(pairs) if grad[i]}
         )
         sol = solve_vertex(lp)
         v = [float(sol.value(col[e])) for e in pairs]

@@ -261,7 +261,7 @@ def _feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
     return True
 
 
-def vertex_enumerate(lp: LinearProgram, max_vertices: int = MAX_VERTICES) -> list[list[Fraction]]:
+def vertex_enumerate(lp: LinearProgram) -> list[list[Fraction]]:
     """Every vertex of the LP's feasible region, deduplicated and sorted exactly.
 
     Standard form, then a DFS from the phase-1 basis B0 over the bases that
@@ -304,8 +304,8 @@ def vertex_enumerate(lp: LinearProgram, max_vertices: int = MAX_VERTICES) -> lis
                 x[b] += Fraction(p, q)
             if not _feasible(lp, x):
                 raise InvariantViolation(f"vertex enumeration reached an infeasible point {x}")
-            if len(found) >= max_vertices:
-                raise ScaleExceededError(f"more than {max_vertices} vertices")
+            if len(found) >= MAX_VERTICES:
+                raise ScaleExceededError(f"more than {MAX_VERTICES} vertices")
             found[key] = x
 
     mask = sum(1 << b for b in basis)

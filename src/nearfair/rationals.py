@@ -2,9 +2,9 @@
 
 All quantitative instance data in this package is `fractions.Fraction`; the
 only floats live inside the convex-optimization stage and the logarithmic
-objective coefficients of apportionment.  The Frank-Wolfe iterate and
-gradient get snapped back to rationals with a bounded denominator before
-any exact solve; the log costs are read exactly (``Fraction(float)``).
+objective coefficients of apportionment.  The Frank-Wolfe iterate gets
+snapped back to rationals with a bounded denominator; the Frank-Wolfe
+gradient and the log costs are read exactly (``Fraction(float)``).
 """
 
 from __future__ import annotations

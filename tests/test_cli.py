@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,10 +12,10 @@ from pathlib import Path
 import pytest
 
 from nearfair import apportionment, couples, envyfree
-from nearfair.cli import main
+from nearfair.cli import build_parser, main
 from nearfair.couples import CouplesInstance
 from nearfair.model import AgentSpec, Allocation, Bundle, Instance, UtilityModel, enumerate_bundles
-from nearfair.rounding import DeviationBudget, iterative_round
+from nearfair.rounding import DeviationBudget, forced_psi, iterative_round, min_Delta
 from nearfair.schema import (
     bundle_from_json,
     bundle_to_json,
@@ -152,13 +153,13 @@ def write(tmp_path, name, doc):
 
 
 def test_budget_command_paper_pair(capsys):
-    code = main(["budget", "--alpha", "3", "--delta", "2", "--omega", "1", "--assignment"])
+    code = main(["budget", "assignment", "--alpha", "3", "--delta", "2", "--omega", "1"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["passed"] and out["slack"] == "0"
 
 
 def test_budget_command_fails(capsys):
-    code = main(["budget", "--alpha", "1", "--delta", "1", "--omega", "1", "--assignment"])
+    code = main(["budget", "assignment", "--alpha", "1", "--delta", "1", "--omega", "1"])
     assert code == 3
     code = main(["budget", "--alpha", "3", "--delta", "3", "--omega", "1", "--psi", "1"])
     assert code == 0
@@ -192,15 +193,15 @@ def test_budget_command_matches_library_conditions(capsys):
                     base = ["--alpha", ",".join(map(str, alpha)), "--delta", str(delta),
                             "--omega", str(omega)]
                     groups = ",".join(map(str, ks))
-                    out = cli(*base, "--assignment", "--agents", str(n), "--resources", "2",
+                    out = cli("assignment", *base, "--agents", str(n), "--resources", "2",
                               "--groups", groups)
                     assert out["slack"] == str(fairness_condition(inst, alpha, delta))
                     assert out["delta_plus"] == delta_plus_bound(inst, delta)
                     assert out["condition"] == CONDITIONS["assignment"].text
-                    out = cli(*base, "--couples")
+                    out = cli("couples", *base)
                     assert out["slack"] == str(couples_condition(ci, alpha, delta))
                     assert out["condition"] == CONDITIONS["couples"].text
-                    out = cli(*base, "--envyfree", groups)
+                    out = cli("envyfree", *base, "--groups", groups)
                     assert out["slack"] == str(ef_condition(h, alpha, delta))
                     assert out["condition"] == CONDITIONS["envyfree"].text
                     out = cli(*base)
@@ -212,11 +213,11 @@ def test_budget_command_matches_library_conditions(capsys):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--alpha", "1", "--delta", "-2", "--assignment"],
-        ["--alpha", "1", "--delta", "-2", "--couples"],
-        ["--alpha", "1", "--delta", "-1", "--envyfree", "2"],
-        ["--alpha", "-2", "--delta", "4", "--assignment"],
-        ["--alpha", "3", "--delta", "2", "--omega", "0", "--assignment"],
+        ["assignment", "--alpha", "1", "--delta", "-2"],
+        ["couples", "--alpha", "1", "--delta", "-2"],
+        ["envyfree", "--alpha", "1", "--delta", "-1", "--groups", "2"],
+        ["assignment", "--alpha", "-2", "--delta", "4"],
+        ["assignment", "--alpha", "3", "--delta", "2", "--omega", "0"],
         ["--alpha", "3", "--delta", "3", "--omega", "0"],
     ],
 )
@@ -226,6 +227,47 @@ def test_budget_command_rejects_invalid_budgets(capsys, flags):
     assert main(["budget", *flags]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("budget: ")
+
+
+def test_budget_apportion_matches_ma_condition(capsys):
+    for alpha in [(0,), (1,), (0, 0), (0, 1), (1, 1), (0, 0, 0), (2, 2, 2)]:
+        ma = MAInstance(
+            dims=tuple(f"d{l}" for l in range(len(alpha))),
+            groups={f"d{l}": ("g",) for l in range(len(alpha))},
+            votes={("g",) * len(alpha): 1},
+            lower={},
+            upper={},
+            house=1,
+        )
+        slack = apportionment.ma_condition(ma, alpha)
+        code = main(["budget", "apportion", "--alpha", ",".join(map(str, alpha)), "--delta", "0"])
+        out = json.loads(capsys.readouterr().out)
+        assert out["slack"] == str(slack) and out["passed"] == (slack >= 0)
+        assert code == (0 if slack >= 0 else 3)
+
+
+def test_budget_with_a_tight_condition_and_psi_0_has_no_min_Delta(capsys):
+    # psi/2 + 1/(alpha+1) + omega/(delta+1) = 0 + 1/2 + 1/2 = 1
+    code = main(["budget", "--alpha", "1", "--delta", "1", "--omega", "1", "--psi", "0"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["passed"] and out["slack"] == "0"
+    assert out["min_Delta"] is None
+    assert "tight" in out["min_Delta_error"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["assignment", "couples", "--alpha", "3", "--delta", "2"],  # one market per run
+        ["envyfree", "--alpha", "3", "--delta", "2"],  # no group counts
+        ["nowhere", "--alpha", "3", "--delta", "2"],
+    ],
+)
+def test_budget_usage_errors_exit_1_without_a_traceback(capsys, flags):
+    assert _exit_code(["budget", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "error: " in captured.err
 
 
 def test_gen_round_trip_and_solve(tmp_path, capsys):
@@ -332,6 +374,82 @@ def test_check_reproduces_certificate(tmp_path, capsys):
     assert out["certificate"]["resource_deviations"] == rounded["certificate"]["resource_deviations"]
     assert out["allocation_problems"] == []
     assert out["oracle_frontier"]
+
+
+def two_dimension_case():
+    """A two-dimension market and a fractional point where no agent holds
+    two fractional bundles, so ``forced_psi`` leaves psi at 0."""
+    agents = [
+        AgentSpec("a1", 1, {"g": "g1", "h": "h1"}),
+        AgentSpec("a2", 1, {"g": "g2", "h": "h1"}),
+        AgentSpec("a3", 1, {"g": "g2", "h": "h2"}),
+    ]
+    inst = Instance(agents, [("r1", 2), ("r2", 1)], binding={"a1"}, dimensions=("g", "h"))
+    u = UtilityModel(additive={a.id: {"r1": 1, "r2": 2} for a in agents})
+    x = Allocation(
+        {
+            ("a1", Bundle.of({"r2": 1})): 1,
+            ("a2", Bundle.of({"r1": 1})): Fraction(1, 2),
+            ("a3", Bundle.of({"r1": 1})): Fraction(1, 2),
+        }
+    )
+    return inst, u, x
+
+
+@pytest.mark.parametrize("case, psi", [("one dimension", 1), ("two dimensions", 0)])
+def test_round_and_check_default_psi_to_forced_psi(tmp_path, capsys, case, psi):
+    """``round`` and ``check`` without ``--psi`` take the psi ``forced_psi``
+    gives.  In the two-dimension market psi 0 and delta 3 leave slack 1/4,
+    so the least Delta is 3, and psi 1 would fail the condition."""
+    if case == "one dimension":  # a1 holds two fractional bundles
+        inst, u = demo_instance()
+        x = demo_allocation()
+        alpha, delta = "3", 7
+    else:
+        inst, u, x = two_dimension_case()
+        alpha, delta = "3,3", 3
+    assert forced_psi(x, len(inst.dimensions)) == psi
+    inst_file = write(tmp_path, "inst.json", serialize_instance(inst, u))
+    x_file = write(tmp_path, "x.json", serialize_allocation(x))
+    flags = ["--instance", inst_file, "--alpha", alpha, "--delta", str(delta)]
+
+    def run(*argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    rounded = run("round", "--allocation", x_file, *flags)
+    assert rounded == run("round", "--allocation", x_file, *flags, "--psi", str(psi))
+    assert rounded[0] == 0
+    # the total bound is omega* times the least Delta the default psi admits
+    bound = json.loads(rounded[1])["certificate"]["total_deviation"]["bound"]
+    alphas = tuple(int(a) for a in alpha.split(","))
+    budget = DeviationBudget(alphas, delta, None, psi, inst.omega_star)
+    assert bound == str(inst.omega_star * min_Delta(budget))
+    y_file = write(tmp_path, "y.json", {"entries": json.loads(rounded[1])["allocation"]})
+    checked = run("check", "--allocation", y_file, "--against", x_file, *flags)
+    assert checked == run(
+        "check", "--allocation", y_file, "--against", x_file, *flags, "--psi", str(psi)
+    )
+    assert checked[0] == 0
+
+
+def test_check_against_exits_3_on_violations(tmp_path, capsys):
+    """Zero budgets admit no deviation (every bound is strict), so a
+    rounding within capacities fails its certificate, not its allocation
+    check."""
+    inst, u = demo_instance()
+    inst_file = write(tmp_path, "inst.json", serialize_instance(inst, u))
+    x_file = write(tmp_path, "x.json", serialize_allocation(demo_allocation()))
+    y = Allocation({("a1", Bundle.of({"r2": 1})): 1, ("a2", Bundle.of({"r1": 2})): 1})
+    y_file = write(tmp_path, "y.json", serialize_allocation(y))
+    code = main(
+        ["check", "--instance", inst_file, "--allocation", y_file, "--against", x_file,
+         "--alpha", "0", "--delta", "0", "--psi", "1"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert out["allocation_problems"] == []
+    assert out["certificate"]["violations"]
 
 
 def test_check_oracle_needs_against(tmp_path, capsys):
@@ -718,3 +836,48 @@ assert "scipy" not in sys.modules, "a pipeline imported scipy"
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# -- the README's CLI block --------------------------------------------------------
+
+
+def readme_cli_problems(readme: str) -> list[str]:
+    """Each ``nearfair ...`` line of the README's CLI block, optional
+    ``[...]`` parts included, that the parser rejects or that gives an
+    option twice (argparse would keep the last value without a word)."""
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("nearfair ")]
+    if not lines:
+        return ["the CLI block has no nearfair line"]
+    problems = []
+    for line in lines:
+        argv = shlex.split(line.replace("[", " ").replace("]", " "))[1:]
+        options = [a.split("=")[0] for a in argv if a.startswith("-")]
+        if len(options) != len(set(options)):
+            problems.append(f"option given twice: {line}")
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            problems.append(f"rejected: {line}")
+    return problems
+
+
+def test_readme_cli_detector(capsys):
+    readme = (
+        "## CLI\n\n```\n"
+        "nearfair solve couples --instance i.json --delta 2 [--alpha 5 --delta 4]\n"
+        "nearfair budget --alpha 3 --delta 2 --assignment\n"
+        "nearfair gen lowerbound --kind capacity -n 6\n"
+        "```\n"
+    )
+    assert readme_cli_problems(readme) == [
+        "option given twice: nearfair solve couples --instance i.json --delta 2 "
+        "[--alpha 5 --delta 4]",
+        "rejected: nearfair budget --alpha 3 --delta 2 --assignment",
+    ]
+    assert readme_cli_problems("## CLI\n\n```\n```\n") == ["the CLI block has no nearfair line"]
+
+
+def test_readme_cli_block_parses(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert readme_cli_problems(readme) == []

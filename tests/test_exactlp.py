@@ -3,12 +3,15 @@
 import gc
 import random
 import weakref
+from contextlib import nullcontext
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nearfair import exactlp
 from nearfair.errors import InvariantViolation
 from nearfair.exactlp import (
     LinearProgram,
@@ -443,6 +446,45 @@ def test_repeated_solves_match_fresh_solves(case):
         lp.set_objective(c)
         assert answer(solve_vertex(lp)) == answer(solve_vertex(fresh(c)))
     assert answer(feasible_vertex(lp)) == first
+
+
+def bland_from_the_start():
+    """Lower the degenerate streak after which the simplex switches to
+    Bland's rule to 0: the first degenerate step switches it."""
+    return mock.patch.object(exactlp, "bland_switch_at", lambda m, ncols: 0)
+
+
+def both_rules(build, seed):
+    """The phase-1 vertex and the optimum of a fresh ``build(seed)`` under
+    the default pricing and under Bland's rule from the first degenerate
+    step; every answer has passed ``_finish``'s vertex certificate."""
+    out = []
+    for rule in (nullcontext(), bland_from_the_start()):
+        with rule:
+            out.append((feasible_vertex(build(random.Random(seed))),
+                        solve_vertex(build(random.Random(seed)))))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([random_lp, degenerate_lp, rational_lp]), st.integers(0, 2**32))
+def test_blands_rule_reaches_the_same_optimum(build, seed):
+    (first, opt), (bland_first, bland_opt) = both_rules(build, seed)
+    assert bland_first.status == first.status == bland_opt.status == opt.status
+    assert bland_opt.objective == opt.objective
+    for sol in (bland_first, bland_opt):
+        if sol.optimal:
+            assert vertex_rank(build(random.Random(seed)), sol.values) == len(sol.values)
+
+
+def test_lowered_switch_reaches_blands_rule():
+    """Bland's rule picks another vertex on some degenerate LP, so the
+    lowered switch does reach its pricing."""
+    moved = 0
+    for seed in range(100):
+        default, bland = both_rules(degenerate_lp, seed)
+        moved += [sol.values for sol in default] != [sol.values for sol in bland]
+    assert moved
 
 
 def test_growing_a_solved_lp_matches_a_fresh_lp():

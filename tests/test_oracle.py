@@ -331,13 +331,15 @@ def test_vertex_origin_infeasible():
     assert vertex_enumerate(lp) == [[0, 1], [1, 0], [1, 1]]
 
 
-def test_vertex_max_vertices_guard():
+def test_vertex_max_vertices_guard(monkeypatch):
     lp = LinearProgram()
     for i in range(3):
         lp.add_variable(f"x{i}")
-    assert len(vertex_enumerate(lp, max_vertices=8)) == 8
+    monkeypatch.setattr(oracle, "MAX_VERTICES", 8)  # the cube has 8 vertices
+    assert len(vertex_enumerate(lp)) == 8
+    monkeypatch.setattr(oracle, "MAX_VERTICES", 7)
     with pytest.raises(ScaleExceededError):
-        vertex_enumerate(lp, max_vertices=7)
+        vertex_enumerate(lp)
 
 
 def test_vertex_node_guard(monkeypatch):
