@@ -12,12 +12,13 @@ polytope; its optima are exactly the proportional apportionments, and any
 float logarithm, read exactly as the dyadic rational it is, so the
 objective row shares one power-of-two denominator; the float stage ends at
 exact post-conditions (an integral vertex at d <= 2, ``divisor_certified``
-at d = 1 without windows).  For one or two dimensions the constraint matrix
-is an interval/network matrix, so the vertex optimum is already integral;
-with three or more dimensions the optimum is rounded through the same
-iterative machinery as everything else, with per-dimension budgets alpha+1
-and the house tracked through the single synthetic resource.  Admissible
-alpha are those of the "apportion" row of ``rounding.CONDITIONS``.
+over the cells of every market without windows).  For one or two
+dimensions the constraint matrix is an interval/network matrix, so the
+vertex optimum is already integral; with three or more dimensions the
+optimum is rounded through the same iterative machinery as everything else,
+with per-dimension budgets alpha+1 and the house tracked through the single
+synthetic resource.  Admissible alpha are those of the "apportion" row of
+``rounding.CONDITIONS``.
 """
 
 from __future__ import annotations
@@ -117,16 +118,13 @@ def divisor_certified(
     method: SignpostMethod, votes: Mapping, seats: Mapping
 ) -> bool:
     """True when some common multiplier reproduces the seat vector, i.e.
-    max_e s(n_e)/V_e <= min_e s(n_e + 1)/V_e; vacuously true without votes."""
-    low = None
-    high = None
-    for e, v in votes.items():
-        n = seats[e]
-        lo = method.s(n) / v
-        hi = method.s(n + 1) / v
-        low = lo if low is None else max(low, lo)
-        high = hi if high is None else min(high, hi)
-    return low is None or low <= high
+    max_e s(n_e)/V_e <= min_e s(n_e + 1)/V_e; vacuously true without votes.
+    Each signpost is read once, as ``seat_costs`` reads them."""
+    if not votes:
+        return True
+    s = method.validate_prefix(max(seats[e] for e in votes) + 1)
+    low = max(s[seats[e]] / v for e, v in votes.items())
+    return low <= min(s[seats[e] + 1] / v for e, v in votes.items())
 
 
 def highest_averages(
@@ -387,8 +385,8 @@ def approx_apportionment(
     divisor property is inherited; group seat counts stay within alpha of
     their windows and the house size within the explicit bound.  At d <= 2
     the window matrix is totally unimodular, so a fractional vertex there is
-    an invariant violation, and at d = 1 without windows the seats must pass
-    ``divisor_certified``.
+    an invariant violation, and without windows, at any d, the seats of the
+    cells must pass ``divisor_certified``.
     """
     bound = delta_bound_ma(ma, alpha)
     x_star = solve_lp_ma(ma, method)
@@ -423,7 +421,7 @@ def approx_apportionment(
                 raise InvariantViolation(
                     f"group ({dim},{g}) misses its window by {dev} > alpha={alpha[li]}"
                 )
-    if ma.d == 1 and _unwindowed(ma) and not divisor_certified(method, ma.votes, seats):
+    if _unwindowed(ma) and not divisor_certified(method, ma.votes, seats):
         raise InvariantViolation(
             f"seats {sorted(seats.items())} fail the {method.tag} divisor certificate"
         )

@@ -98,8 +98,7 @@ def cmd_solve(args) -> int:
         instance, utilities = parse_instance(doc)
         _require_utilities(utilities, "envy-free instances need utilities")
         h = ef.HomogeneousInstance(instance, utilities)
-        counts = [instance.group_count(dim) for dim in instance.dimensions]
-        CONDITIONS["envyfree"].require(args.alpha, args.delta, h.omega_star, counts=counts)
+        ef.ef_condition(h, args.alpha, args.delta, require=True)
         x, _trace = ef.greedy_fractional_ef(h)
         y = ef.ef_round(h, x, args.alpha, args.delta)
         report = ef.check_ef_deviation(h, y, args.alpha, args.delta)
@@ -255,19 +254,33 @@ def cmd_gen(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    psi = args.psi if args.psi is not None else 1
     row = CONDITIONS[args.market]
+    # a row reads --delta and --omega only through its resource term, and
+    # --omega and --psi only where it does not fix their values
+    reads = {
+        "delta": row.delta_shift is not None,
+        "omega": row.delta_shift is not None and row.omega is None,
+        "psi": row.psi is None,
+    }
+    for flag, read in reads.items():
+        if not read and getattr(args, flag) is not None:
+            raise SchemaError(f"the {args.market} condition reads no --{flag}")
+    if reads["delta"] and args.delta is None:
+        raise SchemaError(f"the {args.market} condition needs --delta")
     if row.envy and args.groups is None:
         raise SchemaError(f"the {args.market} condition needs --groups K_LIST")
-    slack = row.slack(args.alpha, args.delta, args.omega, psi=psi, counts=args.groups)
+    delta = args.delta or 0
+    omega = 1 if args.omega is None else args.omega
+    psi = 1 if args.psi is None else args.psi
+    slack = row.slack(args.alpha, delta, omega, psi=psi, counts=args.groups)
     passed = slack >= 0
     doc: dict = {"condition": row.text, "slack": rat_str(slack)}
     if args.market == "assignment" and args.agents and args.resources:
         doc["delta_plus"] = fair.delta_plus(
-            args.omega, args.agents, args.resources, sum(args.groups or ()), args.delta
+            omega, args.agents, args.resources, sum(args.groups or ()), delta
         )
     if args.market == "round" and passed:
-        budget = DeviationBudget(args.alpha, args.delta, None, psi, args.omega)
+        budget = DeviationBudget(args.alpha, delta, None, psi, omega)
         try:
             doc["min_Delta"] = min_Delta(budget)
         except BudgetError as exc:
@@ -400,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bud = sub.add_parser("budget", parents=common, help="evaluate budget conditions and bounds")
     bud.add_argument("market", nargs="?", default="round", choices=list(CONDITIONS))
-    bud.add_argument("--delta", type=int, required=True)
-    bud.add_argument("--omega", type=int, default=1)
+    bud.add_argument("--delta", type=int)
+    bud.add_argument("--omega", type=int, help="default 1")
     bud.add_argument("--psi", type=int, choices=[0, 1], default=None)
     bud.add_argument("--agents", type=int)
     bud.add_argument("--resources", type=int)

@@ -210,12 +210,15 @@ def check_fractional_ef(
 # ---------------------------------------------------------------------------
 
 
-def ef_condition(h: HomogeneousInstance, alpha: tuple[int, ...], delta: int) -> Fraction:
+def ef_condition(
+    h: HomogeneousInstance, alpha: tuple[int, ...], delta: int, *, require: bool = False
+) -> Fraction:
     """Slack of the "envyfree" condition at the instance's group counts and
-    max demand; BudgetError unless alpha has one entry per dimension."""
-    inst = h.instance
-    counts = [inst.group_count(dim) for dim in inst.dimensions]
-    return CONDITIONS["envyfree"].slack(alpha, delta, h.omega_star, counts=counts)
+    max demand; BudgetError unless alpha has one entry per dimension, and
+    with ``require`` also when the slack is negative."""
+    counts = [h.instance.group_count(dim) for dim in h.instance.dimensions]
+    row = CONDITIONS["envyfree"]
+    return (row.require if require else row.slack)(alpha, delta, h.omega_star, counts=counts)
 
 
 def _envy_rows(h: HomogeneousInstance) -> GroupRows:
@@ -302,8 +305,7 @@ def ef_round(
     but never above.
     """
     inst = h.instance
-    counts = [inst.group_count(dim) for dim in inst.dimensions]
-    CONDITIONS["envyfree"].require(alpha, delta, h.omega_star, counts=counts)
+    ef_condition(h, alpha, delta, require=True)
     problems = x.check_allocation(replace(inst, binding=frozenset()), capacities=True)
     if problems:
         raise InvalidInstanceError("bad input allocation: " + "; ".join(problems))

@@ -4,9 +4,9 @@ Maximizes a concave function of each group's utility over the fractional
 allocation polytope and rounds the resulting vertex with a budget admitted
 by the "assignment" row of ``rounding.CONDITIONS`` (per-resource budget
 delta + 1, psi = 1).  The utilitarian objective is linear, so one exact LP
-gives its optimum as a vertex.  Only non-linear objectives run Frank-Wolfe
-(with an exact LP linearization oracle) and then refine the float optimum to
-an exact vertex that guarantees every group at least the utility it had.
+gives its optimum as a vertex.  Only non-linear objectives run away-step
+Frank-Wolfe over exact LP vertices, whose exact convex combination is then
+refined to a vertex that gives every group at least the utility it had.
 
 The rounded assignment gives every agent exactly one bundle, lets each
 group's utility drift strictly less than alpha_l times its best single
@@ -38,7 +38,7 @@ from .model import (
     pair_index,
     pair_universe,
 )
-from .rationals import ONE, snap
+from .rationals import ONE, ZERO, snap
 from .rounding import CONDITIONS, Certificate, DeviationBudget, capacity_excess, iterative_round
 
 FW_TOLERANCE = 1e-9
@@ -186,10 +186,12 @@ def solve_fair_fractional(
     """Maximize sum_g f(U_g) over fractional allocations.
 
     The utilitarian objective is linear: one exact LP returns its optimum,
-    an exact vertex.  Any other objective runs conditional-gradient steps
-    with an exact LP oracle and exact line search on each segment, then
-    snaps the float iterate to rationals with a bounded denominator; the
-    snap is reconciled downstream by ``refine_to_vertex``.
+    an exact vertex.  Any other objective runs away-step Frank-Wolfe (Guelat
+    & Marcotte 1986; Lacoste-Julien & Jaggi 2015) over exact LP vertices
+    until the Frank-Wolfe gap, read like the gradient and the line search on
+    the vertices' group utilities, is within ``FW_TOLERANCE``.  The answer
+    is the vertices' exact convex combination with the weights snapped and
+    rescaled to sum to exactly 1: an exact point of the polytope.
     """
     instance = _assignment_instance(instance)
     objective.spot_check()
@@ -202,88 +204,89 @@ def solve_fair_fractional(
         if not sol.optimal:
             raise InfeasibleInstanceError("no fractional allocation exists")
         return Allocation({e: sol.value(col[e]) for e in pairs if sol.value(col[e]) != 0})
-    # every LP below optimizes over this one polytope, so ``lp`` runs phase 1
-    # once for all of them
+    # every LP below optimizes over this one polytope: phase 1 runs once
     start = feasible_vertex(lp)
     if not start.optimal:
         raise InfeasibleInstanceError("no fractional allocation exists")
-
     keys = instance.group_keys()
-    members = {key: instance.group_members(*key) for key in keys}
-    util = {e: float(utilities.of(*e)) for e in pairs}
-
+    seeds = [start]
     if objective.kind == "proportional":
-        kept = []
-        vertices = []
-        for key in keys:
-            sol = _group_optimum(lp, pairs, col, utilities, members[key])
-            if -sol.objective > 0:
-                kept.append(key)
-                vertices.append([float(sol.value(col[e])) for e in pairs])
-        if not kept:
+        # seed with the mean of the group optima; a group whose optimum is
+        # zero has log utility -inf everywhere and is left out
+        optima = [_group_optimum(lp, pairs, col, utilities, instance.group_members(*k)) for k in keys]
+        keys = [k for k, sol in zip(keys, optima) if sol.objective < 0]
+        seeds = [sol for sol in optima if sol.objective < 0]
+        if not seeds:
             return Allocation({e: start.value(col[e]) for e in pairs})
-        x = [sum(vs) / len(vertices) for vs in zip(*vertices)]
-        keys = kept
-    else:
-        x = [float(start.value(col[e])) for e in pairs]
 
-    def group_utils(point: list[float]) -> list[float]:
-        out = []
-        for key in keys:
-            out.append(
-                sum(point[i] * util[e] for i, e in enumerate(pairs) if e[0] in members[key])
-            )
-        return out
+    # the active set: each vertex, as its nonzero entries in pair order, and
+    # its weight; ``uvecs`` keeps the group utilities of every vertex seen
+    weights: dict[tuple, float] = {}
+    uvecs: dict[tuple, list[float]] = {}
 
-    def total(us: list[float]) -> float:
-        return sum(objective.f(u) for u in us)
+    def vertex(sol: VertexSolution) -> tuple:
+        v = tuple((e, sol.value(col[e])) for e in pairs if sol.value(col[e]))
+        if v not in uvecs:
+            u = group_utilities(Allocation(dict(v)), utilities, instance)
+            uvecs[v] = [float(u[k]) for k in keys]
+        return v
 
-    current = total(group_utils(x))
+    def dot(g: list[float], u: list[float]) -> float:
+        return sum(a * b for a, b in zip(g, u))
+
+    for v in map(vertex, seeds):
+        weights[v] = weights.get(v, 0.0) + 1 / len(seeds)
+    util = {e: utilities.of(*e) for e in pairs}
+    current = -math.inf
     for _ in range(FW_MAX_ITERATIONS):
-        us = group_utils(x)
-        grad = [0.0] * len(pairs)
-        for key, u in zip(keys, us):
-            g = objective.grad(u)
-            for i, e in enumerate(pairs):
-                if e[0] in members[key]:
-                    grad[i] += g * util[e]
-        lp.set_objective(
-            {col[e]: -Fraction(grad[i]) for i, e in enumerate(pairs) if grad[i]}
-        )
-        sol = solve_vertex(lp)
-        v = [float(sol.value(col[e])) for e in pairs]
-        us_v = group_utils(v)
-
-        def phi(gamma: float) -> float:
-            return total([(1 - gamma) * a + gamma * b for a, b in zip(us, us_v)])
-
-        lo, hi = 0.0, 1.0
-        for _ in range(100):  # exact enough ternary search on a concave section
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            if phi(m1) < phi(m2):
-                lo = m1
-            else:
-                hi = m2
-        gamma = (lo + hi) / 2
-        candidates = [(phi(g), g) for g in (0.0, gamma, 1.0)]
-        best_val, gamma = max(candidates, key=lambda p: (p[0], -p[1]))
-        if gamma > 0:
-            x = [(1 - gamma) * a + gamma * b for a, b in zip(x, v)]
-        new = total(group_utils(x))
+        us = [sum(w * uvecs[v][i] for v, w in weights.items()) for i in range(len(keys))]
+        new = sum(objective.f(u) for u in us)
         if new < current - 1e-12:
             raise InvariantViolation("conditional-gradient objective decreased")
-        if abs(new - current) <= FW_TOLERANCE * max(1.0, abs(current)):
-            current = new
-            break
         current = new
+        grad = [objective.grad(u) for u in us]
+        # the LP reads the slopes exactly, summed over each agent's groups
+        slope = dict(zip(keys, map(Fraction, grad)))
+        scale = {a.id: sum((slope.get(k, ZERO) for k in a.groups.items()), ZERO) for a in instance.agents}
+        lp.set_objective({col[e]: -scale[e[0]] * util[e] for e in pairs})
+        s = vertex(solve_vertex(lp))
+        here = dot(grad, us)
+        gap = dot(grad, uvecs[s]) - here
+        if gap <= FW_TOLERANCE * max(1.0, abs(current)):
+            break
+        a = min(weights, key=lambda v: dot(grad, uvecs[v]))
+        toward = gap >= here - dot(grad, uvecs[a])  # else away from ``a``
+        t, sign, top = (s, 1, 1.0) if toward else (a, -1, weights[a] / (1 - weights[a]))
+        gamma = _line_search(objective, us, [sign * (b - u) for b, u in zip(uvecs[t], us)], top)
+        weights = {v: w * (1 - sign * gamma) for v, w in weights.items()}
+        weights[t] = weights.get(t, 0.0) + sign * gamma
+        if not toward and gamma >= top * (1 - FW_TOLERANCE):
+            weights[a] = 0.0  # a drop step: ``a`` leaves the active set
+        weights = {v: w for v, w in weights.items() if w > 0}
 
-    values = {
-        e: snap(x[i], SNAP_DENOMINATOR)
-        for i, e in enumerate(pairs)
-        if snap(x[i], SNAP_DENOMINATOR) != 0
-    }
+    snapped = {v: snap(w, SNAP_DENOMINATOR) for v, w in weights.items()}
+    total = sum(snapped.values())
+    values: dict[Pair, Fraction] = {}
+    for v, w in snapped.items():
+        for e, x in v:
+            values[e] = values.get(e, ZERO) + w / total * x
     return Allocation(values)
+
+
+def _line_search(objective: FairObjective, us: list[float], d: list[float], top: float) -> float:
+    """The step in [0, top] maximizing sum_g f(us_g + gamma d_g): where the
+    slope of that concave section changes sign, by bisection."""
+
+    def slope(gamma: float) -> float:
+        return sum(objective.grad(u + gamma * dk) * dk for u, dk in zip(us, d) if dk)
+
+    if slope(top) >= 0:
+        return top
+    lo, hi = 0.0, top
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if slope(mid) >= 0 else (lo, mid)
+    return lo
 
 
 def refine_to_vertex(
@@ -294,8 +297,9 @@ def refine_to_vertex(
     """Exact vertex of the polytope of allocations that give every group at
     least (1 - REFINE_TOLERANCE) times the utility it enjoys under ``x_star``.
 
-    Retries once with a looser tolerance when float drift in ``x_star`` made
-    the first polytope empty.
+    A point of the allocation polytope, as ``solve_fair_fractional``
+    returns, lies in the first polytope.  A point outside it (one that
+    drifted) gets one retry with a looser tolerance.
     """
     instance = _assignment_instance(instance)
     targets = group_utilities(x_star, utilities, instance)
@@ -450,46 +454,27 @@ def gen_lower_bound_instance(kind: str, n: int) -> tuple[Instance, UtilityModel]
     cycle of n unit-capacity resources where only odd resources carry value;
     zero capacity deviation leaves one group with nothing.
     """
+    resources = [(f"r{i}", 1) for i in range(1, n + 1)]
     if kind == "capacity":
         if n < 2:
             raise InvalidInstanceError("capacity family needs n >= 2")
         agents = [AgentSpec(f"a{i}", 1, {"group": f"g{i}"}) for i in range(1, n + 1)]
-        resources = [(f"r{i}", 1) for i in range(1, n + 1)]
-        inst = Instance(
-            agents,
-            resources,
-            binding={a.id for a in agents},
-            dimensions=("group",),
-        )
-        util = UtilityModel(
-            additive={a.id: {"r1": ONE} for a in agents}
-        )
-        return inst, util
-    if kind == "utility-cycle":
+        valued, accept = ["r1"], None
+    elif kind == "utility-cycle":
         if n < 2 or n % 2:
             raise InvalidInstanceError("utility-cycle family needs even n >= 2")
         half = n // 2
         agents = [AgentSpec(f"a{i}", 1, {"group": "g1"}) for i in range(1, half + 1)]
         agents += [AgentSpec(f"b{i}", 1, {"group": "g2"}) for i in range(1, half + 1)]
-        resources = [(f"r{i}", 1) for i in range(1, n + 1)]
+        # a_i takes r(2i-1) or r(2i), b_i takes r(2i) or r(2i+1), around the cycle
         accept = set()
         for i in range(1, half + 1):
-            accept.add((f"a{i}", f"r{2 * i - 1}"))
-            accept.add((f"a{i}", f"r{2 * i}"))
-            wrap = 2 * i + 1 if 2 * i + 1 <= n else (2 * i + 1) - n
-            accept.add((f"b{i}", f"r{2 * i}"))
-            accept.add((f"b{i}", f"r{wrap}"))
-        inst = Instance(
-            agents,
-            resources,
-            binding={a.id for a in agents},
-            dimensions=("group",),
-            acceptability=frozenset(accept),
-        )
-        util = UtilityModel(
-            additive={
-                a.id: {f"r{i}": ONE for i in range(1, n + 1, 2)} for a in agents
-            }
-        )
-        return inst, util
-    raise InvalidInstanceError(f"unknown lower-bound family {kind!r}")
+            accept |= {(f"a{i}", f"r{2 * i - 1}"), (f"a{i}", f"r{2 * i}")}
+            accept |= {(f"b{i}", f"r{2 * i}"), (f"b{i}", f"r{2 * i % n + 1}")}
+        valued = [f"r{i}" for i in range(1, n + 1, 2)]
+    else:
+        raise InvalidInstanceError(f"unknown lower-bound family {kind!r}")
+    inst = Instance(
+        agents, resources, binding={a.id for a in agents}, dimensions=("group",), acceptability=accept
+    )
+    return inst, UtilityModel(additive={a.id: dict.fromkeys(valued, ONE) for a in agents})

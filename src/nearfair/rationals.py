@@ -2,9 +2,10 @@
 
 All quantitative instance data in this package is `fractions.Fraction`; the
 only floats live inside the convex-optimization stage and the logarithmic
-objective coefficients of apportionment.  The Frank-Wolfe iterate gets
-snapped back to rationals with a bounded denominator; the Frank-Wolfe
-gradient and the log costs are read exactly (``Fraction(float)``).
+objective coefficients of apportionment.  Frank-Wolfe keeps its vertices
+exact and snaps only their float weights to rationals with a bounded
+denominator; the Frank-Wolfe gradient and the log costs are read exactly
+(``Fraction(float)``).
 """
 
 from __future__ import annotations

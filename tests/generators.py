@@ -9,7 +9,7 @@ from typing import Optional
 from nearfair.couples import CouplesInstance
 from nearfair.envyfree import HomogeneousInstance
 from nearfair.exactlp import LinearProgram, feasible_vertex, solve_vertex
-from nearfair.apportionment import MAInstance
+from nearfair.apportionment import MAInstance, SignpostMethod, highest_averages
 from nearfair.fairness import allocation_polytope
 from nearfair.model import (
     AgentSpec,
@@ -320,13 +320,39 @@ def random_ma(
 
 def vote_table(rng: random.Random, parties: int, districts: int) -> str:
     """Party x district vote table in the CSV shape of ``nearfair apportion
-    --csv``, votes 100 to 100,000 drawn party by party: the election-scale
-    biproportional markets (Zurich: 125 seats over 9 districts)."""
+    --csv``, votes 100 to 100,000 drawn party by party.  The CSV carries no
+    marginals, so its seat LP has one row, the house."""
     lines = [",".join(["party"] + [f"d{j}" for j in range(districts)])]
     for i in range(parties):
         row = [str(rng.randint(100, 100_000)) for _ in range(districts)]
         lines.append(",".join([f"p{i}"] + row))
     return "\n".join(lines) + "\n"
+
+
+def biproportional_ma(
+    rng: random.Random, parties: int, districts: int, house: int
+) -> MAInstance:
+    """Party x district table with votes drawn as ``vote_table`` draws them
+    and every party and district total fixed (window b = B) by Webster's
+    ``highest_averages`` on the party and on the district vote totals: the
+    upper apportionment of a biproportional election (Zurich: 125 seats
+    over 9 districts), whose marginals the seats must meet exactly."""
+    groups = {
+        "party": tuple(f"p{i}" for i in range(parties)),
+        "district": tuple(f"d{j}" for j in range(districts)),
+    }
+    votes = {
+        (p, d): rng.randint(100, 100_000) for p in groups["party"] for d in groups["district"]
+    }
+    lower = {}
+    for li, dim in enumerate(("party", "district")):
+        totals = {g: sum(v for e, v in votes.items() if e[li] == g) for g in groups[dim]}
+        seats = highest_averages(SignpostMethod.webster(), totals, house)
+        lower.update({(dim, g): n for g, n in seats.items()})
+    return MAInstance(
+        dims=("party", "district"), groups=groups, votes=votes,
+        lower=lower, upper=dict(lower), house=house,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from nearfair.errors import (
     InvariantViolation,
 )
 
-from generators import random_ma, vote_table
+from generators import biproportional_ma, random_ma, vote_table
 
 
 WEB = SignpostMethod.webster()
@@ -212,6 +212,66 @@ def test_d1_window_may_override_the_divisor_rule():
     res = approx_apportionment(ma, WEB, (1,))
     assert res.seats == {("p0",): 1, ("p1",): 2}
     assert not divisor_certified(WEB, ma.votes, res.seats)
+
+
+CELLS_2X2 = [(p, d) for p in ("p0", "p1") for d in ("d0", "d1")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.sampled_from([WEB, JEF, ADA]),
+    base=st.integers(10**11, 10**12),
+    offsets=st.lists(st.integers(0, 12), min_size=4, max_size=4, unique=True),
+    extra=st.integers(0, 6),
+)
+def test_near_ties_at_d2_are_certified_over_the_cells(method, base, offsets, extra):
+    """An unwindowed 2 x 2 table whose votes differ by a few: its seats are
+    highest averages over the four cells and pass the divisor certificate
+    over them, which every one-seat move fails."""
+    ma = MAInstance(
+        dims=("party", "district"),
+        groups={"party": ("p0", "p1"), "district": ("d0", "d1")},
+        votes={e: base + o for e, o in zip(CELLS_2X2, offsets)},
+        lower={},
+        upper={},
+        house=len(CELLS_2X2) + extra,  # adams seats every cell first
+    )
+    assume(not _has_priority_tie(method, ma.votes, ma.house))
+    seats = approx_apportionment(ma, method, (1, 1)).seats
+    assert seats == highest_averages(method, ma.votes, ma.house)
+    assert divisor_certified(method, ma.votes, seats)
+    assert not any(divisor_certified(method, ma.votes, m) for m in moved_seats(seats))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_unwindowed_result_failing_the_divisor_certificate_is_an_invariant_violation(
+    monkeypatch, d
+):
+    ma = random_ma(random.Random(73), d=d, max_groups=3, max_house=6)
+    seats = lp_seats(ma, WEB)
+    src, dst = next(
+        (a, b) for a, b in itertools.permutations(seats, 2)
+        if seats[a] and not divisor_certified(
+            WEB, ma.votes, {**seats, a: seats[a] - 1, b: seats[b] + 1}
+        )
+    )
+    # a 0/1 vertex with one seat moved from cell src to cell dst
+    x = solve_lp_ma(ma, WEB)
+    x[(src, seats[src])], x[(dst, seats[dst] + 1)] = Fraction(0), Fraction(1)
+    monkeypatch.setattr(apportionment, "solve_lp_ma", lambda ma, method: x)
+    with pytest.raises(InvariantViolation, match="divisor certificate"):
+        approx_apportionment(ma, WEB, (1,) * d)
+
+
+def test_biproportional_table_meets_every_marginal():
+    """Party and district totals fixed by Webster on the vote totals: the
+    seats meet every marginal exactly, and the marginals bind, since the
+    unwindowed apportionment of the cells differs."""
+    ma = biproportional_ma(random.Random(5), 4, 3, 20)
+    res = approx_apportionment(ma, WEB, (1, 1))
+    assert res.group_seats == ma.lower == ma.upper
+    assert res.house_deviation == 0 and sum(res.seats.values()) == 20
+    assert res.seats != highest_averages(WEB, ma.votes, ma.house)
 
 
 @pytest.mark.parametrize("d", [1, 2])

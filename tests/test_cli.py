@@ -198,7 +198,7 @@ def test_budget_command_matches_library_conditions(capsys):
                     assert out["slack"] == str(fairness_condition(inst, alpha, delta))
                     assert out["delta_plus"] == delta_plus_bound(inst, delta)
                     assert out["condition"] == CONDITIONS["assignment"].text
-                    out = cli("couples", *base)
+                    out = cli("couples", *base[:4])  # omega is fixed at 2
                     assert out["slack"] == str(couples_condition(ci, alpha, delta))
                     assert out["condition"] == CONDITIONS["couples"].text
                     out = cli("envyfree", *base, "--groups", groups)
@@ -240,7 +240,7 @@ def test_budget_apportion_matches_ma_condition(capsys):
             house=1,
         )
         slack = apportionment.ma_condition(ma, alpha)
-        code = main(["budget", "apportion", "--alpha", ",".join(map(str, alpha)), "--delta", "0"])
+        code = main(["budget", "apportion", "--alpha", ",".join(map(str, alpha))])
         out = json.loads(capsys.readouterr().out)
         assert out["slack"] == str(slack) and out["passed"] == (slack >= 0)
         assert code == (0 if slack >= 0 else 3)
@@ -261,6 +261,12 @@ def test_budget_with_a_tight_condition_and_psi_0_has_no_min_Delta(capsys):
         ["assignment", "couples", "--alpha", "3", "--delta", "2"],  # one market per run
         ["envyfree", "--alpha", "3", "--delta", "2"],  # no group counts
         ["nowhere", "--alpha", "3", "--delta", "2"],
+        ["assignment", "--alpha", "3"],  # no delta
+        # a flag the row does not read
+        ["apportion", "--alpha", "1", "--delta", "-1"],
+        ["apportion", "--alpha", "1", "--omega", "1"],
+        ["couples", "--alpha", "3", "--delta", "2", "--omega", "1"],
+        ["assignment", "--alpha", "3", "--delta", "2", "--psi", "0"],
     ],
 )
 def test_budget_usage_errors_exit_1_without_a_traceback(capsys, flags):

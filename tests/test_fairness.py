@@ -1,5 +1,6 @@
 """Fair assignment pipeline: objectives, refinement, bounds, lower bounds."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nearfair import fairness
 from nearfair.errors import BudgetError, InfeasibleInstanceError, RefinementInfeasibleError
-from nearfair.exactlp import solve_vertex, vertex_rank
+from nearfair.exactlp import feasible_vertex, solve_vertex, vertex_rank
 from nearfair.fairness import (
     FairObjective,
     allocation_polytope,
@@ -245,6 +246,74 @@ def test_frank_wolfe_runs_one_phase_one(phase_one_runs, objective):
     inst, u = gen_lower_bound_instance("capacity", 6)
     solve_fair_fractional(inst, u, getattr(FairObjective, objective)())
     assert len(phase_one_runs) == 1
+
+
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """Calls fairness makes to the exact LP's optimizer."""
+    calls = []
+
+    def counted(lp):
+        calls.append(lp.n)
+        return solve_vertex(lp)
+
+    monkeypatch.setattr(fairness, "solve_vertex", counted)
+    return calls
+
+
+def proportional_value(x, utilities, instance):
+    """sum_g log U_g over the groups that get positive utility."""
+    return sum(math.log(u) for u in group_utilities(x, utilities, instance).values() if u > 0)
+
+
+def test_frank_wolfe_does_not_crawl(lp_solves):
+    """A market on which Frank-Wolfe without away steps took 9,382 LP solves:
+    three singleton groups, demands 1, 2, 1, capacities r0 = 1, r1 = 5."""
+    agents = [AgentSpec(f"a{i}", w, {"g": f"g{i}"}) for i, w in enumerate((1, 2, 1))]
+    inst = Instance(agents, [("r0", 1), ("r1", 5)], binding={"a0", "a1", "a2"}, dimensions=("g",))
+    u = UtilityModel(additive={
+        "a0": {"r0": 6, "r1": 1}, "a1": {"r0": 3, "r1": 6}, "a2": {"r0": 4, "r1": 1},
+    })
+    x = solve_fair_fractional(inst, u, FairObjective.proportional())
+    assert len(lp_solves) <= 50
+    assert proportional_value(x, u, inst) >= 4.6615
+
+
+def test_proportional_point_is_exact_and_beats_its_seed(lp_solves, monkeypatch):
+    """On small proportional markets x* is an exact point of the polytope
+    that refines on the first attempt, it is no worse than the mean of the
+    group optima it starts from, and few LPs reach it."""
+    phase_ones = []
+    monkeypatch.setattr(
+        fairness, "feasible_vertex", lambda lp: phase_ones.append(lp.n) or feasible_vertex(lp)
+    )
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(150):
+        inst, u = random_instance(rng, max_agents=4, max_resources=3, max_dims=1, all_binding=True)
+        lp_solves.clear()
+        try:
+            x = solve_fair_fractional(inst, u, FairObjective.proportional())
+        except InfeasibleInstanceError:
+            continue
+        assert len(lp_solves) <= 20
+        assert x.check_allocation(inst, capacities=True) == []
+        lp, pairs, col = allocation_polytope(inst)
+        optima = []
+        for key in inst.group_keys():
+            sol = fairness._group_optimum(lp, pairs, col, u, inst.group_members(*key))
+            if sol.objective < 0:
+                optima.append(Allocation({e: sol.value(col[e]) for e in pairs}))
+        if optima:
+            seed = Allocation({
+                e: sum(y.value(*e) for y in optima) / len(optima) for e in pairs
+            })
+            assert proportional_value(x, u, inst) >= proportional_value(seed, u, inst) - 1e-12
+        phase_ones.clear()
+        refine_to_vertex(inst, u, x)
+        assert len(phase_ones) == 1  # the first, tighter polytope is not empty
+        checked += 1
+    assert checked == 103
 
 
 # -- proportionality -----------------------------------------------------------
