@@ -13,7 +13,6 @@ from .errors import (
     InvariantViolation,
     NearFairError,
     NoDominatingVertexError,
-    RefinementInfeasibleError,
     ScaleExceededError,
     SchemaError,
 )

@@ -256,11 +256,16 @@ def cmd_gen(args) -> int:
 def cmd_budget(args) -> int:
     row = CONDITIONS[args.market]
     # a row reads --delta and --omega only through its resource term, and
-    # --omega and --psi only where it does not fix their values
+    # --omega and --psi only where it does not fix their values; only the
+    # assignment market's delta_plus cap reads --agents and --resources, and
+    # only it and the envy rows read --groups
     reads = {
         "delta": row.delta_shift is not None,
         "omega": row.delta_shift is not None and row.omega is None,
         "psi": row.psi is None,
+        "agents": args.market == "assignment",
+        "resources": args.market == "assignment",
+        "groups": row.envy or args.market == "assignment",
     }
     for flag, read in reads.items():
         if not read and getattr(args, flag) is not None:
@@ -269,13 +274,15 @@ def cmd_budget(args) -> int:
         raise SchemaError(f"the {args.market} condition needs --delta")
     if row.envy and args.groups is None:
         raise SchemaError(f"the {args.market} condition needs --groups K_LIST")
+    if (args.agents is None) != (args.resources is None):
+        raise SchemaError("delta_plus needs both --agents and --resources")
     delta = args.delta or 0
     omega = 1 if args.omega is None else args.omega
     psi = 1 if args.psi is None else args.psi
     slack = row.slack(args.alpha, delta, omega, psi=psi, counts=args.groups)
     passed = slack >= 0
     doc: dict = {"condition": row.text, "slack": rat_str(slack)}
-    if args.market == "assignment" and args.agents and args.resources:
+    if args.agents is not None:
         doc["delta_plus"] = fair.delta_plus(
             omega, args.agents, args.resources, sum(args.groups or ()), delta
         )

@@ -46,13 +46,6 @@ class NoDominatingVertexError(NearFairError):
     exit_code, label = 2, "infeasible"
 
 
-class RefinementInfeasibleError(NearFairError):
-    """Vertex refinement of a fair fractional solution stayed infeasible
-    even after the tolerance was relaxed."""
-
-    exit_code, label = 2, "infeasible"
-
-
 class SchemaError(NearFairError):
     """Malformed instance / allocation JSON."""
 

@@ -1,12 +1,13 @@
 """Group-fair assignment pipeline.
 
 Maximizes a concave function of each group's utility over the fractional
-allocation polytope and rounds the resulting vertex with a budget admitted
+allocation polytope and rounds the resulting point with a budget admitted
 by the "assignment" row of ``rounding.CONDITIONS`` (per-resource budget
 delta + 1, psi = 1).  The utilitarian objective is linear, so one exact LP
 gives its optimum as a vertex.  Only non-linear objectives run away-step
-Frank-Wolfe over exact LP vertices, whose exact convex combination is then
-refined to a vertex that gives every group at least the utility it had.
+Frank-Wolfe over exact LP vertices, whose exact convex combination, a point
+of the polytope, is rounded as it is: the rounder takes any point, not only
+a vertex.
 
 The rounded assignment gives every agent exactly one bundle, lets each
 group's utility drift strictly less than alpha_l times its best single
@@ -21,12 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import (
-    InfeasibleInstanceError,
-    InvalidInstanceError,
-    InvariantViolation,
-    RefinementInfeasibleError,
-)
+from .errors import InfeasibleInstanceError, InvalidInstanceError, InvariantViolation
 from .exactlp import LinearProgram, VertexSolution, feasible_vertex, solve_vertex
 from .model import (
     Allocation,
@@ -44,8 +40,6 @@ from .rounding import CONDITIONS, Certificate, DeviationBudget, capacity_excess,
 FW_TOLERANCE = 1e-9
 FW_MAX_ITERATIONS = 10**4
 SNAP_DENOMINATOR = 10**6
-REFINE_TOLERANCE = Fraction(1, 10**6)
-REFINE_RETRY_TOLERANCE = Fraction(1, 10**4)
 SPOT_CHECK_SAMPLES = (0.5, 1.0, 2.0, 5.0, 9.0)
 
 
@@ -84,7 +78,7 @@ class FairObjective:
     @property
     def linear(self) -> bool:
         """One exact LP optimizes a linear objective and returns an exact
-        vertex; the others run Frank-Wolfe and then ``refine_to_vertex``."""
+        vertex; the others run Frank-Wolfe to an exact point of the polytope."""
         return self.kind == "utilitarian"
 
     def grad(self, z: float) -> float:
@@ -292,39 +286,23 @@ def _line_search(objective: FairObjective, us: list[float], d: list[float], top:
 def refine_to_vertex(
     instance: Instance,
     utilities: UtilityModel,
-    x_star: Allocation,
+    x: Allocation,
 ) -> Allocation:
     """Exact vertex of the polytope of allocations that give every group at
-    least (1 - REFINE_TOLERANCE) times the utility it enjoys under ``x_star``.
-
-    A point of the allocation polytope, as ``solve_fair_fractional``
-    returns, lies in the first polytope.  A point outside it (one that
-    drifted) gets one retry with a looser tolerance.
-    """
+    least the utility it enjoys under ``x``, a point of the allocation
+    polytope."""
     instance = _assignment_instance(instance)
-    targets = group_utilities(x_star, utilities, instance)
-
-    def attempt(tol: Fraction) -> Optional[Allocation]:
-        lp, pairs, col = allocation_polytope(instance)
-        for key, target in targets.items():
-            mem = instance.group_members(*key)
-            coeffs = {col[e]: utilities.of(*e) for e in pairs if e[0] in mem}
-            lp.add_constraint(coeffs, ">=", target * (1 - tol))
-        sol = feasible_vertex(lp)
-        if not sol.optimal:
-            return None
-        return Allocation(
-            {e: sol.value(col[e]) for e in pairs if sol.value(col[e]) != 0}
-        )
-
-    out = attempt(REFINE_TOLERANCE)
-    if out is None:
-        out = attempt(REFINE_RETRY_TOLERANCE)
-    if out is None:
-        raise RefinementInfeasibleError(
-            "group utility bounds stayed infeasible after relaxing the tolerance"
-        )
-    return out
+    problems = x.check_allocation(instance, capacities=True)
+    if problems:
+        raise InvalidInstanceError(f"not a point of the allocation polytope: {problems[0]}")
+    lp, pairs, col = allocation_polytope(instance)
+    for key, target in group_utilities(x, utilities, instance).items():
+        mem = instance.group_members(*key)
+        lp.add_constraint({col[e]: utilities.of(*e) for e in pairs if e[0] in mem}, ">=", target)
+    sol = feasible_vertex(lp)
+    if not sol.optimal:
+        raise InvariantViolation("the group utility bounds exclude the point they were read from")
+    return Allocation({e: sol.value(col[e]) for e in pairs if sol.value(col[e]) != 0})
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +334,7 @@ def fairness_condition(instance: Instance, alpha: tuple[int, ...], delta: int) -
 @dataclass
 class FairResult:
     fractional: Allocation
-    fractional_path: str  # "exact_lp" or "frank_wolfe_refined"
+    fractional_path: str  # "exact_lp" or "frank_wolfe"
     rounded: Allocation
     delta: int
     delta_plus: int
@@ -372,12 +350,11 @@ def approx_fair_allocation(
     alpha: tuple[int, ...],
     delta: int,
 ) -> FairResult:
-    """Full pipeline: fair fractional vertex (refined from the Frank-Wolfe
-    point unless the objective is utilitarian), rounding."""
+    """Full pipeline: fair fractional point (an exact LP vertex under the
+    utilitarian objective, the Frank-Wolfe point otherwise), rounding."""
     instance = _assignment_instance(instance)
     CONDITIONS["assignment"].require(alpha, delta, instance.omega_star, d=len(instance.dimensions))
     x_star = solve_fair_fractional(instance, utilities, objective)
-    x_fair = x_star if objective.linear else refine_to_vertex(instance, utilities, x_star)
 
     budget = DeviationBudget(
         alpha=tuple(alpha),
@@ -386,7 +363,7 @@ def approx_fair_allocation(
         psi=1,
         omega_star=instance.omega_star,
     )
-    y, cert = iterative_round(instance, x_fair, utilities, budget)
+    y, cert = iterative_round(instance, x_star, utilities, budget)
 
     dplus = delta_plus_bound(instance, delta)
     excess = capacity_excess(instance, y, delta)
@@ -396,8 +373,8 @@ def approx_fair_allocation(
             f"total excess {total_excess} exceeds the cap {dplus}"
         )
     return FairResult(
-        fractional=x_fair,
-        fractional_path="exact_lp" if objective.linear else "frank_wolfe_refined",
+        fractional=x_star,
+        fractional_path="exact_lp" if objective.linear else "frank_wolfe",
         rounded=y,
         delta=delta,
         delta_plus=dplus,

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
     "round": "8cda691745f2f6bad4a87928b29b8de560a1d8131238c512312b2cd7ecb0cea6",
-    "assign": "07856d9fbcc5f9494c546d8f1814403ad3d121252bc4d7dd68747bca5008dff0",
+    "assign": "cde221a05edbd53e2ba676d189cfc458a37234c398152127c3579b0bceeb2dfd",
     "couples": "92801ae16d60cbd1248f05b90be6061d023b88fbb70577480c2fc13d14bd901d",
     "apportion": "8309ecce261e0364e93d097b9281bc7288d451520c8bbe4e48bf9527444c9707",
 }

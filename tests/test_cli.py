@@ -267,6 +267,15 @@ def test_budget_with_a_tight_condition_and_psi_0_has_no_min_Delta(capsys):
         ["apportion", "--alpha", "1", "--omega", "1"],
         ["couples", "--alpha", "3", "--delta", "2", "--omega", "1"],
         ["assignment", "--alpha", "3", "--delta", "2", "--psi", "0"],
+        ["couples", "--alpha", "7", "--delta", "14", "--agents", "5"],
+        ["round", "--alpha", "3", "--delta", "3", "--resources", "2"],
+        ["envyfree", "--alpha", "7", "--delta", "3", "--groups", "2", "--agents", "5"],
+        ["apportion", "--alpha", "1", "--agents", "5", "--resources", "2"],
+        ["couples", "--alpha", "7", "--delta", "14", "--groups", "2"],
+        ["round", "--alpha", "3", "--delta", "3", "--groups", "2"],
+        # delta_plus reads both sizes
+        ["assignment", "--alpha", "3", "--delta", "3", "--agents", "5"],
+        ["assignment", "--alpha", "3", "--delta", "3", "--resources", "2"],
     ],
 )
 def test_budget_usage_errors_exit_1_without_a_traceback(capsys, flags):
@@ -295,7 +304,7 @@ def test_gen_round_trip_and_solve(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "objective, path", [("utilitarian", "exact_lp"), ("proportional", "frank_wolfe_refined")]
+    "objective, path", [("utilitarian", "exact_lp"), ("proportional", "frank_wolfe")]
 )
 def test_solve_assignment_names_the_fractional_path(tmp_path, capsys, objective, path):
     inst_file = write(tmp_path, "inst.json", serialize_instance(*demo_instance()))
@@ -303,6 +312,27 @@ def test_solve_assignment_names_the_fractional_path(tmp_path, capsys, objective,
                  "--delta", "6", "--objective", objective])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["fractional_path"] == path
+
+
+def test_proportional_fractional_point_checks_against_its_rounding(tmp_path, capsys):
+    """``solve assignment`` rounds the Frank-Wolfe point itself, so ``check``
+    certifies the printed rounding against the printed ``fractional`` at the
+    rounder's budget (delta + 1, psi 1)."""
+    inst_file = str(tmp_path / "inst.json")
+    assert main(["gen", "lowerbound", "--kind", "capacity", "-n", "6", "--out", inst_file]) == 0
+    code = main(["solve", "assignment", "--instance", inst_file, "--objective", "proportional",
+                 "--alpha", "3", "--delta", "6"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["fractional_path"] == "frank_wolfe"
+    x_file = write(tmp_path, "x.json", {"entries": out["fractional"]})
+    y_file = write(tmp_path, "y.json", {"entries": out["allocation"]})
+    code = main(["check", "--instance", inst_file, "--allocation", y_file, "--against", x_file,
+                 "--alpha", "3", "--delta", "7", "--psi", "1"])
+    checked = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert checked["allocation_problems"] == []
+    assert checked["certificate"]["violations"] == []
 
 
 def test_round_identity_on_integral(tmp_path, capsys):

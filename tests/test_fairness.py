@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearfair import fairness
-from nearfair.errors import BudgetError, InfeasibleInstanceError, RefinementInfeasibleError
-from nearfair.exactlp import feasible_vertex, solve_vertex, vertex_rank
+from nearfair.errors import BudgetError, InfeasibleInstanceError, InvalidInstanceError
+from nearfair.exactlp import solve_vertex, vertex_rank
 from nearfair.fairness import (
     FairObjective,
     allocation_polytope,
@@ -125,16 +125,34 @@ def test_utilitarian_capacity_family_needs_no_rounding():
     assert result.certificate.ok()
 
 
-def test_only_non_linear_objectives_refine(monkeypatch):
+def test_no_objective_refines(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("refine_to_vertex ran")
 
     monkeypatch.setattr(fairness, "refine_to_vertex", refused)
     inst, u = gen_lower_bound_instance("utility-cycle", 6)
-    result = approx_fair_allocation(inst, u, FairObjective.utilitarian(), (3,), 2)
+    for objective in (FairObjective.utilitarian(), FairObjective.proportional()):
+        assert approx_fair_allocation(inst, u, objective, (3,), 2).certificate.ok()
+
+
+@pytest.mark.parametrize("kind, n", [("capacity", 6), ("utility-cycle", 8)])
+def test_proportional_pipeline_rounds_the_frank_wolfe_point(kind, n):
+    """On the benchmark's proportional lower-bound markets the pipeline
+    rounds x* itself, and each group's rounded utility stays within its
+    alpha bound of the utility it has under x*."""
+    inst, u = gen_lower_bound_instance(kind, n)
+    alpha, delta = (2,), 4  # the smallest admissible uniform budget
+    assert fairness_condition(inst, alpha, delta) == 0
+    result = approx_fair_allocation(inst, u, FairObjective.proportional(), alpha, delta)
+    x_star = solve_fair_fractional(inst, u, FairObjective.proportional())
+    assert result.fractional == x_star
+    assert result.fractional_path == "frank_wolfe"
     assert result.certificate.ok()
-    with pytest.raises(AssertionError, match="refine_to_vertex ran"):
-        approx_fair_allocation(inst, u, FairObjective.proportional(), (3,), 2)
+    before = group_utilities(x_star, u, inst)
+    after = group_utilities(result.rounded, u, inst)
+    maxima = u.group_maxima(inst)
+    for key, value in before.items():
+        assert abs(after[key] - value) < alpha[0] * maxima[key]
 
 
 @settings(max_examples=25, deadline=None)
@@ -185,29 +203,30 @@ def test_refine_keeps_group_utility_and_returns_vertex():
     )
     xf = refine_to_vertex(inst, u, x_star)
     target = group_utilities(x_star, u, inst)[("g", "g1")]
-    assert group_utilities(xf, u, inst)[("g", "g1")] >= target * (1 - Fraction(1, 10**6))
+    assert group_utilities(xf, u, inst)[("g", "g1")] >= target
     # an endpoint: everything integral on this polytope
     assert all(v == 1 for v in xf.values.values())
 
 
-def test_refine_retry_path_and_failure():
-    inst = unit()
+def test_refine_takes_only_points_of_the_polytope():
     u = UtilityModel(additive={"a": {"r1": 1, "r2": Fraction(1, 2)}})
-    inst2 = Instance(
+    inst = Instance(
         [AgentSpec("a", 1, {"g": "g1"})],
         [("r1", 1), ("r2", 1)],
         binding={"a"},
         dimensions=("g",),
     )
     b1, b2 = Bundle.of({"r1": 1}), Bundle.of({"r2": 1})
-    # overshoots the optimum by 5e-5: infeasible at 1e-6, feasible at 1e-4
+    # overshoots the optimum by 5e-5, and grossly
     drifted = Allocation({("a", b1): 1, ("a", b2): Fraction(1, 10000)})
-    xf = refine_to_vertex(inst2, u, drifted)
-    assert xf.check_allocation(inst2) == []
-    # a gross overshoot stays infeasible after the retry
     hopeless = Allocation({("a", b1): 1, ("a", b2): 1})
-    with pytest.raises(RefinementInfeasibleError):
-        refine_to_vertex(inst2, u, hopeless)
+    for x in (drifted, hopeless):
+        with pytest.raises(InvalidInstanceError, match="not a point of the allocation polytope"):
+            refine_to_vertex(inst, u, x)
+    x = Allocation({("a", b1): Fraction(1, 3), ("a", b2): Fraction(2, 3)})
+    xf = refine_to_vertex(inst, u, x)
+    assert xf.check_allocation(inst, capacities=True) == []
+    assert group_utilities(xf, u, inst)[("g", "g1")] >= group_utilities(x, u, inst)[("g", "g1")]
 
 
 # -- end-to-end ----------------------------------------------------------------
@@ -279,14 +298,10 @@ def test_frank_wolfe_does_not_crawl(lp_solves):
     assert proportional_value(x, u, inst) >= 4.6615
 
 
-def test_proportional_point_is_exact_and_beats_its_seed(lp_solves, monkeypatch):
-    """On small proportional markets x* is an exact point of the polytope
-    that refines on the first attempt, it is no worse than the mean of the
-    group optima it starts from, and few LPs reach it."""
-    phase_ones = []
-    monkeypatch.setattr(
-        fairness, "feasible_vertex", lambda lp: phase_ones.append(lp.n) or feasible_vertex(lp)
-    )
+def test_proportional_point_is_exact_and_beats_its_seed(lp_solves):
+    """On small proportional markets x* is an exact point of the polytope,
+    it is no worse than the mean of the group optima it starts from, few
+    LPs reach it, and the pipeline rounds it to a certified assignment."""
     rng = random.Random(5)
     checked = 0
     for _ in range(150):
@@ -309,9 +324,11 @@ def test_proportional_point_is_exact_and_beats_its_seed(lp_solves, monkeypatch):
                 e: sum(y.value(*e) for y in optima) / len(optima) for e in pairs
             })
             assert proportional_value(x, u, inst) >= proportional_value(seed, u, inst) - 1e-12
-        phase_ones.clear()
-        refine_to_vertex(inst, u, x)
-        assert len(phase_ones) == 1  # the first, tighter polytope is not empty
+        alpha = (2,) * len(inst.dimensions)
+        delta = next(d for d in range(100) if fairness_condition(inst, alpha, d) >= 0)
+        result = approx_fair_allocation(inst, u, FairObjective.proportional(), alpha, delta)
+        assert result.fractional == x
+        assert result.certificate.ok()
         checked += 1
     assert checked == 103
 
