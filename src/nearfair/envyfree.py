@@ -172,25 +172,23 @@ def _scaled_envy(
     |i|/|j| times i's utility for j's allocation, minus i's own utility."""
     inst = h.instance
     own_utility = group_utilities(x, h.utilities, inst)
+    nums, den = x.scaled()
+    den *= h.utilities.den
     out = {}
     for dim in inst.dimensions:
         groups = inst.groups_in(dim)
         for i in groups:
             mem_i = inst.group_members(dim, i)
             own = own_utility[(dim, i)]
+            rep = h._rep[(dim, i)]  # every member of i values a bundle alike
             for j in groups:
                 if i == j:
                     continue
                 mem_j = inst.group_members(dim, j)
                 envied = sum(
-                    (
-                        h.group_utility_of(dim, i, q) * v
-                        for (b, q), v in x.values.items()
-                        if b in mem_j
-                    ),
-                    ZERO,
+                    h.utilities.numerator(rep, q) * n for (b, q), n in nums.items() if b in mem_j
                 )
-                out[(dim, i, j)] = Fraction(len(mem_i), len(mem_j)) * envied - own
+                out[(dim, i, j)] = Fraction(len(mem_i) * envied, len(mem_j) * den) - own
     return out
 
 
@@ -245,11 +243,11 @@ def _envy_rows(h: HomogeneousInstance) -> GroupRows:
                 rhs -= f * h.group_utility_of(dim, i, e[1])
         return coeffs, rhs
 
-    def rows(members, groups, by_agent, x_cur):
+    def rows(members, groups, by_agent, x_cur, den):
         # each agent's entries at one: outside F, they move the right-hand side
         whole: dict[str, list[Pair]] = {}
         for e, v in x_cur.items():
-            if v == 1:
+            if v == den:
                 whole.setdefault(e[0], []).append(e)
         out = []
         for dim, i in groups:

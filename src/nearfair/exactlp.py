@@ -11,7 +11,9 @@ values as integer ``(numerator, denominator)`` pairs and compares ratio-test
 steps by cross-multiplication, and the feasibility check sums each row's
 integer numerators over the point's common denominator; only the model
 (``LinearProgram`` with its bounds) and every answer (``VertexSolution``)
-are ``fractions.Fraction``.  Pricing is largest-coefficient with a
+are ``fractions.Fraction``; an answer also hands over its values as
+integer numerators over their least common denominator
+(``VertexSolution.scaled``).  Pricing is largest-coefficient with a
 smallest-index tie-break; after a long degenerate streak the solver switches
 permanently to Bland's rule, so termination is guaranteed and identical
 inputs give identical outputs.
@@ -42,7 +44,7 @@ from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvalidInstanceError, InvariantViolation
-from .rationals import ONE, ZERO, rat
+from .rationals import ONE, ZERO, over_lcm, rat
 
 _L, _U = 0, 1  # nonbasic rest positions
 
@@ -104,6 +106,13 @@ class VertexSolution:
     values: list[Fraction] = field(default_factory=list)
     objective: Fraction = ZERO
     tight_constraints: frozenset[int] = frozenset()
+    # ``values`` as integer numerators over their least common denominator,
+    # and that denominator; read from ``values`` when not given
+    scaled: Optional[tuple[list[int], int]] = None
+
+    def __post_init__(self):
+        if self.scaled is None:
+            self.scaled = over_lcm(v.as_integer_ratio() for v in self.values)
 
     @property
     def optimal(self) -> bool:
@@ -473,12 +482,13 @@ class _Tableau:
 
     # -- extraction ---------------------------------------------------------
 
-    def solution_values(self) -> list[Fraction]:
+    def solution_ratios(self) -> list[tuple[int, int]]:
+        """The structural values as integer pairs in lowest terms."""
         vals = [self._value(j) for j in range(self.n)]
         for i in range(self.m):
             if self.live[i] and self.basis[i] < self.n:
                 vals[self.basis[i]] = self.beta[i]
-        return [Fraction(p, q) for p, q in vals]
+        return vals
 
 
 # ---------------------------------------------------------------------------
@@ -534,21 +544,24 @@ def vertex_rank(
     return len(at_bound) + _rank(rest)
 
 
-def _check_feasible(lp: LinearProgram, values: Sequence[Fraction]) -> frozenset[int]:
+def _check_feasible(
+    lp: LinearProgram,
+    values: Sequence[Fraction],
+    scaled: Optional[tuple[list[int], int]] = None,
+) -> frozenset[int]:
     """Raise unless ``values`` meets every bound and constraint; return the
     constraints it meets with equality.
 
-    The point is read as integers ``x`` over one common denominator, so each
-    row's left-hand side is the integer sum of its numerators times ``x``,
-    compared with the right-hand side by cross-multiplication."""
+    The point is read as integers ``x`` over one common denominator (given
+    as ``scaled`` or read from ``values``), so each row's left-hand side is
+    the integer sum of its numerators times ``x``, compared with the
+    right-hand side by cross-multiplication."""
     for j, var in enumerate(lp.variables):
         if not (var.lb <= values[j] <= var.ub):
             raise InvariantViolation(
                 f"solver returned {values[j]} outside [{var.lb},{var.ub}] for {var.name!r}"
             )
-    ratios = [v.as_integer_ratio() for v in values]
-    den = reduce(lcm, [q for _, q in ratios], 1)
-    x = [p * (den // q) for p, q in ratios]
+    x, den = scaled or over_lcm(v.as_integer_ratio() for v in values)
     tight = set()
     for idx, c in enumerate(lp.constraints):
         row = c.row
@@ -564,8 +577,10 @@ def _check_feasible(lp: LinearProgram, values: Sequence[Fraction]) -> frozenset[
 
 
 def _finish(lp: LinearProgram, tab: _Tableau) -> VertexSolution:
-    values = tab.solution_values()
-    tight = _check_feasible(lp, values)
+    ratios = tab.solution_ratios()
+    values = [Fraction(p, q) for p, q in ratios]
+    scaled = over_lcm(ratios)
+    tight = _check_feasible(lp, values, scaled)
     if vertex_rank(lp, values, tight) != lp.n:
         raise InvariantViolation("optimal point is not a vertex: tight rows rank-deficient")
     obj = sum((v * values[j] for j, v in lp.objective.items()), ZERO)
@@ -574,6 +589,7 @@ def _finish(lp: LinearProgram, tab: _Tableau) -> VertexSolution:
         values=values,
         objective=obj,
         tight_constraints=tight,
+        scaled=scaled,
     )
 
 

@@ -7,6 +7,16 @@ to at most one group per dimension.  An allocation assigns to each agent at
 most one *bundle* (a multiset of resources matching the agent's demand);
 *binding* agents must receive exactly one.  Everything is exact-rational so
 that integrality and tightness tests downstream are decidable.
+
+``Fraction`` lives at the edges: utilities and allocation values are taken
+in as rationals, and loads, masses, group utilities and the violations of
+``check_allocation`` are handed out as rationals.  In between the sums run
+on integers.  An allocation's values are read once as integer numerators
+over their least common denominator (``Allocation.scaled``), and a
+``UtilityModel`` holds its utilities as integer numerators over one
+denominator of its own (``UtilityModel.den``), each (agent, bundle) pair
+read once per model.  A sum is then an integer sum, and one ``Fraction`` is
+built at the end.
 """
 
 from __future__ import annotations
@@ -14,10 +24,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvalidInstanceError
-from .rationals import ZERO, rat
+from .rationals import ONE, ZERO, over_lcm, rat
 
 # ---------------------------------------------------------------------------
 # Bundles
@@ -246,12 +258,14 @@ class Allocation:
     values: dict[Pair, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.values = {
-            e: rat(v) for e, v in self.values.items() if rat(v) != 0
-        }
+        values = {}
         for e, v in self.values.items():
-            if not (0 <= v <= 1):
-                raise InvalidInstanceError(f"allocation value {v} for {e} outside [0,1]")
+            v = rat(v)
+            if v:
+                if not 0 <= v <= 1:
+                    raise InvalidInstanceError(f"allocation value {v} for {e} outside [0,1]")
+                values[e] = v
+        self.values = values
 
     def value(self, agent_id: str, bundle: Bundle) -> Fraction:
         return self.values.get((agent_id, bundle), ZERO)
@@ -260,22 +274,35 @@ class Allocation:
     def integral(self) -> bool:
         return all(v == 1 for v in self.values.values())
 
+    def scaled(self) -> tuple[dict[Pair, int], int]:
+        """The values as integer numerators over their least common
+        denominator, and that denominator (1 for an integral allocation)."""
+        nums, den = over_lcm(v.as_integer_ratio() for v in self.values.values())
+        return dict(zip(self.values, nums)), den
+
     def mass(self, instance: Instance) -> Fraction:
         """Demand-weighted total: each entry's value times its agent's demand."""
-        return sum(
-            (instance.agent(a).demand * v for (a, _), v in self.values.items()), ZERO
-        )
+        nums, den = self.scaled()
+        return Fraction(sum(instance.agent(a).demand * n for (a, _), n in nums.items()), den)
 
     def loads(self) -> dict[str, Fraction]:
         """Load of every resource the support uses, in one pass over it."""
-        out: dict[str, Fraction] = {}
+        counts: dict[str, int] = {}
         for (_, q), v in self.values.items():
+            if v.denominator != 1:
+                break
             for r, m in q.items:
-                # skips the Fraction product and the add to zero where it can:
-                # on integral allocations that is most of the work
-                w = v if m == 1 else m * v
-                out[r] = out[r] + w if r in out else w
-        return out
+                counts[r] = counts.get(r, 0) + m
+        else:
+            # integral: every value is one, so a load counts units, and the
+            # shared ONE spares building the most common load
+            return {r: ONE if n == 1 else Fraction(n) for r, n in counts.items()}
+        nums, den = self.scaled()
+        sums: dict[str, int] = {}
+        for (_, q), n in nums.items():
+            for r, m in q.items:
+                sums[r] = sums.get(r, 0) + m * n
+        return {r: Fraction(n, den) for r, n in sums.items()}
 
     def resource_usage(self, resource: str) -> Fraction:
         return self.loads().get(resource, ZERO)
@@ -294,25 +321,33 @@ class Allocation:
     def check_allocation(self, instance: Instance, *, capacities: bool = True) -> list[str]:
         """Return human-readable violations of the allocation constraints.
 
-        Binding agents must total exactly 1, others at most 1; with
-        ``capacities`` every resource must stay within its capacity (rounded
-        outputs deliberately relax that bound, so it is optional).
+        Every support pair must be a demand-sized bundle of resources its
+        agent accepts.  Binding agents must total exactly 1, others at most
+        1; with ``capacities`` every resource must stay within its capacity
+        (rounded outputs deliberately relax that bound, so it is optional).
         """
         problems = []
-        totals: dict[str, Fraction] = {a.id: ZERO for a in instance.agents}
-        for (a, q), v in self.values.items():
+        nums, den = self.scaled()
+        totals = {a.id: 0 for a in instance.agents}
+        accepts = instance.acceptability
+        for (a, q), n in nums.items():
             if a not in totals:
                 problems.append(f"unknown agent {a!r} in support")
                 continue
             if q.size != instance.agent(a).demand:
                 problems.append(f"bundle {q} has size {q.size} != demand of {a!r}")
-            totals[a] += v
+            if accepts is not None:
+                refused = ", ".join(repr(r) for r, _ in q.items if (a, r) not in accepts)
+                if refused:
+                    problems.append(f"agent {a!r} does not accept {refused} in bundle {q}")
+            totals[a] += n
         for a in instance.agents:
+            total = totals[a.id]
             if a.id in instance.binding:
-                if totals[a.id] != 1:
-                    problems.append(f"binding agent {a.id!r} totals {totals[a.id]} != 1")
-            elif totals[a.id] > 1:
-                problems.append(f"agent {a.id!r} totals {totals[a.id]} > 1")
+                if total != den:
+                    problems.append(f"binding agent {a.id!r} totals {Fraction(total, den)} != 1")
+            elif total > den:
+                problems.append(f"agent {a.id!r} totals {Fraction(total, den)} > 1")
         if capacities:
             loads = self.loads()
             for r, c in instance.resources:
@@ -333,6 +368,10 @@ class UtilityModel:
     ``additive`` mode stores one value per (agent, resource) and scores a
     bundle as the multiplicity-weighted sum; ``explicit`` mode stores one
     value per (agent, bundle).  Utilities are non-negative rationals.
+
+    The model holds them as integer numerators over ``den``, the least
+    common denominator of its values, and reads each (agent, bundle) pair's
+    utility once, into a table that lives and dies with the model.
     """
 
     def __init__(
@@ -357,17 +396,41 @@ class UtilityModel:
         )
         if any(v < 0 for v in table):
             raise InvalidInstanceError("utilities must be non-negative")
+        self.den = den = reduce(lcm, {v.denominator for v in table}, 1)
+        # additive rows as numerators over ``den``
+        self._rows = {
+            a: {r: v.numerator * (den // v.denominator) for r, v in row.items()}
+            for a, row in (self.additive or {}).items()
+        }
+        # (agent, bundle) -> ``_entry``, filled on first read
+        self._table: dict[Pair, tuple[int, Fraction]] = {}
+
+    def _entry(self, agent_id: str, bundle: Bundle) -> tuple[int, Fraction]:
+        """The pair's utility as (numerator over ``den``, ``Fraction``)."""
+        e = (agent_id, bundle)
+        entry = self._table.get(e)
+        if entry is None:
+            if self.additive is not None:
+                row = self._rows.get(agent_id, {})
+                n = sum(m * row.get(r, 0) for r, m in bundle.items)
+                entry = (n, Fraction(n, self.den))
+            else:
+                try:
+                    u = self.explicit[e]
+                except KeyError:
+                    raise InvalidInstanceError(
+                        f"no utility defined for ({agent_id!r}, {bundle})"
+                    ) from None
+                entry = (u.numerator * (self.den // u.denominator), u)
+            self._table[e] = entry
+        return entry
 
     def of(self, agent_id: str, bundle: Bundle) -> Fraction:
-        if self.additive is not None:
-            row = self.additive.get(agent_id, {})
-            return sum((m * row.get(r, ZERO) for r, m in bundle.items), ZERO)
-        try:
-            return self.explicit[(agent_id, bundle)]
-        except KeyError:
-            raise InvalidInstanceError(
-                f"no utility defined for ({agent_id!r}, {bundle})"
-            ) from None
+        return self._entry(agent_id, bundle)[1]
+
+    def numerator(self, agent_id: str, bundle: Bundle) -> int:
+        """The utility times ``den``: an integer."""
+        return self._entry(agent_id, bundle)[0]
 
     def best(self, instance: Instance, agent_id: str) -> Fraction:
         """Largest utility of one of the agent's bundles; 0 when it has none.
@@ -379,16 +442,16 @@ class UtilityModel:
         if self.additive is None:
             bundles = enumerate_bundles(agent_id, instance)
             return max((self.of(agent_id, q) for q in bundles), default=ZERO)
-        row = self.additive.get(agent_id, {})
-        offers = [(row.get(r, ZERO), instance.capacity(r)) for r in instance.acceptable(agent_id)]
+        row = self._rows.get(agent_id, {})
+        offers = [(row.get(r, 0), instance.capacity(r)) for r in instance.acceptable(agent_id)]
         left = instance.agent(agent_id).demand
-        total = ZERO
+        total = 0
         for u, c in sorted(offers, reverse=True):
             take = min(left, c)
             total += take * u
             left -= take
             if not left:
-                return total
+                return Fraction(total, self.den)
         return ZERO
 
     def group_maxima(self, instance: Instance) -> dict[tuple[str, str], Fraction]:
@@ -410,11 +473,13 @@ def group_utilities(
     """Total utility each (dimension, group) of ``group_keys`` derives from
     an allocation, in one pass over it; agents outside the instance count
     for no group."""
-    totals = dict.fromkeys(instance.group_keys(), ZERO)
-    for (a, q), v in allocation.values.items():
+    nums, den = allocation.scaled()
+    totals = dict.fromkeys(instance.group_keys(), 0)
+    for (a, q), n in nums.items():
         spec = instance._agent_by_id.get(a)
         if spec is not None and spec.groups:
-            u = utilities.of(a, q) * v
+            u = utilities.numerator(a, q) * n
             for key in spec.groups.items():
                 totals[key] += u
-    return totals
+    den *= utilities.den
+    return {key: Fraction(n, den) for key, n in totals.items()}

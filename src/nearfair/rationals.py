@@ -1,16 +1,25 @@
-"""Exact-rational helpers: parsing, formatting, and float snapping.
+"""Exact-rational helpers: parsing, formatting, common denominators and
+float snapping.
 
-All quantitative instance data in this package is `fractions.Fraction`; the
-only floats live inside the convex-optimization stage and the logarithmic
-objective coefficients of apportionment.  Frank-Wolfe keeps its vertices
-exact and snaps only their float weights to rationals with a bounded
-denominator; the Frank-Wolfe gradient and the log costs are read exactly
-(``Fraction(float)``).
+Every quantity the package takes in or hands out is a `fractions.Fraction`:
+instance data, allocations, LP answers and certificates.  Inside, the hot
+sums run on integers instead: ``over_lcm`` writes a list of rationals as
+integer numerators over their least common denominator, so a sum of them
+is an integer sum and one ``Fraction`` built at the end.  The market model
+(``model``), the rounder (``rounding``) and the exact simplex (``exactlp``)
+work that way.  The only floats live inside the convex-optimization stage
+and the logarithmic objective coefficients of apportionment.  Frank-Wolfe
+keeps its vertices exact and snaps only their float weights to rationals
+with a bounded denominator; the Frank-Wolfe gradient and the log costs are
+read exactly (``Fraction(float)``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import lcm
+from typing import Iterable
 
 from .errors import SchemaError
 
@@ -40,6 +49,16 @@ def rat(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"cannot parse rational from {value!r}") from exc
     raise SchemaError(f"cannot parse rational from {value!r}")
+
+
+def over_lcm(ratios: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Numerators of the rationals p/q (q > 0, as ``as_integer_ratio`` gives
+    them) over their least common denominator, and that denominator."""
+    ratios = list(ratios)
+    den = reduce(lcm, {q for _, q in ratios}, 1)
+    if den == 1:
+        return [p for p, _ in ratios], 1
+    return [p * (den // q) for p, q in ratios], den
 
 
 def rat_str(value: Fraction) -> str:

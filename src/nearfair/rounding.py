@@ -22,6 +22,14 @@ The loop is written once, in ``_round_loop``, and takes the rows that
 protect an active group as a parameter: ``iterative_round`` keeps each
 group's utility fixed, ``envyfree.ef_round`` keeps pairwise envy from
 growing.
+
+The loop holds its point as integer numerators over one denominator: the
+input's least common denominator, then that of each iteration's vertex,
+which ``VertexSolution.scaled`` hands over.  Agent sums, the weighted mass
+and the right-hand sides of the group, resource and total rows are integer
+sums with one ``Fraction`` built at the end.  ``Fraction`` stays at the
+edges: the LP's coefficients and right-hand sides, the output
+``Allocation``, and every budget, bound and deviation of the certificate.
 """
 
 from __future__ import annotations
@@ -326,8 +334,8 @@ def capacity_excess(instance: Instance, y: Allocation, delta: int) -> dict[str, 
 # ---------------------------------------------------------------------------
 
 
-def _fractional_support(x_cur: dict[Pair, Fraction]) -> list[Pair]:
-    return sorted(e for e, v in x_cur.items() if 0 < v < 1)
+def _fractional_support(x_cur: dict[Pair, int], den: int) -> list[Pair]:
+    return sorted(e for e, v in x_cur.items() if 0 < v < den)
 
 
 def _dump(tag: str, t: int, F: Sequence[Pair], detail: str) -> str:
@@ -336,13 +344,14 @@ def _dump(tag: str, t: int, F: Sequence[Pair], detail: str) -> str:
     return f"{tag} at iteration {t}: {detail}; fractional support [{pairs}]{more}"
 
 
-# A group-row family: rows(members, groups, by_agent, x_cur) lists the rows
-# that protect the active groups, group by group, as (key, coefficients over
-# F, rhs).  ``members`` holds each group's agents sorted and ``by_agent``
-# each agent's pairs in F, which is sorted, so reading a group's pairs
-# member by member keeps F's order.  A row without a key is an equality.  A
-# keyed row is ">=" until a vertex makes it tight, and an equality
-# ("sticky") from then on.
+# A group-row family: rows(members, groups, by_agent, x_cur, den) lists the
+# rows that protect the active groups, group by group, as (key, coefficients
+# over F, rhs).  ``members`` holds each group's agents sorted and
+# ``by_agent`` each agent's pairs in F, which is sorted, so reading a
+# group's pairs member by member keeps F's order; the current point is
+# ``x_cur[e] / den``.  A row without a key is an equality.  A keyed row is
+# ">=" until a vertex makes it tight, and an equality ("sticky") from then
+# on.
 GroupRows = Callable[..., list[tuple[Optional[Hashable], dict[Pair, Fraction], Fraction]]]
 
 
@@ -375,16 +384,18 @@ def _round_loop(
     dim_index = {dim: i for i, dim in enumerate(instance.dimensions)}
     demand = {a.id: a.demand for a in instance.agents}
 
-    x_cur: dict[Pair, Fraction] = dict(x.values)
+    # the current point is x_cur[e] / den: integer numerators over the
+    # common denominator of the input, then of each iteration's vertex
+    x_cur, den = x.scaled()
     sticky: set[Hashable] = set()
     trace: list[IterationState] = []
     prev_measure: Optional[tuple[int, int, int]] = None
     t = 0
 
     while True:
-        F = _fractional_support(x_cur)
+        F = _fractional_support(x_cur, den)
         by_agent, by_resource = pair_index(F)  # F is sorted: agents in order
-        tilde_A = [a for a, own in by_agent.items() if sum(x_cur[e] for e in own) == 1]
+        tilde_A = [a for a, own in by_agent.items() if sum(x_cur[e] for e in own) == den]
         tilde_G = []
         for key in group_keys:
             incident = sum(len(by_agent.get(a, ())) for a in members[key])
@@ -405,7 +416,7 @@ def _round_loop(
             active_groups=len(tilde_G),
             active_resources=len(tilde_R),
             chi=chi,
-            weighted_mass=sum((demand[a] * v for (a, _), v in x_cur.items()), ZERO),
+            weighted_mass=Fraction(sum(demand[a] * v for (a, _), v in x_cur.items()), den),
         )
         check(state, F)
         trace.append(state)
@@ -430,7 +441,7 @@ def _round_loop(
         for a, own in by_agent.items():
             lp.add_constraint({col[e]: ONE for e in own}, "=" if a in tilde_A else "<=", ONE)
         loose: list[tuple[Hashable, int]] = []
-        for row_key, by_pair, rhs in group_rows(members, tilde_G, by_agent, x_cur):
+        for row_key, by_pair, rhs in group_rows(members, tilde_G, by_agent, x_cur, den):
             coeffs = {col[e]: c for e, c in by_pair.items()}
             if row_key is None or row_key in sticky:
                 lp.add_constraint(coeffs, "=", rhs)
@@ -438,11 +449,11 @@ def _round_loop(
                 loose.append((row_key, lp.add_constraint(coeffs, ">=", rhs)))
         for r in tilde_R:
             uses = by_resource[r]
-            rhs = sum((m * x_cur[e] for e, m in uses.items()), ZERO)
+            rhs = Fraction(sum(m * x_cur[e] for e, m in uses.items()), den)
             lp.add_constraint({col[e]: Fraction(m) for e, m in uses.items()}, "=", rhs)
         if chi:
             coeffs = {col[e]: Fraction(demand[e[0]]) for e in F}
-            rhs = sum((demand[e[0]] * x_cur[e] for e in F), ZERO)
+            rhs = Fraction(sum(demand[e[0]] * x_cur[e] for e in F), den)
             lp.add_constraint(coeffs, "=", rhs)
 
         solution = solve(lp)
@@ -451,29 +462,34 @@ def _round_loop(
                 _dump("per-iteration LP infeasible", t, F, "current point is feasible")
             )
         sticky.update(k for k, idx in loose if idx in solution.tight_constraints)
+        # move to the vertex's denominator: the entries at one first, then F
+        nums, new_den = solution.scaled
+        if new_den != den:
+            for e, v in x_cur.items():
+                if v == den:
+                    x_cur[e] = new_den
         for e in F:
-            v = solution.value(col[e])
+            v = nums[col[e]]
             if v == 0:
                 del x_cur[e]
             else:
                 x_cur[e] = v
+        den = new_den
         t += 1
 
     # terminal rounding: per agent round the largest fractional entry up
     # (first in bundle order among ties), everything else down
     by_agent: dict[str, list[Pair]] = {}
-    for e in _fractional_support(x_cur):
+    for e in _fractional_support(x_cur, den):
         by_agent.setdefault(e[0], []).append(e)
     for a, pairs in by_agent.items():
         best = max(x_cur[e] for e in pairs)
         up = next(e for e in pairs if x_cur[e] == best)
         for e in pairs:
-            if e == up:
-                x_cur[e] = ONE
-            else:
+            if e != up:
                 del x_cur[e]
 
-    y = Allocation(x_cur)
+    y = Allocation(dict.fromkeys(x_cur, ONE))  # every entry left is at one
     for e, v in x.values.items():
         if v == 1 and y.value(*e) != 1:
             raise InvariantViolation(f"rounding lost a unit entry at {e}")
@@ -486,17 +502,16 @@ def _round_loop(
 def _utility_rows(utilities: UtilityModel) -> GroupRows:
     """One equality row per active group: its utility stays where it is."""
 
-    def rows(members, groups, by_agent, x_cur):
+    def rows(members, groups, by_agent, x_cur, den):
         out = []
         for key in groups:
             coeffs = {}
-            rhs = ZERO
+            rhs = 0  # over utilities.den * den
             for a in members[key]:
                 for e in by_agent.get(a, ()):
-                    u = utilities.of(*e)
-                    coeffs[e] = u
-                    rhs += u * x_cur[e]
-            out.append((None, coeffs, rhs))
+                    coeffs[e] = utilities.of(*e)
+                    rhs += utilities.numerator(*e) * x_cur[e]
+            out.append((None, coeffs, Fraction(rhs, utilities.den * den)))
         return out
 
     return rows

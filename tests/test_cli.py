@@ -488,6 +488,26 @@ def test_check_against_exits_3_on_violations(tmp_path, capsys):
     assert out["certificate"]["violations"]
 
 
+def test_unaccepted_pair_fails_check_and_round(tmp_path, capsys):
+    """An agent that accepts only r1 holds r2: ``check`` reports it and
+    exits 3, and ``round`` refuses the point as input (exit 1)."""
+    inst = Instance([AgentSpec("a")], [("r1", 1), ("r2", 1)], binding={"a"},
+                    acceptability={("a", "r1")})
+    u = UtilityModel(additive={"a": {"r1": 1, "r2": 2}})
+    inst_file = write(tmp_path, "inst.json", serialize_instance(inst, u))
+    x = Allocation({("a", Bundle.of({"r2": 1})): 1})
+    x_file = write(tmp_path, "x.json", serialize_allocation(x))
+    code = main(["check", "--instance", inst_file, "--allocation", x_file])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert out["allocation_problems"] == ["agent 'a' does not accept 'r2' in bundle {r2:1}"]
+    code = main(["round", "--instance", inst_file, "--allocation", x_file,
+                 "--alpha", "", "--delta", "1", "--psi", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "does not accept 'r2'" in captured.err
+
+
 def test_check_oracle_needs_against(tmp_path, capsys):
     inst, u = demo_instance()
     inst_file = write(tmp_path, "inst.json", serialize_instance(inst, u))

@@ -1,6 +1,7 @@
 """Model layer: bundles, utilities, validation."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,22 @@ def test_allocation_checks():
     over = Allocation({("a1", b): 1, ("a2", Bundle.of({"r2": 1})): 1})
     assert any("capacity" in p for p in over.check_allocation(inst))
     assert over.check_allocation(inst, capacities=False) == []
+
+
+def test_allocation_checks_acceptability():
+    inst = Instance(
+        [AgentSpec("a", 2), AgentSpec("b")],
+        [("r1", 2), ("r2", 1)],
+        acceptability={("a", "r1"), ("b", "r1"), ("b", "r2")},
+    )
+    fine = Allocation({("a", Bundle.of({"r1": 2})): 1, ("b", Bundle.of({"r2": 1})): 1})
+    assert fine.check_allocation(inst) == []
+    mixed = Allocation({("a", Bundle.of({"r1": 1, "r2": 1})): Fraction(1, 2)})
+    assert mixed.check_allocation(inst, capacities=False) == [
+        "agent 'a' does not accept 'r2' in bundle {r1:1,r2:1}"
+    ]
+    # without an acceptability set every resource is acceptable
+    assert mixed.check_allocation(replace(inst, acceptability=None)) == []
 
 
 def test_negative_utilities_rejected():

@@ -303,6 +303,28 @@ def test_non_allocation_rejected():
         iterative_round(inst, bad, u, DeviationBudget((), 1, 2, 1, 1))
 
 
+def one_picky_agent():
+    """One agent that accepts only r1 although it values r2 more, and a
+    point that gives it r2."""
+    inst = Instance([AgentSpec("a")], [("r1", 1), ("r2", 1)], binding={"a"},
+                    acceptability={("a", "r1")})
+    u = UtilityModel(additive={"a": {"r1": 1, "r2": 2}})
+    x = Allocation({("a", Bundle.of({"r2": 1})): 1})
+    return inst, u, x
+
+
+@pytest.mark.parametrize("entry", ["iterative_round", "ef_round", "refine_to_vertex"])
+def test_unaccepted_pair_is_not_an_input(entry):
+    inst, u, x = one_picky_agent()
+    run = {
+        "iterative_round": lambda: iterative_round(inst, x, u, DeviationBudget((), 1, 2, 1, 1)),
+        "ef_round": lambda: ef_round(HomogeneousInstance(inst, u), x, (), 1),
+        "refine_to_vertex": lambda: fairness.refine_to_vertex(inst, u, x),
+    }[entry]
+    with pytest.raises(InvalidInstanceError, match="does not accept 'r2'"):
+        run()
+
+
 def test_oracle_confirms_certificate_deviations():
     rng = random.Random(71)
     done = 0
