@@ -18,6 +18,17 @@ smallest-index tie-break; after a long degenerate streak the solver switches
 permanently to Bland's rule, so termination is guaranteed and identical
 inputs give identical outputs.
 
+Phase 1 starts from a crash basis (Bixby 1992, "Implementing the simplex
+method: the initial basis", ORSA J. Computing 4(3)).  Every LP the pipelines
+solve over (agent, bundle) pairs has one row per agent with all-ones
+coefficients, disjoint supports and right-hand side 1.  Each such ``=`` row
+starts with one of its columns basic at its right-hand side, chosen so that
+the ``<=`` rows it touches keep their room where possible, and each
+inequality row that this start point satisfies starts on its slack.  Only
+the rows left over get an artificial column, and phase 1 minimizes the sum
+of those; an LP with none makes no phase-1 pivot.  The start is built from
+the integer rows and bounds alone.
+
 Linearly dependent equality rows are tolerated: rows whose artificial cannot
 be pivoted out after phase 1 are provably redundant and get dropped.
 
@@ -81,19 +92,24 @@ class LinearProgram:
         self._phase1 = None
         return len(self.variables) - 1
 
-    def add_constraint(self, coeffs: Mapping[int, object], rel: str, rhs) -> int:
-        if rel not in ("<=", "=", ">="):
-            raise InvalidInstanceError(f"bad relation {rel!r}")
+    def _coefficients(self, coeffs: Mapping[int, object], owner: str) -> dict[int, Fraction]:
+        """The nonzero coefficients as rationals, keyed by existing columns."""
         clean = {int(j): q for j, v in coeffs.items() if (q := rat(v))}
         for j in clean:
             if not 0 <= j < len(self.variables):
-                raise InvalidInstanceError(f"constraint references unknown variable {j}")
+                raise InvalidInstanceError(f"{owner} references unknown variable {j}")
+        return clean
+
+    def add_constraint(self, coeffs: Mapping[int, object], rel: str, rhs) -> int:
+        if rel not in ("<=", "=", ">="):
+            raise InvalidInstanceError(f"bad relation {rel!r}")
+        clean = self._coefficients(coeffs, "constraint")
         self.constraints.append(Constraint(clean, rel, rat(rhs), Row.of(clean)))
         self._phase1 = None
         return len(self.constraints) - 1
 
     def set_objective(self, coeffs: Mapping[int, object]) -> None:
-        self.objective = {int(j): q for j, v in coeffs.items() if (q := rat(v))}
+        self.objective = self._coefficients(coeffs, "objective")
 
     @property
     def n(self) -> int:
@@ -231,14 +247,25 @@ class _Tableau:
     """Sparse working rows with implicit variable bounds.
 
     Columns: structural variables, then one slack per inequality row, then
-    one artificial per row.  Each row of ``T`` is a ``Row`` kept
-    row-reduced so that every live row's basic column is a unit vector;
-    ``beta[i]`` holds the current *value* of the basic variable of row i,
-    and a nonbasic variable rests at the bound ``status[j]`` names.  Every
-    lower bound is finite; slacks and artificials have no upper bound.
-    Bounds and basic values are rationals held as integer pairs
-    ``(numerator, denominator)`` in lowest terms with a positive
-    denominator, so the pivot loop does only integer arithmetic.
+    one artificial per row that the crash start leaves without a basic
+    column.  Each row of ``T`` is a ``Row`` kept row-reduced so that every
+    live row's basic column is a unit vector; ``beta[i]`` holds the current
+    *value* of the basic variable of row i, and a nonbasic variable rests at
+    the bound ``status[j]`` names.  Every lower bound is finite; slacks and
+    artificials have no upper bound.  Bounds and basic values are rationals
+    held as integer pairs ``(numerator, denominator)`` in lowest terms with
+    a positive denominator, so the pivot loop does only integer arithmetic.
+
+    The crash start: every structural column rests at its lower bound except
+    one *key* column per keyed row, which is basic at that row's right-hand
+    side r.  A row is keyed when it is an ``=`` row whose coefficients are
+    all 1 over columns with lower bound 0, whose support is disjoint from
+    every earlier keyed row, and whose r >= 0 fits under some column's upper
+    bound, as each agent row of an allocation polytope does.  Its key is the
+    smallest such column that leaves every ``<=`` row it touches satisfied,
+    else the smallest such column, so agents are not all keyed onto one
+    resource.  An inequality row that this start point satisfies starts on
+    its slack; only the remaining rows get an artificial.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -248,43 +275,104 @@ class _Tableau:
         self.ub: list[Optional[tuple[int, int]]] = [
             v.ub.as_integer_ratio() for v in lp.variables
         ]
+        lb, ub = self.lb, self.ub
+        cons = lp.constraints
         rows: list[Row] = []
+        slack: list[int] = []  # each row's slack column, -1 for an = row
+        # rhs - lhs of each row at the start point, as a pair in lowest terms
+        res: list[tuple[int, int]] = []
+        uses: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (row, numerator)
         col = n
-        for c in lp.constraints:
+        for i, c in enumerate(cons):
             row = c.row.copy()
-            if c.rel in ("<=", ">="):
+            p, q = c.rhs.numerator, c.rhs.denominator
+            for j, v in row.num.items():
+                uses[j].append((i, v))
+                ln, ld = lb[j]
+                if ln:
+                    p, q = p * ld * row.den - v * ln * q, q * ld * row.den
+            res.append(_reduced(p, q))
+            if c.rel == "=":
+                slack.append(-1)
+            else:
                 row.num[col] = row.den if c.rel == "<=" else -row.den
-                self.lb.append((0, 1))
-                self.ub.append(None)  # slack, unbounded above
+                slack.append(col)
+                lb.append((0, 1))
+                ub.append(None)  # slack, unbounded above
                 col += 1
             rows.append(row)
         self.n_struct_slack = col
         self.m = len(rows)
-        self.art_of_row = list(range(col, col + self.m))
-        for _ in range(self.m):
-            self.lb.append((0, 1))
-            self.ub.append(None)
-        self.ncols = col + self.m
-        self.arts = frozenset(self.art_of_row)
 
-        self.status: list[int] = [_L] * self.ncols
-        self.beta: list[tuple[int, int]] = []
+        def keeps_room(j: int, rp: int, rq: int) -> bool:
+            """Moving column j from 0 to rp / rq leaves every <= row that
+            holds it satisfied."""
+            for k, v in uses[j]:
+                if cons[k].rel == "<=":
+                    p, q = res[k]
+                    if p * rows[k].den * rq < v * rp * q:
+                        return False
+            return True
+
+        key_row: dict[int, int] = {}  # each key column's row
+        covered: set[int] = set()  # the supports of the keyed rows
+        for i, c in enumerate(cons):
+            num = c.row.num
+            if (
+                c.rel != "="
+                or c.row.den != 1
+                or any(v != 1 or lb[j][0] or j in covered for j, v in num.items())
+            ):
+                continue
+            rp, rq = res[i]  # the right-hand side, since every lower bound is 0
+            if rp < 0:
+                continue
+            fits = [j for j in sorted(num) if ub[j][0] * rq >= rp * ub[j][1]]
+            if not fits:
+                continue
+            key = next((j for j in fits if keeps_room(j, rp, rq)), fits[0])
+            key_row[key] = i
+            covered.update(num)
+            if rp:
+                for k, v in uses[key]:
+                    if k != i:
+                        (p, q), den = res[k], rows[k].den
+                        res[k] = _reduced(p * den * rq - v * rp * q, q * den * rq)
+
+        self.status: list[int] = [_L] * col
         self.basis: list[int] = []
-        for i, (row, c) in enumerate(zip(rows, lp.constraints)):
-            # slacks start at 0, so only the structural columns with a
-            # nonzero lower bound move the residual off the right-hand side
-            shift = [v * lp.variables[j].lb for j, v in c.coeffs.items() if self.lb[j][0]]
-            p, q = (c.rhs - sum(shift) if shift else c.rhs).as_integer_ratio()
+        self.beta: list[tuple[int, int]] = []
+        keyed = {i: j for j, i in key_row.items()}
+        for i, row in enumerate(rows):
+            p, q = res[i]
+            if i in keyed:
+                self.basis.append(keyed[i])
+                self.beta.append((p, q))
+                continue
+            # leave each key column a unit vector of its keyed row
+            for j in [j for j in row.num if j in key_row]:
+                row.eliminate(rows[key_row[j]], j)
+            rel = cons[i].rel
+            if (rel == "<=" and p >= 0) or (rel == ">=" and p <= 0):
+                basic, flip = slack[i], rel == ">="
+            else:
+                basic, flip = col, p < 0  # a fresh artificial
+                lb.append((0, 1))
+                ub.append(None)
+                self.status.append(_L)
+                col += 1
             num = row.num
-            if p < 0:
-                # flip the working row so the artificial basis column is +e_i
+            if flip:
+                # the working row's basic column must read +1, at a value >= 0
                 for j, v in num.items():
                     num[j] = -v
                 p = -p
-            a = self.art_of_row[i]
-            num[a] = row.den
-            self.basis.append(a)
+            if basic != slack[i]:
+                num[basic] = row.den
+            self.basis.append(basic)
             self.beta.append((p, q))
+        self.ncols = col
+        self.arts = frozenset(range(self.n_struct_slack, col))
         self.T = rows
         self.live = [True] * self.m
         self.basic_set = set(self.basis)
@@ -449,7 +537,8 @@ class _Tableau:
     # -- phases -------------------------------------------------------------
 
     def phase1(self) -> bool:
-        self._simplex(Row(dict.fromkeys(self.art_of_row, 1)), forbidden=frozenset())
+        arts = range(self.n_struct_slack, self.ncols)
+        self._simplex(Row(dict.fromkeys(arts, 1)), forbidden=frozenset())
         # every artificial is nonnegative: the phase-1 optimum is zero iff
         # each basic artificial is
         for i in range(self.m):

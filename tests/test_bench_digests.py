@@ -17,10 +17,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
-    "round": "8cda691745f2f6bad4a87928b29b8de560a1d8131238c512312b2cd7ecb0cea6",
-    "assign": "cde221a05edbd53e2ba676d189cfc458a37234c398152127c3579b0bceeb2dfd",
+    "round": "07f527e1c582b25afa4a2c83020f9a7635bd3a04bd109f993f971c0617022ab3",
+    "assign": "3b3347c1711b5ace256b3419a5e38179b029ea01843b9bffc8ac043ca4fe3284",
     "couples": "92801ae16d60cbd1248f05b90be6061d023b88fbb70577480c2fc13d14bd901d",
-    "apportion": "8309ecce261e0364e93d097b9281bc7288d451520c8bbe4e48bf9527444c9707",
+    "apportion": "15dc143ec01393c685afa624f356844fe9c42c8b85e9d118b450db3423ccc41a",
 }
 
 

@@ -3,7 +3,7 @@
 import gc
 import random
 import weakref
-from contextlib import nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearfair import exactlp
-from nearfair.errors import InvariantViolation
+from nearfair.errors import InvalidInstanceError, InvariantViolation
 from nearfair.exactlp import (
     LinearProgram,
     Row,
@@ -539,3 +539,210 @@ def test_solved_lp_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the crash start
+# ---------------------------------------------------------------------------
+
+HALF = Fraction(1, 2)
+# rows that look like agent rows but must start on an artificial
+DECOYS = ("shared", "over", "lower", "two", "negative")
+
+
+@st.composite
+def agent_lps(draw, decoys=st.lists(st.sampled_from(DECOYS), max_size=3)):
+    """An LP with agent-like rows, as ``(lp, agent_rows, decoy_rows)``.
+
+    The variables of a ``random_lp``, ``degenerate_lp`` or ``rational_lp``
+    come first.  Then 1-3 agents, each an all-ones ``=`` row with a
+    right-hand side in {0, 1/2, 1} over 1-2 fresh columns with lower bound
+    0 and upper bounds at least that; then the decoy rows, each over fresh
+    columns.  The base rows come last as coupling rows, with coefficients
+    on the new columns, and right-hand sides moved so that a point meeting
+    the agent and decoy rows adds nothing to them: the LP is as feasible as
+    its base, unless a decoy has a negative right-hand side."""
+    build = draw(st.sampled_from([random_lp, degenerate_lp, rational_lp]))
+    base = build(random.Random(draw(st.integers(0, 2**32))), max_vars=3)
+    lp = LinearProgram()
+    for v in base.variables:
+        lp.add_variable(v.name, v.lb, v.ub)
+    point = {}  # a point of the agent and decoy rows, on their columns
+
+    def column(value, lb=0, ub=1):
+        j = lp.add_variable(f"y{lp.n}", lb, ub)
+        point[j] = Fraction(value)
+        return j
+
+    agents = []
+    for _ in range(draw(st.integers(1, 3))):
+        rhs = draw(st.sampled_from([Fraction(0), HALF, Fraction(1)]))
+        ub = st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)])
+        ubs = draw(st.lists(ub, min_size=1, max_size=2))
+        cols = [column(rhs if k == 0 else 0, ub=ub) for k, ub in enumerate(ubs)]
+        agents.append((lp.add_constraint(dict.fromkeys(cols, 1), "=", rhs), cols))
+    decoy_rows = []
+    for kind in draw(decoys):
+        if kind == "shared":  # an all-ones row through a column of an agent row
+            shared = draw(st.sampled_from(draw(st.sampled_from(agents))[1]))
+            fresh = column(draw(st.sampled_from([0, HALF, 1])))
+            coeffs = {shared: 1, fresh: 1}
+        elif kind == "over":  # the right-hand side above every column's ub
+            coeffs = {column(1): 1, column(HALF): 1}
+        elif kind == "lower":  # a column with a nonzero lower bound
+            lb = draw(st.sampled_from([-HALF, HALF]))
+            coeffs = {column(1): 1, column(lb, lb=lb): 1}
+        elif kind == "two":  # a coefficient of 2
+            coeffs = {column(HALF): 2, column(0): 1}
+        else:  # a negative right-hand side, over columns with lower bound 0
+            coeffs = {column(0): 1, column(0): 1}
+            point[min(coeffs)] = Fraction(-1)  # so the row reads -1: no point meets it
+        rhs = sum(a * point[j] for j, a in coeffs.items())
+        decoy_rows.append(lp.add_constraint(coeffs, "=", rhs))
+    coupling = st.sampled_from([0, 0, 1, -1, 2])
+    for c in base.constraints:
+        coeffs = dict(c.coeffs)
+        for j in point:
+            coeffs[j] = draw(coupling)
+        lp.add_constraint(coeffs, c.rel, c.rhs + sum(coeffs[j] * point[j] for j in point))
+    lp.set_objective({j: draw(st.integers(-3, 3)) for j in range(lp.n)})
+    return lp, [i for i, _ in agents], decoy_rows
+
+
+def assert_matches_vertex_enumeration(lp):
+    """For the LP's objective and its negation, ``solve_vertex`` returns the
+    best vertex the oracle finds, and says infeasible exactly when the
+    oracle finds none."""
+    vertices = vertex_enumerate(lp)
+    for c in (dict(lp.objective), {j: -v for j, v in lp.objective.items()}):
+        lp.set_objective(c)
+        sol = solve_vertex(lp)
+        if not vertices:
+            assert sol.status == "infeasible"
+            continue
+        assert sol.optimal
+        best = min(sum((a * v[j] for j, a in c.items()), Fraction(0)) for v in vertices)
+        assert sol.objective == best
+        assert sol.values in vertices
+        assert vertex_rank(lp, sol.values) == lp.n
+
+
+@pytest.mark.parametrize("rule", ["default", "bland"])
+@settings(max_examples=150, deadline=None)
+@given(agent_lps())
+def test_crash_start_matches_vertex_enumeration(rule, case):
+    lp, _, _ = case
+    with bland_from_the_start() if rule == "bland" else nullcontext():
+        assert_matches_vertex_enumeration(lp)
+
+
+@pytest.mark.parametrize("kind", DECOYS)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rows_that_must_not_be_keyed_start_on_artificials(kind, data):
+    """Every agent row starts on a key column, every decoy row on an
+    artificial, each basic column is a unit vector at a value >= 0, and
+    the answers are the oracle's: a decoy of the kind, alone or next to a
+    decoy sharing a column with an agent row."""
+    decoys = st.sampled_from([[kind], [kind, "shared"]])
+    lp, agent_rows, decoy_rows = data.draw(agent_lps(decoys=decoys))
+    tab = exactlp._Tableau(lp)
+    assert all(tab.basis[i] < lp.n for i in agent_rows)
+    assert all(tab.basis[i] in tab.arts for i in decoy_rows)
+    for i, (b, row) in enumerate(zip(tab.basis, tab.T)):
+        assert row.num[b] == row.den and tab.beta[i][0] >= 0
+        assert not any(b in other.num for k, other in enumerate(tab.T) if k != i)
+    assert_matches_vertex_enumeration(lp)
+
+
+@contextmanager
+def phase_one_pivots():
+    """The number of pivots of each phase 1 run in the block."""
+    runs = []
+    phase1, pivot = exactlp._Tableau.phase1, exactlp._Tableau._pivot_matrix
+
+    def counted_phase1(self):
+        runs.append(0)
+
+        def counted_pivot(i, j):
+            runs[-1] += 1
+            pivot(self, i, j)
+
+        self._pivot_matrix = counted_pivot  # shadows the method until phase 1 ends
+        try:
+            return phase1(self)
+        finally:
+            del self._pivot_matrix
+
+    with mock.patch.object(exactlp._Tableau, "phase1", counted_phase1):
+        yield runs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_settled_rows_need_no_phase_one_pivot(data):
+    """Agent rows and inequality rows that hold wherever the agents sit
+    start settled: no artificial, no phase-1 pivot, and the oracle's
+    answer.  One more all-ones row sharing an agent's column starts on the
+    only artificial."""
+    draw = data.draw
+    lp = LinearProgram()
+    agents = []
+    for _ in range(draw(st.integers(1, 4))):
+        rhs = draw(st.sampled_from([Fraction(0), HALF, Fraction(1)]))
+        cols = [lp.add_variable(f"a{lp.n}", 0, 1) for _ in range(draw(st.integers(1, 3)))]
+        agents.append((cols, rhs))
+        lp.add_constraint(dict.fromkeys(cols, 1), "=", rhs)
+    shared = draw(st.booleans())
+    if shared:
+        cols, rhs = agents[0]
+        lp.add_constraint({cols[-1]: 1, lp.add_variable(f"s{lp.n}", 0, 1): 1}, "=", rhs)
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = {j: draw(st.integers(0, 2)) for j in range(lp.n)}
+        if draw(st.booleans()):
+            # at most every agent's largest coefficient times its total
+            cap = sum(max(coeffs[j] for j in cols) * rhs for cols, rhs in agents)
+            lp.add_constraint(coeffs, "<=", cap + draw(st.sampled_from([0, HALF, 1])))
+        else:
+            lp.add_constraint(coeffs, ">=", draw(st.sampled_from([0, -1])))
+    lp.set_objective({j: draw(st.integers(-3, 3)) for j in range(lp.n)})
+    assert len(exactlp._Tableau(lp).arts) == shared
+    with phase_one_pivots() as runs:
+        feasible_vertex(lp)
+    assert runs == [0] or shared
+    assert_matches_vertex_enumeration(lp)
+
+
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(agent_lps().map(lambda case: case[0]),
+                 st.integers(0, 2**32).map(lambda seed: rational_lp(random.Random(seed)))))
+def test_tableau_build_does_no_fraction_arithmetic(lp):
+    """The start point, its residuals and the key choice are integer
+    arithmetic on the rows' numerators and the bounds' integer pairs."""
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the tableau build")
+
+    with ExitStack() as stack:
+        for name in FRACTION_ARITHMETIC:
+            stack.enter_context(mock.patch.object(Fraction, name, refuse))
+        exactlp._Tableau(lp)
+
+
+def test_objective_rejects_unknown_variables():
+    """An index past the variables used to price a slack column (and crash
+    in ``_finish``), and a negative one was silently dropped."""
+    lp = LinearProgram()
+    a = lp.add_variable("a")
+    b = lp.add_variable("b")
+    lp.add_constraint({a: 1, b: 1}, "<=", 1)
+    for j in (2, -1):
+        with pytest.raises(InvalidInstanceError, match=f"objective .* unknown variable {j}$"):
+            lp.set_objective({j: -1})
+    lp.set_objective({b: -1})
+    assert solve_vertex(lp).objective == -1
