@@ -220,8 +220,10 @@ def ef_condition(
 
 
 def _envy_rows(h: HomogeneousInstance) -> GroupRows:
-    """For an active group i and every other group j of its dimension, two
-    keyed rows: i keeps no scaled envy toward j, and j none toward i."""
+    """For an active group i and every other group j of its dimension, the
+    rows "i keeps no scaled envy toward j" and "j none toward i", each
+    keyed by its ordered pair ``(dim, envier, envied)`` and written once
+    when both groups are active."""
     inst = h.instance
     groups_of = {dim: inst.groups_in(dim) for dim in inst.dimensions}
 
@@ -249,15 +251,15 @@ def _envy_rows(h: HomogeneousInstance) -> GroupRows:
         for e, v in x_cur.items():
             if v == den:
                 whole.setdefault(e[0], []).append(e)
-        out = []
+        out = {}
         for dim, i in groups:
             for j in groups_of[dim]:
                 if j == i:
                     continue
-                for side, (gi, gj) in (("fwd", (i, j)), ("rev", (j, i))):
-                    coeffs, rhs = envy_row(members, dim, gi, gj, by_agent, whole)
-                    out.append(((dim, i, j, side), coeffs, rhs))
-        return out
+                for key in ((dim, i, j), (dim, j, i)):
+                    if key not in out:
+                        out[key] = envy_row(members, *key, by_agent, whole)
+        return [(key, coeffs, rhs) for key, (coeffs, rhs) in out.items()]
 
     return rows
 

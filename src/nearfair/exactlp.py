@@ -8,8 +8,8 @@ positive integer denominator, content-reduced, and every row reduction here,
 in the vertex certificate and in ``nearfair.oracle`` is the one integer
 update ``Row.eliminate``.  The pivot loop holds the bounds and the basic
 values as integer ``(numerator, denominator)`` pairs and compares ratio-test
-steps by cross-multiplication, and the feasibility check sums each row's
-integer numerators over the point's common denominator; only the model
+steps by cross-multiplication, and the point check reads each answer as
+integer numerators over one common denominator; only the model
 (``LinearProgram`` with its bounds) and every answer (``VertexSolution``)
 are ``fractions.Fraction``; an answer also hands over its values as
 integer numerators over their least common denominator
@@ -30,7 +30,7 @@ of those; an LP with none makes no phase-1 pivot.  The start is built from
 the integer rows and bounds alone.
 
 Linearly dependent equality rows are tolerated: rows whose artificial cannot
-be pivoted out after phase 1 are provably redundant and get dropped.
+be pivoted out after phase 1 are provably redundant and leave the tableau.
 
 Phase 1 reads only the bounds and the constraint rows, never the objective,
 and it is deterministic, so its final tableau is a function of the polytope
@@ -42,8 +42,11 @@ the answer a fresh solve would give.  The tableau holds no reference to its
 LP and is freed with it.
 
 Every optimal answer is a vertex: the tight bounds and tight constraint rows
-have full column rank, and ``solve_vertex``/``feasible_vertex`` verify that
-rank certificate, together with feasibility, before returning.
+have full column rank.  Before ``solve_vertex``/``feasible_vertex`` return,
+``LinearProgram.check_point`` checks the answer against every bound and row
+in integers, over its values' common denominator, and hands its tight rows
+and at-bound columns to ``vertex_rank`` for that rank certificate.  The same
+point check serves ``nearfair.oracle``.
 """
 
 from __future__ import annotations
@@ -114,6 +117,41 @@ class LinearProgram:
     @property
     def n(self) -> int:
         return len(self.variables)
+
+    def check_point(self, nums: Sequence[int], den: int) -> tuple[frozenset[int], frozenset[int]]:
+        """Check the point ``nums[j] / den`` (den > 0) against every bound
+        and constraint in integers, and return the constraints it meets with
+        equality and the columns it holds at a bound.
+
+        A bound p/q holds as ``nums[j] * q`` against ``p * den``; a row's
+        left-hand side is the integer sum of its ``Constraint.row``
+        numerators times ``nums``, over ``row.den * den``, compared with the
+        right-hand side by cross-multiplication.  The first bound or row the
+        point breaks raises ``InvariantViolation``.
+        """
+        at_bound = set()
+        for j, (x, var) in enumerate(zip(nums, self.variables)):
+            (ln, ld), (un, ud) = var.lb.as_integer_ratio(), var.ub.as_integer_ratio()
+            below = x * ld - ln * den  # the sign of x - lb
+            above = un * den - x * ud  # the sign of ub - x
+            if below < 0 or above < 0:
+                raise InvariantViolation(
+                    f"point puts {var.name!r} at {Fraction(x, den)}, outside [{var.lb},{var.ub}]"
+                )
+            if not below or not above:
+                at_bound.add(j)
+        tight = set()
+        for idx, c in enumerate(self.constraints):
+            row = c.row
+            lhs = sum(v * nums[j] for j, v in row.num.items())  # over row.den * den
+            rn, rd = c.rhs.as_integer_ratio()
+            diff = lhs * rd - rn * row.den * den  # the sign of lhs - rhs
+            if not diff:
+                tight.add(idx)
+            elif diff > 0 and c.rel != ">=" or diff < 0 and c.rel != "<=":
+                lhs = Fraction(lhs, row.den * den)
+                raise InvariantViolation(f"point violates constraint {idx}: {lhs} {c.rel} {c.rhs}")
+        return frozenset(tight), frozenset(at_bound)
 
 
 @dataclass
@@ -249,9 +287,11 @@ class _Tableau:
     Columns: structural variables, then one slack per inequality row, then
     one artificial per row that the crash start leaves without a basic
     column.  Each row of ``T`` is a ``Row`` kept row-reduced so that every
-    live row's basic column is a unit vector; ``beta[i]`` holds the current
+    row's basic column is a unit vector; ``beta[i]`` holds the current
     *value* of the basic variable of row i, and a nonbasic variable rests at
-    the bound ``status[j]`` names.  Every lower bound is finite; slacks and
+    the bound ``status[j]`` names.  Rows start in constraint order; phase 1
+    deletes the dependent rows it drops, so a feasible tableau holds only
+    independent rows.  Every lower bound is finite; slacks and
     artificials have no upper bound.  Bounds and basic values are rationals
     held as integer pairs ``(numerator, denominator)`` in lowest terms with
     a positive denominator, so the pivot loop does only integer arithmetic.
@@ -374,7 +414,6 @@ class _Tableau:
         self.ncols = col
         self.arts = frozenset(range(self.n_struct_slack, col))
         self.T = rows
-        self.live = [True] * self.m
         self.basic_set = set(self.basis)
 
     def copy(self) -> "_Tableau":
@@ -386,7 +425,6 @@ class _Tableau:
         new.beta = list(self.beta)
         new.status = list(self.status)
         new.basis = list(self.basis)
-        new.live = list(self.live)
         new.basic_set = set(self.basic_set)
         return new
 
@@ -398,23 +436,20 @@ class _Tableau:
         if j not in row.num:
             raise InvariantViolation("zero pivot")
         row.pivot(j)
-        for k in range(self.m):
-            if k == i or not self.live[k]:
-                continue
-            other = self.T[k]
-            if j in other.num:
+        for k, other in enumerate(self.T):
+            if k != i and j in other.num:
                 other.eliminate(row, j)
         self.basic_set.discard(self.basis[i])
         self.basis[i] = j
         self.basic_set.add(j)
 
     def _reduced_costs(self, c: Row) -> Row:
-        """Reduced costs ``c - c_B T``: no live row touches another's basic
+        """Reduced costs ``c - c_B T``: no row touches another's basic
         column, so eliminating each basic column once leaves them."""
         z = c.copy()
-        for i in range(self.m):
-            if self.live[i] and self.basis[i] in z.num:
-                z.eliminate(self.T[i], self.basis[i])
+        for row, b in zip(self.T, self.basis):
+            if b in z.num:
+                z.eliminate(row, b)
         return z
 
     def _value(self, j: int) -> tuple[int, int]:
@@ -457,13 +492,13 @@ class _Tableau:
             if enter == -1:
                 return
             direction = 1 if self.status[enter] == _L else -1
-            # the live rows with a nonzero in the entering column: basic
-            # variable i moves by -t * n / d as the entering one moves by t
-            # toward its other bound (n/d is T[i][enter] times the direction)
+            # the rows with a nonzero in the entering column: basic variable
+            # i moves by -t * n / d as the entering one moves by t toward its
+            # other bound (n/d is T[i][enter] times the direction)
             col = [
                 (i, direction * n, row.den)
                 for i, row in enumerate(self.T)
-                if self.live[i] and (n := row.num.get(enter))
+                if (n := row.num.get(enter))
             ]
 
             # ratio test: the step t = (beta_i - bound) * d / n of each
@@ -541,13 +576,12 @@ class _Tableau:
         self._simplex(Row(dict.fromkeys(arts, 1)), forbidden=frozenset())
         # every artificial is nonnegative: the phase-1 optimum is zero iff
         # each basic artificial is
-        for i in range(self.m):
-            if self.live[i] and self.basis[i] in self.arts and self.beta[i][0]:
+        for b, (p, _) in zip(self.basis, self.beta):
+            if b in self.arts and p:
                 return False
-        # pivot lingering zero-value artificials out of the basis; rows where
-        # no structural column is available are dependent on others: drop them
+        # pivot lingering zero-value artificials out of the basis
         for i in range(self.m):
-            if not self.live[i] or self.basis[i] not in self.arts:
+            if self.basis[i] not in self.arts:
                 continue
             piv_col = min(
                 (
@@ -562,8 +596,14 @@ class _Tableau:
                 self.status[self.basis[i]] = _L
                 self._pivot_matrix(i, piv_col)
                 self.beta[i] = new_value
-            else:
-                self.live[i] = False
+        # a row still on its artificial has no structural column left: it is
+        # dependent on the others and leaves the tableau
+        keep = [i for i, b in enumerate(self.basis) if b not in self.arts]
+        self.T = [self.T[i] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
+        self.beta = [self.beta[i] for i in keep]
+        self.basic_set = set(self.basis)
+        self.m = len(keep)
         return True
 
     def phase2(self, objective: Mapping[int, Fraction]) -> None:
@@ -574,9 +614,9 @@ class _Tableau:
     def solution_ratios(self) -> list[tuple[int, int]]:
         """The structural values as integer pairs in lowest terms."""
         vals = [self._value(j) for j in range(self.n)]
-        for i in range(self.m):
-            if self.live[i] and self.basis[i] < self.n:
-                vals[self.basis[i]] = self.beta[i]
+        for b, value in zip(self.basis, self.beta):
+            if b < self.n:
+                vals[b] = value
         return vals
 
 
@@ -606,26 +646,15 @@ def _rank(rows: Sequence[Row]) -> int:
     return len(pivots)
 
 
-def vertex_rank(
-    lp: LinearProgram,
-    values: Sequence[Fraction],
-    tight: Optional[frozenset[int]] = None,
-) -> int:
-    """Rank of the rows tight at a feasible point (bounds and constraints).
+def vertex_rank(lp: LinearProgram, tight: frozenset[int], at_bound: frozenset[int]) -> int:
+    """Rank of the rows tight at a feasible point: the unit rows of its
+    at-bound columns and its tight constraint rows, as
+    ``LinearProgram.check_point`` returns them.
 
     Every tight bound row is a unit vector, so the rank is the number of
     at-bound columns plus the rank of the tight constraint rows with those
-    columns deleted.  ``tight`` is the point's tight constraint set when
-    the caller already has it; otherwise the point is checked for
-    feasibility first.
+    columns deleted.
     """
-    at_bound = {
-        j
-        for j, var in enumerate(lp.variables)
-        if values[j] == var.lb or values[j] == var.ub
-    }
-    if tight is None:
-        tight = _check_feasible(lp, values)
     rest = []  # ``_rank`` reads only numerators, so the denominators stay 1
     for idx in tight:
         num = lp.constraints[idx].row.num
@@ -633,45 +662,13 @@ def vertex_rank(
     return len(at_bound) + _rank(rest)
 
 
-def _check_feasible(
-    lp: LinearProgram,
-    values: Sequence[Fraction],
-    scaled: Optional[tuple[list[int], int]] = None,
-) -> frozenset[int]:
-    """Raise unless ``values`` meets every bound and constraint; return the
-    constraints it meets with equality.
-
-    The point is read as integers ``x`` over one common denominator (given
-    as ``scaled`` or read from ``values``), so each row's left-hand side is
-    the integer sum of its numerators times ``x``, compared with the
-    right-hand side by cross-multiplication."""
-    for j, var in enumerate(lp.variables):
-        if not (var.lb <= values[j] <= var.ub):
-            raise InvariantViolation(
-                f"solver returned {values[j]} outside [{var.lb},{var.ub}] for {var.name!r}"
-            )
-    x, den = scaled or over_lcm(v.as_integer_ratio() for v in values)
-    tight = set()
-    for idx, c in enumerate(lp.constraints):
-        row = c.row
-        lhs = sum(v * x[j] for j, v in row.num.items())  # over row.den * den
-        rn, rd = c.rhs.as_integer_ratio()
-        diff = lhs * rd - rn * row.den * den  # the sign of lhs - rhs
-        if not diff:
-            tight.add(idx)
-        elif not ((c.rel == "<=" and diff < 0) or (c.rel == ">=" and diff > 0)):
-            lhs = Fraction(lhs, row.den * den)
-            raise InvariantViolation(f"solver violated constraint {idx}: {lhs} {c.rel} {c.rhs}")
-    return frozenset(tight)
-
-
 def _finish(lp: LinearProgram, tab: _Tableau) -> VertexSolution:
     ratios = tab.solution_ratios()
-    values = [Fraction(p, q) for p, q in ratios]
     scaled = over_lcm(ratios)
-    tight = _check_feasible(lp, values, scaled)
-    if vertex_rank(lp, values, tight) != lp.n:
+    tight, at_bound = lp.check_point(*scaled)
+    if vertex_rank(lp, tight, at_bound) != lp.n:
         raise InvariantViolation("optimal point is not a vertex: tight rows rank-deficient")
+    values = [Fraction(p, q) for p, q in ratios]
     obj = sum((v * values[j] for j, v in lp.objective.items()), ZERO)
     return VertexSolution(
         status="optimal",

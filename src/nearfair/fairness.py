@@ -183,9 +183,11 @@ def solve_fair_fractional(
     an exact vertex.  Any other objective runs away-step Frank-Wolfe (Guelat
     & Marcotte 1986; Lacoste-Julien & Jaggi 2015) over exact LP vertices
     until the Frank-Wolfe gap, read like the gradient and the line search on
-    the vertices' group utilities, is within ``FW_TOLERANCE``.  The answer
-    is the vertices' exact convex combination with the weights snapped and
-    rescaled to sum to exactly 1: an exact point of the polytope.
+    the vertices' group utilities, is within ``FW_TOLERANCE``; a run that
+    uses up ``FW_MAX_ITERATIONS`` first raises ``InvariantViolation``.  The
+    answer is the vertices' exact convex combination with the weights
+    snapped and rescaled to sum to exactly 1: an exact point of the
+    polytope.
     """
     instance = _assignment_instance(instance)
     objective.spot_check()
@@ -231,7 +233,7 @@ def solve_fair_fractional(
     for v in map(vertex, seeds):
         weights[v] = weights.get(v, 0.0) + 1 / len(seeds)
     util = {e: utilities.of(*e) for e in pairs}
-    current = -math.inf
+    current, gap = -math.inf, math.inf
     for _ in range(FW_MAX_ITERATIONS):
         us = [sum(w * uvecs[v][i] for v, w in weights.items()) for i in range(len(keys))]
         new = sum(objective.f(u) for u in us)
@@ -257,6 +259,10 @@ def solve_fair_fractional(
         if not toward and gamma >= top * (1 - FW_TOLERANCE):
             weights[a] = 0.0  # a drop step: ``a`` leaves the active set
         weights = {v: w for v, w in weights.items() if w > 0}
+    else:
+        raise InvariantViolation(
+            f"Frank-Wolfe did not converge in {FW_MAX_ITERATIONS} iterations: last gap {gap:.3g}"
+        )
 
     snapped = {v: snap(w, SNAP_DENOMINATOR) for v, w in weights.items()}
     total = sum(snapped.values())

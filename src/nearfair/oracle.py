@@ -10,9 +10,10 @@ lrs) after a small Bland's-rule phase 1 local to this module.  As in lrs the
 pivots are integer: the tableau rows are fraction-free ``Row``s (integer
 numerators over one positive denominator), the ratio tests compare
 numerators by cross-multiplication, and only an emitted vertex is built
-from ``Fraction``s.  Each new vertex is checked against the LP in integers
-too: the point over one common denominator against each constraint's
-integer row.  Upper bounds that a nonnegative '<=' row already implies get
+from ``Fraction``s.  Each new vertex goes through the LP model's own
+integer point check, ``LinearProgram.check_point``, the one the simplex
+runs on its answers: every bound and row, over the point's common
+denominator.  Upper bounds that a nonnegative '<=' row already implies get
 no row, which cuts the bases of the couples packing polytopes about
 threefold.  The oracle is the independent check on ``nearfair.exactlp``'s
 simplex, so it takes from that module only the ``LinearProgram`` model and
@@ -27,10 +28,10 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-from .errors import InvariantViolation, ScaleExceededError
+from .errors import ScaleExceededError
 from .exactlp import LinearProgram, Row
 from .model import Allocation, Bundle, Instance, UtilityModel, enumerate_bundles
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, over_lcm
 
 MAX_INTEGRAL = 10**6
 MAX_VERTICES = 10**5
@@ -234,33 +235,6 @@ def _lex_leaving(rows: list[Row], j: int, lex: Sequence[int]) -> Optional[int]:
     return ties[0] if ties else None
 
 
-def _feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
-    """Whether x meets every bound and constraint of lp, decided in integers.
-
-    The point is read as integer numerators ``p`` over one common
-    denominator ``den``, so a bound ``r/q`` holds as ``p_j*q`` against
-    ``r*den``, and a row's left-hand side is the integer sum of its
-    ``Constraint.row`` numerators times ``p`` over ``row.den * den``,
-    compared with the right-hand side by cross-multiplication.
-    """
-    ratios = [v.as_integer_ratio() for v in x]
-    den = reduce(lcm, [q for _, q in ratios], 1)
-    p = [a * (den // q) for a, q in ratios]
-    for pj, var in zip(p, lp.variables):
-        ln, ld = var.lb.as_integer_ratio()
-        un, ud = var.ub.as_integer_ratio()
-        if pj * ld < ln * den or pj * ud > un * den:
-            return False
-    for c in lp.constraints:
-        row = c.row
-        lhs = sum(v * p[j] for j, v in row.num.items())
-        rn, rd = c.rhs.as_integer_ratio()
-        diff = lhs * rd - rn * row.den * den  # the sign of lhs - rhs
-        if diff > 0 and c.rel != ">=" or diff < 0 and c.rel != "<=":
-            return False
-    return True
-
-
 def vertex_enumerate(lp: LinearProgram) -> list[list[Fraction]]:
     """Every vertex of the LP's feasible region, deduplicated and sorted exactly.
 
@@ -277,8 +251,8 @@ def vertex_enumerate(lp: LinearProgram) -> list[list[Fraction]]:
     and 84-114 us on 18-pair ones near the 20-variable guard, where the
     ratio tests are most of it (shared 2-core x86 VM, Python 3.11); only
     polytopes that large can reach the cap, so it trips after roughly 3 to
-    4 minutes.  Each new vertex is checked exactly against ``lp``; a
-    failure is a broken invariant.
+    4 minutes.  Each new vertex is checked exactly against ``lp`` by
+    ``LinearProgram.check_point``; a failure is a broken invariant.
     """
     n = lp.n
     if n > 20:
@@ -302,8 +276,7 @@ def vertex_enumerate(lp: LinearProgram) -> list[list[Fraction]]:
             x = [var.lb for var in lp.variables]
             for b, p, q in y:
                 x[b] += Fraction(p, q)
-            if not _feasible(lp, x):
-                raise InvariantViolation(f"vertex enumeration reached an infeasible point {x}")
+            lp.check_point(*over_lcm(v.as_integer_ratio() for v in x))
             if len(found) >= MAX_VERTICES:
                 raise ScaleExceededError(f"more than {MAX_VERTICES} vertices")
             found[key] = x

@@ -8,7 +8,7 @@ from typing import Optional
 
 from nearfair.couples import CouplesInstance
 from nearfair.envyfree import HomogeneousInstance
-from nearfair.exactlp import LinearProgram, feasible_vertex, solve_vertex
+from nearfair.exactlp import LinearProgram, feasible_vertex, solve_vertex, vertex_rank
 from nearfair.apportionment import MAInstance, SignpostMethod, highest_averages
 from nearfair.fairness import allocation_polytope
 from nearfair.model import (
@@ -18,7 +18,7 @@ from nearfair.model import (
     UtilityModel,
     enumerate_bundles,
 )
-from nearfair.rationals import ONE, ZERO, ceil_frac
+from nearfair.rationals import ONE, ZERO, ceil_frac, over_lcm
 from nearfair.rounding import DeviationBudget, check_condition, forced_psi, min_Delta
 from nearfair.schema import bundle_to_json, serialize_instance
 
@@ -426,6 +426,14 @@ def degenerate_lp(rng: random.Random, max_vars: int = 5) -> LinearProgram:
         lp.add_constraint(coeffs, rng.choice(("<=", ">=", "=")), rhs)
     lp.set_objective({j: Fraction(rng.randint(-3, 3)) for j in range(n)})
     return lp
+
+
+def point_rank(lp: LinearProgram, values) -> int:
+    """The vertex certificate's rank at a point given as rationals: the
+    tight rows and at-bound columns ``LinearProgram.check_point`` reads off
+    it, then ``vertex_rank``.  A point outside the LP raises."""
+    tight, at_bound = lp.check_point(*over_lcm(v.as_integer_ratio() for v in values))
+    return vertex_rank(lp, tight, at_bound)
 
 
 def psi_zero_input(

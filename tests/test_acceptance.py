@@ -26,7 +26,7 @@ from nearfair.envyfree import (
     greedy_fractional_ef,
 )
 from nearfair.errors import InfeasibleInstanceError, NoDominatingVertexError
-from nearfair.exactlp import solve_vertex, vertex_rank
+from nearfair.exactlp import solve_vertex
 from nearfair.fairness import (
     FairObjective,
     allocation_polytope,
@@ -43,6 +43,7 @@ from generators import (
     ef_budget,
     fractional_allocation,
     minimal_budget,
+    point_rank,
     random_couples,
     random_homogeneous,
     random_instance,
@@ -386,7 +387,7 @@ def test_criterion_8_lp_engine():
         vertices = vertex_enumerate(lp)
         if sol.optimal:
             optimal += 1
-            assert vertex_rank(lp, sol.values) == lp.n
+            assert point_rank(lp, sol.values) == lp.n
             best = min(
                 sum((c * v[j] for j, c in lp.objective.items()), Fraction(0))
                 for v in vertices

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import weakref
 from contextlib import ExitStack, contextmanager, nullcontext
 from fractions import Fraction
@@ -16,15 +17,15 @@ from nearfair.errors import InvalidInstanceError, InvariantViolation
 from nearfair.exactlp import (
     LinearProgram,
     Row,
-    _check_feasible,
     _rank,
     feasible_vertex,
     solve_vertex,
     vertex_rank,
 )
 from nearfair.oracle import vertex_enumerate
+from nearfair.rationals import over_lcm
 
-from generators import degenerate_lp, random_lp, rational_lp
+from generators import degenerate_lp, point_rank, random_lp, rational_lp
 
 
 def test_min_over_box():
@@ -98,7 +99,7 @@ def test_vertex_certificate_on_random_lps():
         sol = solve_vertex(lp)
         if sol.optimal:
             optimal += 1
-            assert vertex_rank(lp, sol.values) == lp.n
+            assert point_rank(lp, sol.values) == lp.n
     assert optimal > 30
 
 
@@ -148,48 +149,107 @@ def test_rational_lps_cover_their_kinds():
     assert statuses == {"optimal", "infeasible"}
 
 
-def reference_tight(lp, x):
-    """Fraction evaluation of a point: None when it breaks a bound or a
-    row, else the rows it meets with equality."""
-    if any(not var.lb <= v <= var.ub for var, v in zip(lp.variables, x)):
-        return None
+# ---------------------------------------------------------------------------
+# the integer point check
+# ---------------------------------------------------------------------------
+
+EPS = Fraction(1, 2**64)
+
+
+def check(lp, x):
+    return lp.check_point(*over_lcm(v.as_integer_ratio() for v in x))
+
+
+def reference_check(lp, x):
+    """Fraction evaluation of a point: the start of the message that must
+    name the first bound or row it breaks, or else the rows it meets with
+    equality and the columns it holds at a bound."""
+    for var, v in zip(lp.variables, x):
+        if not var.lb <= v <= var.ub:
+            return f"point puts {var.name!r} at {v}, outside"
     tight = set()
     for idx, c in enumerate(lp.constraints):
         lhs = sum((a * x[j] for j, a in c.coeffs.items()), Fraction(0))
         if lhs == c.rhs:
             tight.add(idx)
         elif {"<=": lhs > c.rhs, ">=": lhs < c.rhs, "=": True}[c.rel]:
-            return None
-    return frozenset(tight)
+            return f"point violates constraint {idx}:"
+    at_bound = {j for j, (var, v) in enumerate(zip(lp.variables, x)) if v in (var.lb, var.ub)}
+    return frozenset(tight), frozenset(at_bound)
 
 
-def test_check_feasible_matches_fractions_on_moved_vertices():
-    """Move a returned vertex by 2**-64, far below float resolution, along
-    each variable of each tight row: the integer check raises exactly when
-    the Fraction evaluation finds the point infeasible, and otherwise
-    returns the same tight set."""
+def near_misses(lp, x, tight):
+    """``(j, point)``: x with coordinate j moved by 2**-64, far below float
+    resolution, both ways: each column at a bound, so one way crosses the
+    bound and the other leaves it, and each column of each tight row."""
+    cols = {j for j, var in enumerate(lp.variables) if x[j] in (var.lb, var.ub)}
+    cols |= {j for idx in tight for j in lp.constraints[idx].coeffs}
+    for j in sorted(cols):
+        for step in (EPS, -EPS):
+            yield j, x[:j] + [x[j] + step] + x[j + 1 :]
+
+
+def simplex_points():
     rng = random.Random(23)
-    eps = Fraction(1, 2**64)
-    broken_rows = kept = 0
     for _ in range(200):
         lp = rational_lp(rng, max_vars=4)
         sol = solve_vertex(lp)
-        if not sol.optimal:
-            continue
-        assert _check_feasible(lp, sol.values) == reference_tight(lp, sol.values)
-        for j in {j for idx in sol.tight_constraints for j in lp.constraints[idx].coeffs}:
-            for step in (eps, -eps):
-                x = list(sol.values)
-                x[j] += step
-                expected = reference_tight(lp, x)
-                if expected is None:
-                    with pytest.raises(InvariantViolation) as err:
-                        _check_feasible(lp, x)
-                    broken_rows += "violated constraint" in str(err.value)
-                else:
-                    assert _check_feasible(lp, x) == expected
-                    kept += 1
-    assert broken_rows > 50 and kept > 20
+        if sol.optimal:
+            yield lp, sol.values
+
+
+def oracle_points():
+    for build in (rational_lp, degenerate_lp):
+        for seed in range(60):
+            lp = build(random.Random(seed))
+            for x in vertex_enumerate(lp):
+                yield lp, x
+
+
+@pytest.mark.parametrize("points", [simplex_points, oracle_points])
+def test_point_check_matches_fractions_on_near_misses(points):
+    """On each simplex answer or oracle vertex, and on each of its near
+    misses, ``check_point`` agrees with the Fraction evaluation: it raises,
+    naming the first bound or row the point breaks, exactly when there is
+    one, and otherwise returns the same tight rows and at-bound columns.  A
+    column 2**-64 inside a bound is no longer at the bound."""
+    seen = dict.fromkeys(("bound", "row", "left a bound", "kept"), 0)
+    for lp, x in points():
+        tight, at_bound = expected = reference_check(lp, x)
+        assert check(lp, x) == expected
+        for j, m in near_misses(lp, x, tight):
+            expected = reference_check(lp, m)
+            if isinstance(expected, str):
+                with pytest.raises(InvariantViolation, match=re.escape(expected)):
+                    check(lp, m)
+                seen["bound" if "outside" in expected else "row"] += 1
+            else:
+                assert check(lp, m) == expected
+                seen["left a bound"] += j in at_bound and j not in expected[1]
+                seen["kept"] += 1
+    assert all(count > 20 for count in seen.values()), seen
+
+
+def test_simplex_and_oracle_share_the_point_check():
+    """``_finish`` checks each answer, and ``vertex_enumerate`` each new
+    vertex, through ``LinearProgram.check_point``."""
+    lp = LinearProgram()
+    x, y, z = (lp.add_variable(name) for name in "xyz")
+    lp.add_constraint({x: 1, y: 1, z: 1}, "<=", 2)
+    lp.set_objective({x: -1, y: -1})
+    checked = []
+    real = LinearProgram.check_point
+
+    def counted(self, nums, den):
+        checked.append([Fraction(v, den) for v in nums])
+        return real(self, nums, den)
+
+    with mock.patch.object(LinearProgram, "check_point", counted):
+        sol = solve_vertex(lp)
+        assert checked == [sol.values]
+        checked.clear()
+        vertices = vertex_enumerate(lp)
+    assert len(vertices) == 7 and sorted(checked) == vertices
 
 
 def test_negative_lower_bounds():
@@ -386,29 +446,64 @@ def test_row_of_is_canonical(coeffs):
 
 
 def test_vertex_rank_edge_midpoint_is_not_a_vertex():
-    # triangle x + y <= 1: the hypotenuse midpoint has one tight row
+    """``check_point`` reads each point's tight rows and at-bound columns,
+    and ``vertex_rank`` counts their rank."""
+    none = frozenset()
+    # triangle x + y <= 1: the hypotenuse midpoint has one tight row, and
+    # the corner (1, 0) holds x at its upper bound and y at its lower one
     lp = LinearProgram()
     x = lp.add_variable("x")
     y = lp.add_variable("y")
     lp.add_constraint({x: 1, y: 1}, "<=", 1)
     half = Fraction(1, 2)
-    assert vertex_rank(lp, [half, half]) == lp.n - 1
-    assert vertex_rank(lp, [1, 0]) == lp.n
+    assert check(lp, [half, half]) == ({0}, none)
+    assert vertex_rank(lp, frozenset({0}), none) == lp.n - 1
+    assert check(lp, [1, 0]) == ({0}, {0, 1})
+    assert vertex_rank(lp, frozenset({0}), frozenset({0, 1})) == lp.n
     # a tight row that repeats an at-bound column must not count twice
     lp2 = LinearProgram()
     x = lp2.add_variable("x")
     y = lp2.add_variable("y")
     lp2.add_constraint({y: 1}, "<=", 0)
     lp2.add_constraint({y: 2}, "=", 0)
-    assert vertex_rank(lp2, [half, 0]) == lp2.n - 1
+    assert check(lp2, [half, 0]) == ({0, 1}, {1})
+    assert vertex_rank(lp2, frozenset({0, 1}), frozenset({1})) == lp2.n - 1
     # simplex edge in three variables: one bound plus the equality
     lp3 = LinearProgram()
     for name in "xyz":
         lp3.add_variable(name)
     lp3.add_constraint({0: 1, 1: 1, 2: 1}, "=", 1)
-    assert vertex_rank(lp3, [half, half, 0]) == lp3.n - 1
-    assert vertex_rank(lp3, [0, 1, 0]) == lp3.n
+    assert check(lp3, [half, half, 0]) == ({0}, {2})
+    assert vertex_rank(lp3, frozenset({0}), frozenset({2})) == lp3.n - 1
+    assert check(lp3, [0, 1, 0]) == ({0}, {0, 1, 2})
+    assert vertex_rank(lp3, frozenset({0}), frozenset({0, 1, 2})) == lp3.n
+    # no tight row, every column strictly inside its box
+    assert vertex_rank(lp3, none, none) == 0
 
+
+FRACTION_ORDER = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([random_lp, degenerate_lp, rational_lp]), st.integers(0, 2**32))
+def test_finish_compares_no_fractions(build, seed):
+    """``_finish`` checks an answer on its integer point: it compares no
+    value with a bound, nor anything else, as a ``Fraction``."""
+    lp = build(random.Random(seed))
+    tab = exactlp._phase_one(lp)
+    if tab is None:
+        return
+    tab = tab.copy()
+    tab.phase2(lp.objective)
+
+    def refuse(*args):
+        raise AssertionError("Fraction comparison in _finish")
+
+    with ExitStack() as stack:
+        for name in FRACTION_ORDER:
+            stack.enter_context(mock.patch.object(Fraction, name, refuse))
+        sol = exactlp._finish(lp, tab)
+    assert answer(sol) == answer(solve_vertex(lp))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +543,55 @@ def test_repeated_solves_match_fresh_solves(case):
     assert answer(feasible_vertex(lp)) == first
 
 
+def independent_rows(lp):
+    """Rank of the constraint rows, each inequality row with a slack column
+    of its own: the rows a feasible phase-1 tableau must keep."""
+    rows = []
+    for i, c in enumerate(lp.constraints):
+        num = dict(c.row.num)
+        if c.rel != "=":
+            num[lp.n + i] = 1
+        rows.append(Row(num))
+    return _rank(rows)
+
+
+def assert_keeps_independent_rows(lp):
+    """The LP's kept phase-1 tableau holds exactly its independent rows,
+    each with a basic real column that is a unit vector."""
+    tab = lp._phase1
+    assert tab.m == len(tab.T) == len(tab.basis) == len(tab.beta) == independent_rows(lp)
+    assert tab.basic_set == set(tab.basis) and not tab.basic_set & tab.arts
+    for i, (b, row) in enumerate(zip(tab.basis, tab.T)):
+        assert row.num[b] == row.den
+        assert not any(b in other.num for k, other in enumerate(tab.T) if k != i)
+
+
+def test_repeated_equality_row_leaves_the_tableau():
+    """An all-ones row repeated as is and doubled: phase 1 keys the first,
+    and the two copies leave the tableau."""
+    lp = LinearProgram()
+    x, y, z = (lp.add_variable(name) for name in "xyz")
+    lp.add_constraint({x: 1, y: 1, z: 1}, "=", 1)
+    lp.add_constraint({x: 1, y: -1}, "<=", 0)
+    lp.add_constraint({x: 1, y: 1, z: 1}, "=", 1)
+    lp.add_constraint({x: 2, y: 2, z: 2}, "=", 2)
+    lp.set_objective({x: -1, z: 1})
+    assert exactlp._Tableau(lp).m == 4
+    feasible_vertex(lp)
+    assert lp._phase1.m == independent_rows(lp) == 2
+    assert_keeps_independent_rows(lp)
+    assert_matches_vertex_enumeration(lp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([degenerate_lp, random_lp, rational_lp]), st.integers(0, 2**32))
+def test_phase_one_keeps_only_independent_rows(build, seed):
+    """``degenerate_lp`` repeats, scales and sums its rows."""
+    lp = build(random.Random(seed))
+    if feasible_vertex(lp).optimal:
+        assert_keeps_independent_rows(lp)
+
+
 def bland_from_the_start():
     """Lower the degenerate streak after which the simplex switches to
     Bland's rule to 0: the first degenerate step switches it."""
@@ -474,7 +618,7 @@ def test_blands_rule_reaches_the_same_optimum(build, seed):
     assert bland_opt.objective == opt.objective
     for sol in (bland_first, bland_opt):
         if sol.optimal:
-            assert vertex_rank(build(random.Random(seed)), sol.values) == len(sol.values)
+            assert point_rank(build(random.Random(seed)), sol.values) == len(sol.values)
 
 
 def test_lowered_switch_reaches_blands_rule():
@@ -624,7 +768,7 @@ def assert_matches_vertex_enumeration(lp):
         best = min(sum((a * v[j] for j, a in c.items()), Fraction(0)) for v in vertices)
         assert sol.objective == best
         assert sol.values in vertices
-        assert vertex_rank(lp, sol.values) == lp.n
+        assert point_rank(lp, sol.values) == lp.n
 
 
 @pytest.mark.parametrize("rule", ["default", "bland"])

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearfair import fairness
-from nearfair.errors import BudgetError, InfeasibleInstanceError, InvalidInstanceError
-from nearfair.exactlp import solve_vertex, vertex_rank
+from nearfair.errors import BudgetError, InfeasibleInstanceError, InvalidInstanceError, InvariantViolation
+from nearfair.exactlp import solve_vertex
 from nearfair.fairness import (
     FairObjective,
     allocation_polytope,
@@ -32,7 +32,7 @@ from nearfair.model import (
 )
 from nearfair.oracle import enumerate_integral
 
-from generators import random_instance
+from generators import point_rank, random_instance
 
 
 def unit(n=1):
@@ -175,7 +175,7 @@ def test_utilitarian_fractional_point_is_a_certified_vertex(seed):
     assert result.certificate.ok()
     lp, pairs, _ = allocation_polytope(inst)
     values = [result.fractional.values.get(e, Fraction(0)) for e in pairs]
-    assert vertex_rank(lp, values) == lp.n
+    assert point_rank(lp, values) == lp.n
 
 
 def test_symmetric_proportional_balances_groups():
@@ -285,7 +285,7 @@ def proportional_value(x, utilities, instance):
     return sum(math.log(u) for u in group_utilities(x, utilities, instance).values() if u > 0)
 
 
-def test_frank_wolfe_does_not_crawl(lp_solves):
+def crawl_market():
     """A market on which Frank-Wolfe without away steps took 9,382 LP solves:
     three singleton groups, demands 1, 2, 1, capacities r0 = 1, r1 = 5."""
     agents = [AgentSpec(f"a{i}", w, {"g": f"g{i}"}) for i, w in enumerate((1, 2, 1))]
@@ -293,9 +293,26 @@ def test_frank_wolfe_does_not_crawl(lp_solves):
     u = UtilityModel(additive={
         "a0": {"r0": 6, "r1": 1}, "a1": {"r0": 3, "r1": 6}, "a2": {"r0": 4, "r1": 1},
     })
+    return inst, u
+
+
+def test_frank_wolfe_does_not_crawl(lp_solves):
+    inst, u = crawl_market()
     x = solve_fair_fractional(inst, u, FairObjective.proportional())
     assert len(lp_solves) <= 50
     assert proportional_value(x, u, inst) >= 4.6615
+
+
+def test_frank_wolfe_out_of_iterations_raises(lp_solves, monkeypatch):
+    """Frank-Wolfe takes two steps on the crawl market, after one LP per
+    group; capped at one step it raises, naming the cap and the last gap,
+    instead of returning its unconverged point."""
+    inst, u = crawl_market()
+    solve_fair_fractional(inst, u, FairObjective.proportional())
+    assert len(lp_solves) == 3 + 2
+    monkeypatch.setattr(fairness, "FW_MAX_ITERATIONS", 1)
+    with pytest.raises(InvariantViolation, match=r"did not converge in 1 iterations: last gap 0\.\d+"):
+        solve_fair_fractional(inst, u, FairObjective.proportional())
 
 
 def test_proportional_point_is_exact_and_beats_its_seed(lp_solves):

@@ -20,6 +20,8 @@ from nearfair.oracle import (
     vertex_enumerate,
 )
 
+from nearfair.rationals import over_lcm
+
 from generators import degenerate_lp, random_couples, random_lp, rational_lp
 
 
@@ -310,16 +312,23 @@ def feasibility_mutants(lp, x):
 
 @pytest.mark.parametrize("make", [rational_lp, degenerate_lp])
 def test_integer_vertex_check_rejects_every_near_miss(make):
-    """``_feasible`` decides in integers; a point 2**-64 outside one bound
-    or one row is rejected, as evaluating it in ``Fraction``s rejects it."""
+    """The oracle checks each vertex with ``LinearProgram.check_point``, in
+    integers; a point 2**-64 outside one bound or one row is rejected, as
+    evaluating it in ``Fraction``s rejects it."""
+
+    def check(x):
+        return lp.check_point(*over_lcm(v.as_integer_ratio() for v in x))
+
     seen = dict.fromkeys(("bound", "<=", ">=", "="), 0)
     for seed in range(60):
         lp = make(random.Random(seed))
         for x in vertex_enumerate(lp):
-            assert oracle._feasible(lp, x) and _satisfies(lp, x)
+            assert _satisfies(lp, x)
+            check(x)
             for what, m in feasibility_mutants(lp, x):
                 assert not _satisfies(lp, m)
-                assert not oracle._feasible(lp, m), (seed, what, m)
+                with pytest.raises(InvariantViolation):
+                    check(m)
                 seen[what] += 1
     assert all(seen.values()), seen
 
