@@ -247,12 +247,12 @@ def solve_lp_ma(
     lp = LinearProgram()
     col = {v: lp.add_variable(f"x[{v[0]},{v[1]}]") for v in costs}
     # every group's window row, filled in one pass over the seat variables
-    rows: dict[tuple[str, str], dict[int, Fraction]] = {
+    rows: dict[tuple[str, str], dict[int, int]] = {
         (dim, g): {} for dim in ma.dims for g in ma.groups[dim]
     }
     for (e, _), j in col.items():
         for dim, g in zip(ma.dims, e):
-            rows[(dim, g)][j] = ONE
+            rows[(dim, g)][j] = 1
     for dim in ma.dims:
         for g in ma.groups[dim]:
             coeffs = rows[(dim, g)]
@@ -264,10 +264,10 @@ def solve_lp_ma(
                     )
                 continue
             if b > 0:
-                lp.add_constraint(coeffs, ">=", Fraction(b))
+                lp.add_constraint(coeffs, ">=", b)
             if bb < ma.house:
-                lp.add_constraint(coeffs, "<=", Fraction(bb))
-    lp.add_constraint(dict.fromkeys(col.values(), ONE), "=", Fraction(ma.house))
+                lp.add_constraint(coeffs, "<=", bb)
+    lp.add_constraint(dict.fromkeys(col.values(), 1), "=", ma.house)
     lp.set_objective({col[v]: c for v, c in costs.items()})
     sol = solve_vertex(lp)
     if not sol.optimal:

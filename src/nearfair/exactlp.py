@@ -2,21 +2,23 @@
 
 Two-phase primal simplex with bounded variables: the box bounds are handled
 implicitly (nonbasic variables rest at a bound) instead of as constraint
-rows, which keeps the working basis small.  The working rows are
-fraction-free: a ``Row`` holds integer numerators keyed by column over one
-positive integer denominator, content-reduced, and every row reduction here,
-in the vertex certificate and in ``nearfair.oracle`` is the one integer
-update ``Row.eliminate``.  The pivot loop holds the bounds and the basic
+rows, which keeps the working basis small.  The rows are fraction-free: a
+``Row`` holds integer numerators keyed by column over one positive integer
+denominator, content-reduced, and every row reduction here, in the vertex
+certificate and in ``nearfair.oracle`` is the one integer update
+``Row.eliminate``.  ``LinearProgram`` stores each constraint and the
+objective once, as the ``Row`` built from the int or ``Fraction``
+coefficients it is given.  The pivot loop holds the bounds and the basic
 values as integer ``(numerator, denominator)`` pairs and compares ratio-test
-steps by cross-multiplication, and the point check reads each answer as
-integer numerators over one common denominator; only the model
-(``LinearProgram`` with its bounds) and every answer (``VertexSolution``)
-are ``fractions.Fraction``; an answer also hands over its values as
-integer numerators over their least common denominator
-(``VertexSolution.scaled``).  Pricing is largest-coefficient with a
-smallest-index tie-break; after a long degenerate streak the solver switches
-permanently to Bland's rule, so termination is guaranteed and identical
-inputs give identical outputs.
+steps by cross-multiplication, the point check reads each answer as integer
+numerators over one common denominator, and the objective value is one
+integer dot product over that denominator.  Only the bounds, the right-hand
+sides and every answer (``VertexSolution``) are ``fractions.Fraction``; an
+answer also hands over its values as integer numerators over their least
+common denominator (``VertexSolution.scaled``).  Pricing is
+largest-coefficient with a smallest-index tie-break; after a long degenerate
+streak the solver switches permanently to Bland's rule, so termination is
+guaranteed and identical inputs give identical outputs.
 
 Phase 1 starts from a crash basis (Bixby 1992, "Implementing the simplex
 method: the initial basis", ORSA J. Computing 4(3)).  Every LP the pipelines
@@ -72,10 +74,9 @@ class Variable:
 
 @dataclass
 class Constraint:
-    coeffs: dict[int, Fraction]
+    row: "Row"  # the coefficients: integer numerators over one denominator
     rel: str  # '<=', '=', '>='
     rhs: Fraction
-    row: "Row"  # ``coeffs`` as integer numerators over one denominator
 
 
 class LinearProgram:
@@ -84,7 +85,7 @@ class LinearProgram:
     def __init__(self):
         self.variables: list[Variable] = []
         self.constraints: list[Constraint] = []
-        self.objective: dict[int, Fraction] = {}
+        self.objective: Row = Row({})  # the cost row; empty until ``set_objective``
         self._phase1: Optional[_Tableau] = None  # see ``_phase_one``
 
     def add_variable(self, name: str, lb=ZERO, ub=ONE) -> int:
@@ -95,24 +96,23 @@ class LinearProgram:
         self._phase1 = None
         return len(self.variables) - 1
 
-    def _coefficients(self, coeffs: Mapping[int, object], owner: str) -> dict[int, Fraction]:
-        """The nonzero coefficients as rationals, keyed by existing columns."""
-        clean = {int(j): q for j, v in coeffs.items() if (q := rat(v))}
-        for j in clean:
+    def _row(self, coeffs: Mapping[int, int | Fraction], owner: str) -> "Row":
+        """The int or Fraction coefficients as a ``Row`` over existing columns."""
+        row = Row.of(coeffs)
+        for j in row.num:
             if not 0 <= j < len(self.variables):
                 raise InvalidInstanceError(f"{owner} references unknown variable {j}")
-        return clean
+        return row
 
-    def add_constraint(self, coeffs: Mapping[int, object], rel: str, rhs) -> int:
+    def add_constraint(self, coeffs: Mapping[int, int | Fraction], rel: str, rhs) -> int:
         if rel not in ("<=", "=", ">="):
             raise InvalidInstanceError(f"bad relation {rel!r}")
-        clean = self._coefficients(coeffs, "constraint")
-        self.constraints.append(Constraint(clean, rel, rat(rhs), Row.of(clean)))
+        self.constraints.append(Constraint(self._row(coeffs, "constraint"), rel, rat(rhs)))
         self._phase1 = None
         return len(self.constraints) - 1
 
-    def set_objective(self, coeffs: Mapping[int, object]) -> None:
-        self.objective = self._coefficients(coeffs, "objective")
+    def set_objective(self, coeffs: Mapping[int, int | Fraction]) -> None:
+        self.objective = self._row(coeffs, "objective")
 
     @property
     def n(self) -> int:
@@ -205,8 +205,8 @@ class Row:
         self.den = den
 
     @classmethod
-    def of(cls, coeffs: Mapping[int, Fraction]) -> "Row":
-        """The row of rational coefficients over their least common
+    def of(cls, coeffs: Mapping[int, int | Fraction]) -> "Row":
+        """The row of int or Fraction coefficients over their least common
         denominator, which is already content-reduced; zeros are dropped."""
         den = reduce(lcm, [v.denominator for v in coeffs.values()], 1)
         return cls({k: v.numerator * (den // v.denominator) for k, v in coeffs.items() if v}, den)
@@ -606,8 +606,8 @@ class _Tableau:
         self.m = len(keep)
         return True
 
-    def phase2(self, objective: Mapping[int, Fraction]) -> None:
-        self._simplex(Row.of(objective), forbidden=self.arts)
+    def phase2(self, objective: Row) -> None:
+        self._simplex(objective, forbidden=self.arts)
 
     # -- extraction ---------------------------------------------------------
 
@@ -664,16 +664,15 @@ def vertex_rank(lp: LinearProgram, tight: frozenset[int], at_bound: frozenset[in
 
 def _finish(lp: LinearProgram, tab: _Tableau) -> VertexSolution:
     ratios = tab.solution_ratios()
-    scaled = over_lcm(ratios)
-    tight, at_bound = lp.check_point(*scaled)
+    nums, den = scaled = over_lcm(ratios)
+    tight, at_bound = lp.check_point(nums, den)
     if vertex_rank(lp, tight, at_bound) != lp.n:
         raise InvariantViolation("optimal point is not a vertex: tight rows rank-deficient")
-    values = [Fraction(p, q) for p, q in ratios]
-    obj = sum((v * values[j] for j, v in lp.objective.items()), ZERO)
+    cost = lp.objective
     return VertexSolution(
         status="optimal",
-        values=values,
-        objective=obj,
+        values=[Fraction(p, q) for p, q in ratios],
+        objective=Fraction(sum(v * nums[j] for j, v in cost.num.items()), cost.den * den),
         tight_constraints=tight,
         scaled=scaled,
     )

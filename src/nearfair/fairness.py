@@ -135,11 +135,10 @@ def allocation_polytope(
         if binding and not own:
             raise InfeasibleInstanceError(f"agent {a.id!r} has no acceptable bundle")
         if own:
-            lp.add_constraint({col[e]: ONE for e in own}, "=" if binding else "<=", ONE)
+            lp.add_constraint({col[e]: 1 for e in own}, "=" if binding else "<=", 1)
     for r, c in instance.resources:
         if r in by_resource:
-            coeffs = {col[e]: Fraction(m) for e, m in by_resource[r].items()}
-            lp.add_constraint(coeffs, "<=", Fraction(c))
+            lp.add_constraint({col[e]: m for e, m in by_resource[r].items()}, "<=", c)
     return lp, pairs, col
 
 

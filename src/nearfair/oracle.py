@@ -9,15 +9,16 @@ Vertices come from lexicographic pivoting (Avis & Fukuda 1992; Avis 2000,
 lrs) after a small Bland's-rule phase 1 local to this module.  As in lrs the
 pivots are integer: the tableau rows are fraction-free ``Row``s (integer
 numerators over one positive denominator), the ratio tests compare
-numerators by cross-multiplication, and only an emitted vertex is built
-from ``Fraction``s.  Each new vertex goes through the LP model's own
-integer point check, ``LinearProgram.check_point``, the one the simplex
-runs on its answers: every bound and row, over the point's common
-denominator.  Upper bounds that a nonnegative '<=' row already implies get
-no row, which cuts the bases of the couples packing polytopes about
-threefold.  The oracle is the independent check on ``nearfair.exactlp``'s
-simplex, so it takes from that module only the ``LinearProgram`` model and
-the row kernel ``Row``.
+numerators by cross-multiplication, and only a vertex kept is built from
+``Fraction``s.  Each new vertex is read from the tableau as integers (the
+basic values' numerators plus the lower bounds, over their common
+denominator) and goes through the LP model's own integer point check,
+``LinearProgram.check_point``, the one the simplex runs on its answers:
+every bound and row.  Upper bounds that a nonnegative '<=' row already
+implies get no row, which cuts the bases of the couples packing polytopes
+about threefold.  The oracle is the independent check on
+``nearfair.exactlp``'s simplex, so it takes from that module only the
+``LinearProgram`` model and the row kernel ``Row``.
 """
 
 from __future__ import annotations
@@ -85,19 +86,13 @@ def _redundant_upper_bound(lp: LinearProgram, j: int) -> bool:
     for c in lp.constraints:
         if c.rel != "<=":
             continue
-        aj = c.coeffs.get(j, ZERO)
-        if aj <= 0:
+        num = c.row.num
+        aj = num.get(j, 0)
+        if aj <= 0 or any(v < 0 for v in num.values()):
             continue
-        if any(v < 0 for v in c.coeffs.values()):
+        if c.rhs * c.row.den > aj * ub:  # rhs / (aj / den) > ub
             continue
-        if c.rhs / aj > ub:
-            continue
-        ok = True
-        for k in c.coeffs:
-            if lp.variables[k].lb < 0 or (k != j and lp.variables[k].lb != 0):
-                ok = False
-                break
-        if ok:
+        if all(lp.variables[k].lb >= 0 if k == j else lp.variables[k].lb == 0 for k in num):
             return True
     return False
 
@@ -134,7 +129,8 @@ def _standard_form(lp: LinearProgram) -> tuple[list[Row], list[Optional[int]], i
         rows.append(Row.of(row))
 
     for c in lp.constraints:
-        add(c.coeffs, {"<=": ONE, ">=": -ONE, "=": None}[c.rel], c.rhs)
+        coeffs = {j: Fraction(v, c.row.den) for j, v in c.row.num.items()}
+        add(coeffs, {"<=": ONE, ">=": -ONE, "=": None}[c.rel], c.rhs)
     for j, var in enumerate(lp.variables):
         if free[j] and not _redundant_upper_bound(lp, j):
             add({j: ONE}, ONE, var.ub)
@@ -261,6 +257,7 @@ def vertex_enumerate(lp: LinearProgram) -> list[list[Fraction]]:
     if not _phase_one(rows, basis):
         return []
     lex = list(basis)
+    lbs = [var.lb.as_integer_ratio() for var in lp.variables]
     found: dict[frozenset, list[Fraction]] = {}
 
     def emit() -> None:
@@ -273,13 +270,15 @@ def vertex_enumerate(lp: LinearProgram) -> list[list[Fraction]]:
                 y.append((b, v // g, row.den // g))
         key = frozenset(y)
         if key not in found:
-            x = [var.lb for var in lp.variables]
+            x = list(lbs)  # x_b = lb_b + p / q, as integer pairs
             for b, p, q in y:
-                x[b] += Fraction(p, q)
-            lp.check_point(*over_lcm(v.as_integer_ratio() for v in x))
+                ln, ld = x[b]
+                x[b] = (ln * q + p * ld, ld * q)
+            nums, den = over_lcm(x)
+            lp.check_point(nums, den)
             if len(found) >= MAX_VERTICES:
                 raise ScaleExceededError(f"more than {MAX_VERTICES} vertices")
-            found[key] = x
+            found[key] = [Fraction(v, den) for v in nums]
 
     mask = sum(1 << b for b in basis)
     seen = {mask}

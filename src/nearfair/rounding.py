@@ -439,7 +439,7 @@ def _round_loop(
         lp = LinearProgram()
         col = {e: lp.add_variable(f"y[{e[0]},{e[1]}]") for e in F}
         for a, own in by_agent.items():
-            lp.add_constraint({col[e]: ONE for e in own}, "=" if a in tilde_A else "<=", ONE)
+            lp.add_constraint({col[e]: 1 for e in own}, "=" if a in tilde_A else "<=", 1)
         loose: list[tuple[Hashable, int]] = []
         for row_key, by_pair, rhs in group_rows(members, tilde_G, by_agent, x_cur, den):
             coeffs = {col[e]: c for e, c in by_pair.items()}
@@ -450,9 +450,9 @@ def _round_loop(
         for r in tilde_R:
             uses = by_resource[r]
             rhs = Fraction(sum(m * x_cur[e] for e, m in uses.items()), den)
-            lp.add_constraint({col[e]: Fraction(m) for e, m in uses.items()}, "=", rhs)
+            lp.add_constraint({col[e]: m for e, m in uses.items()}, "=", rhs)
         if chi:
-            coeffs = {col[e]: Fraction(demand[e[0]]) for e in F}
+            coeffs = {col[e]: demand[e[0]] for e in F}
             rhs = Fraction(sum(demand[e[0]] * x_cur[e] for e in F), den)
             lp.add_constraint(coeffs, "=", rhs)
 

@@ -8,7 +8,7 @@ from typing import Optional
 
 from nearfair.couples import CouplesInstance
 from nearfair.envyfree import HomogeneousInstance
-from nearfair.exactlp import LinearProgram, feasible_vertex, solve_vertex, vertex_rank
+from nearfair.exactlp import LinearProgram, Row, feasible_vertex, solve_vertex, vertex_rank
 from nearfair.apportionment import MAInstance, SignpostMethod, highest_averages
 from nearfair.fairness import allocation_polytope
 from nearfair.model import (
@@ -426,6 +426,11 @@ def degenerate_lp(rng: random.Random, max_vars: int = 5) -> LinearProgram:
         lp.add_constraint(coeffs, rng.choice(("<=", ">=", "=")), rhs)
     lp.set_objective({j: Fraction(rng.randint(-3, 3)) for j in range(n)})
     return lp
+
+
+def coefficients(row: Row) -> dict[int, Fraction]:
+    """A stored LP row or objective read as its ``Fraction`` coefficients."""
+    return {j: Fraction(v, row.den) for j, v in row.num.items()}
 
 
 def point_rank(lp: LinearProgram, values) -> int:

@@ -40,6 +40,7 @@ from nearfair.oracle import enumerate_integral, vertex_enumerate
 from nearfair.rounding import iterative_round
 
 from generators import (
+    coefficients,
     ef_budget,
     fractional_allocation,
     minimal_budget,
@@ -389,7 +390,7 @@ def test_criterion_8_lp_engine():
             optimal += 1
             assert point_rank(lp, sol.values) == lp.n
             best = min(
-                sum((c * v[j] for j, c in lp.objective.items()), Fraction(0))
+                sum((c * v[j] for j, c in coefficients(lp.objective).items()), Fraction(0))
                 for v in vertices
             )
             assert sol.objective == best

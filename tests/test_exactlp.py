@@ -25,7 +25,7 @@ from nearfair.exactlp import (
 from nearfair.oracle import vertex_enumerate
 from nearfair.rationals import over_lcm
 
-from generators import degenerate_lp, point_rank, random_lp, rational_lp
+from generators import coefficients, degenerate_lp, point_rank, random_lp, rational_lp
 
 
 def test_min_over_box():
@@ -115,7 +115,7 @@ def test_value_matches_vertex_enumeration():
             if sol.optimal:
                 compared += 1
                 best = min(
-                    sum((c * v[j] for j, c in lp.objective.items()), Fraction(0))
+                    sum((c * v[j] for j, c in coefficients(lp.objective).items()), Fraction(0))
                     for v in vertices
                 )
                 assert sol.objective == best
@@ -136,13 +136,13 @@ def test_rational_lps_cover_their_kinds():
     assert any(v.lb == v.ub for v in variables)
     rows = [c for lp in lps for c in lp.constraints]
     assert any(c.rhs.denominator > 1 for c in rows)
-    assert any(q.denominator > 1 for c in rows for q in c.coeffs.values())
+    assert any(q.denominator > 1 for c in rows for q in coefficients(c.row).values())
     # rows below their value at the lower bounds, which phase 1 starts negated
     flipped = [
         c
         for lp in lps
         for c in lp.constraints
-        if c.rhs < sum((v * lp.variables[j].lb for j, v in c.coeffs.items()), Fraction(0))
+        if c.rhs < sum(v * lp.variables[j].lb for j, v in coefficients(c.row).items())
     ]
     assert len(flipped) > 20
     statuses = {solve_vertex(lp).status for lp in lps}
@@ -169,7 +169,7 @@ def reference_check(lp, x):
             return f"point puts {var.name!r} at {v}, outside"
     tight = set()
     for idx, c in enumerate(lp.constraints):
-        lhs = sum((a * x[j] for j, a in c.coeffs.items()), Fraction(0))
+        lhs = sum((a * x[j] for j, a in coefficients(c.row).items()), Fraction(0))
         if lhs == c.rhs:
             tight.add(idx)
         elif {"<=": lhs > c.rhs, ">=": lhs < c.rhs, "=": True}[c.rel]:
@@ -183,7 +183,7 @@ def near_misses(lp, x, tight):
     resolution, both ways: each column at a bound, so one way crosses the
     bound and the other leaves it, and each column of each tight row."""
     cols = {j for j, var in enumerate(lp.variables) if x[j] in (var.lb, var.ub)}
-    cols |= {j for idx in tight for j in lp.constraints[idx].coeffs}
+    cols |= {j for idx in tight for j in coefficients(lp.constraints[idx].row)}
     for j in sorted(cols):
         for step in (EPS, -EPS):
             yield j, x[:j] + [x[j] + step] + x[j + 1 :]
@@ -482,13 +482,18 @@ def test_vertex_rank_edge_midpoint_is_not_a_vertex():
 
 
 FRACTION_ORDER = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__lt__", "__le__", "__gt__", "__ge__",
+)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([random_lp, degenerate_lp, rational_lp]), st.integers(0, 2**32))
 def test_finish_compares_no_fractions(build, seed):
-    """``_finish`` checks an answer on its integer point: it compares no
-    value with a bound, nor anything else, as a ``Fraction``."""
+    """``_finish`` checks an answer on its integer point and reads its
+    objective value as one integer dot product: it compares no value with a
+    bound, nor anything else, and sums nothing, as a ``Fraction``."""
     lp = build(random.Random(seed))
     tab = exactlp._phase_one(lp)
     if tab is None:
@@ -497,10 +502,10 @@ def test_finish_compares_no_fractions(build, seed):
     tab.phase2(lp.objective)
 
     def refuse(*args):
-        raise AssertionError("Fraction comparison in _finish")
+        raise AssertionError("Fraction comparison or arithmetic in _finish")
 
     with ExitStack() as stack:
-        for name in FRACTION_ORDER:
+        for name in dict.fromkeys(FRACTION_ORDER + FRACTION_ARITHMETIC):
             stack.enter_context(mock.patch.object(Fraction, name, refuse))
         sol = exactlp._finish(lp, tab)
     assert answer(sol) == answer(solve_vertex(lp))
@@ -524,7 +529,7 @@ def test_repeated_solves_match_fresh_solves(case):
     build, seed = case
     rng = random.Random(seed)
     lp = build(rng)
-    objectives = [dict(lp.objective)] + [
+    objectives = [coefficients(lp.objective)] + [
         {j: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(lp.n)}
         for _ in range(3)
     ]
@@ -535,7 +540,7 @@ def test_repeated_solves_match_fresh_solves(case):
         return other
 
     first = answer(feasible_vertex(lp))
-    assert first == answer(feasible_vertex(fresh(lp.objective)))
+    assert first == answer(feasible_vertex(fresh(coefficients(lp.objective))))
     # A, B, C, D, then A again: no solve may leave a mark on the kept tableau
     for c in objectives + objectives[:1]:
         lp.set_objective(c)
@@ -745,7 +750,7 @@ def agent_lps(draw, decoys=st.lists(st.sampled_from(DECOYS), max_size=3)):
         decoy_rows.append(lp.add_constraint(coeffs, "=", rhs))
     coupling = st.sampled_from([0, 0, 1, -1, 2])
     for c in base.constraints:
-        coeffs = dict(c.coeffs)
+        coeffs = coefficients(c.row)
         for j in point:
             coeffs[j] = draw(coupling)
         lp.add_constraint(coeffs, c.rel, c.rhs + sum(coeffs[j] * point[j] for j in point))
@@ -758,7 +763,7 @@ def assert_matches_vertex_enumeration(lp):
     best vertex the oracle finds, and says infeasible exactly when the
     oracle finds none."""
     vertices = vertex_enumerate(lp)
-    for c in (dict(lp.objective), {j: -v for j, v in lp.objective.items()}):
+    for c in (coefficients(lp.objective), {j: -v for j, v in coefficients(lp.objective).items()}):
         lp.set_objective(c)
         sol = solve_vertex(lp)
         if not vertices:
@@ -857,12 +862,6 @@ def test_settled_rows_need_no_phase_one_pivot(data):
     assert_matches_vertex_enumeration(lp)
 
 
-FRACTION_ARITHMETIC = (
-    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-    "__truediv__", "__rtruediv__", "__neg__", "__lt__", "__le__", "__gt__", "__ge__",
-)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(agent_lps().map(lambda case: case[0]),
                  st.integers(0, 2**32).map(lambda seed: rational_lp(random.Random(seed)))))
@@ -876,6 +875,64 @@ def test_tableau_build_does_no_fraction_arithmetic(lp):
         for name in FRACTION_ARITHMETIC:
             stack.enter_context(mock.patch.object(Fraction, name, refuse))
         exactlp._Tableau(lp)
+
+
+@contextmanager
+def recorded_calls():
+    """Record each LP's ``add_constraint`` and ``set_objective`` calls, in
+    order, keyed by the LP."""
+    calls: dict[LinearProgram, list] = {}
+    add, objective = LinearProgram.add_constraint, LinearProgram.set_objective
+
+    def add_constraint(self, coeffs, rel, rhs):
+        calls.setdefault(self, []).append((coeffs, rel, rhs))
+        return add(self, coeffs, rel, rhs)
+
+    def set_objective(self, coeffs):
+        calls.setdefault(self, []).append((coeffs,))
+        objective(self, coeffs)
+
+    with mock.patch.object(LinearProgram, "add_constraint", add_constraint), \
+            mock.patch.object(LinearProgram, "set_objective", set_objective):
+        yield calls
+
+
+def with_ints(lp, calls):
+    """``lp`` built again from its recorded calls, with every integral
+    coefficient, right-hand side and objective entry passed as an int."""
+    def plain(v):
+        return v.numerator if v.denominator == 1 else v
+
+    out = LinearProgram()
+    for var in lp.variables:
+        out.add_variable(var.name, var.lb, var.ub)
+    for coeffs, *rest in calls:
+        coeffs = {j: plain(v) for j, v in coeffs.items()}
+        if rest:
+            out.add_constraint(coeffs, rest[0], plain(rest[1]))
+        else:
+            out.set_objective(coeffs)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([random_lp, degenerate_lp, rational_lp, agent_lps]), st.data())
+def test_int_and_fraction_coefficients_are_one_input(build, data):
+    """An LP built from ints stores the rows, right-hand sides and objective
+    that the same LP built from ``Fraction``s stores, and solves alike."""
+    with recorded_calls() as calls:
+        if build is agent_lps:
+            lp = data.draw(agent_lps())[0]
+        else:
+            lp = build(random.Random(data.draw(st.integers(0, 2**32))))
+    inputs = [v for coeffs, *rest in calls[lp] for v in [*coeffs.values(), *rest[1:]]]
+    assert any(isinstance(v, Fraction) for v in inputs)
+    ints = with_ints(lp, calls[lp])
+    rows = [((c.row.num, c.row.den), c.rel, c.rhs) for c in lp.constraints]
+    assert [((c.row.num, c.row.den), c.rel, c.rhs) for c in ints.constraints] == rows
+    assert (ints.objective.num, ints.objective.den) == (lp.objective.num, lp.objective.den)
+    assert answer(solve_vertex(ints)) == answer(solve_vertex(lp))
+    assert answer(feasible_vertex(ints)) == answer(feasible_vertex(lp))
 
 
 def test_objective_rejects_unknown_variables():

@@ -9,7 +9,7 @@ from nearfair.apportionment import SignpostMethod, seat_costs, solve_lp_ma
 from nearfair.errors import InfeasibleInstanceError
 from nearfair.exactlp import solve_vertex
 
-from generators import degenerate_lp, random_lp, random_ma
+from generators import coefficients, degenerate_lp, random_lp, random_ma
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -18,7 +18,8 @@ def highs(lp):
     """(status, objective) of ``lp`` by scipy's HiGHS, in floats."""
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for c in lp.constraints:
-        row = [float(c.coeffs.get(j, 0)) for j in range(lp.n)]
+        coeffs = coefficients(c.row)
+        row = [float(coeffs.get(j, 0)) for j in range(lp.n)]
         if c.rel == "=":
             a_eq.append(row)
             b_eq.append(float(c.rhs))
@@ -26,8 +27,9 @@ def highs(lp):
             sign = 1.0 if c.rel == "<=" else -1.0
             a_ub.append([sign * v for v in row])
             b_ub.append(sign * float(c.rhs))
+    cost = coefficients(lp.objective)
     res = optimize.linprog(
-        [float(lp.objective.get(j, 0)) for j in range(lp.n)],
+        [float(cost.get(j, 0)) for j in range(lp.n)],
         A_ub=a_ub or None,
         b_ub=b_ub or None,
         A_eq=a_eq or None,

@@ -31,7 +31,7 @@ from nearfair.model import (
 from nearfair.rationals import over_lcm
 from nearfair.rounding import _utility_rows, iterative_round
 
-from generators import minimal_budget, random_homogeneous, rational_lp
+from generators import coefficients, minimal_budget, random_homogeneous, rational_lp
 
 ZERO = Fraction(0)
 # pairwise coprime: small primes, primes around 10^12, and a Mersenne prime
@@ -236,7 +236,7 @@ def rows_hold_at_the_current_point(monkeypatch, module, x: Allocation):
     def solve(lp):
         point = [current[var.name] for var in lp.variables]
         for c in lp.constraints:
-            lhs = sum((v * point[j] for j, v in c.coeffs.items()), ZERO)
+            lhs = sum((v * point[j] for j, v in coefficients(c.row).items()), ZERO)
             assert {"=": lhs == c.rhs, "<=": lhs <= c.rhs, ">=": lhs >= c.rhs}[c.rel], (lhs, c)
         sol = feasible_vertex(lp)
         nums, den = sol.scaled

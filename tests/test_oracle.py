@@ -22,7 +22,7 @@ from nearfair.oracle import (
 
 from nearfair.rationals import over_lcm
 
-from generators import degenerate_lp, random_couples, random_lp, rational_lp
+from generators import coefficients, degenerate_lp, random_couples, random_lp, rational_lp
 
 
 def two_bundle_instance(binding):
@@ -160,7 +160,7 @@ def _satisfies(lp, x):
     if any(not var.lb <= v <= var.ub for var, v in zip(lp.variables, x)):
         return False
     for c in lp.constraints:
-        lhs = sum(a * x[j] for j, a in c.coeffs.items())
+        lhs = sum(a * x[j] for j, a in coefficients(c.row).items())
         if {"<=": lhs > c.rhs, ">=": lhs < c.rhs, "=": lhs != c.rhs}[c.rel]:
             return False
     return True
@@ -169,7 +169,7 @@ def _satisfies(lp, x):
 def brute_force_vertices(lp):
     """Textbook enumeration: solve every n-subset of bound and constraint
     rows, keep the feasible points, dedupe and sort."""
-    rows = [_integer_row(c.coeffs, c.rhs, lp.n) for c in lp.constraints]
+    rows = [_integer_row(coefficients(c.row), c.rhs, lp.n) for c in lp.constraints]
     for j, var in enumerate(lp.variables):
         rows += [_integer_row({j: 1}, bound, lp.n) for bound in (var.lb, var.ub)]
     points = set()
@@ -189,7 +189,7 @@ def _rebox(rng, lp, fix=False):
         width = 0 if fix and rng.random() < 0.4 else Fraction(rng.randint(1, 6), rng.randint(1, 2))
         out.add_variable(var.name, lb, lb + width)
     for c in lp.constraints:
-        out.add_constraint(c.coeffs, c.rel, c.rhs)
+        out.add_constraint(coefficients(c.row), c.rel, c.rhs)
     return out
 
 
@@ -236,6 +236,20 @@ def couples_lp(rng):
     return allocation_polytope(ci.instance)[0]
 
 
+def packing_lp(rng):
+    """'<=' rows with positive fractional coefficients over columns with
+    lower bound 0 and fractional upper bounds: the rows that can make an
+    upper bound redundant, over a row denominator above 1."""
+    n = rng.randint(2, 4)
+    lp = LinearProgram()
+    for j in range(n):
+        lp.add_variable(f"x{j}", 0, Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+    for _ in range(rng.randint(1, 3)):
+        coeffs = {j: Fraction(rng.randint(1, 3), rng.randint(1, 3)) for j in range(n)}
+        lp.add_constraint(coeffs, "<=", Fraction(rng.randint(1, 6), rng.randint(1, 2)))
+    return lp
+
+
 VERTEX_CASES = {
     "random": lambda rng: random_lp(rng, max_vars=4),
     "shifted": shifted_lp,
@@ -244,6 +258,7 @@ VERTEX_CASES = {
     "dependent_equalities": dependent_equalities_lp,
     "infeasible": infeasible_lp,
     "couples": couples_lp,
+    "packing": packing_lp,
 }
 
 
@@ -300,10 +315,10 @@ def feasibility_mutants(lp, x):
             if x[j] == bound:
                 yield "bound", x[:j] + [bound + step] + x[j + 1 :]
     for c in lp.constraints:
-        if sum(a * x[j] for j, a in c.coeffs.items()) != c.rhs:
+        if sum(a * x[j] for j, a in coefficients(c.row).items()) != c.rhs:
             continue
         for up in {"<=": (1,), ">=": (-1,), "=": (1, -1)}[c.rel]:
-            for j, a in c.coeffs.items():
+            for j, a in coefficients(c.row).items():
                 v = x[j] + (EPS if (a > 0) == (up > 0) else -EPS)
                 if lp.variables[j].lb <= v <= lp.variables[j].ub:
                     yield c.rel, x[:j] + [v] + x[j + 1 :]
