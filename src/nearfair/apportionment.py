@@ -169,9 +169,14 @@ class MAInstance:
     def __post_init__(self):
         if self.house < 0:
             raise InvalidInstanceError("house size must be non-negative")
+        if len(set(self.dims)) != len(self.dims):
+            raise InvalidInstanceError(f"dimensions {list(self.dims)} repeat a name")
         for dim in self.dims:
-            if dim not in self.groups or not self.groups[dim]:
+            gs = self.groups.get(dim)
+            if not gs:
                 raise InvalidInstanceError(f"dimension {dim!r} has no groups")
+            if len(set(gs)) != len(gs):
+                raise InvalidInstanceError(f"dimension {dim!r} repeats a group in {list(gs)}")
         for e, v in self.votes.items():
             if len(e) != len(self.dims):
                 raise InvalidInstanceError(f"tuple {e} has wrong arity")

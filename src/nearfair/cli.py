@@ -176,6 +176,10 @@ def _ma_from_csv(path: str, house: int | None):
     for row in rows[1:]:
         if not row:
             raise SchemaError("vote table has an empty row")
+        if len(row) != len(rows[0]):
+            raise SchemaError(
+                f"vote table row {row[0]!r} has {len(row)} cells, the header {len(rows[0])}"
+            )
         party = row[0].strip()
         parties.append(party)
         for district, cell in zip(districts, row[1:]):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import InvalidInstanceError, InvariantViolation
-from .exactlp import feasible_vertex
+from .errors import InfeasibleInstanceError, InvalidInstanceError, InvariantViolation
+from .exactlp import feasible_vertex, solve_vertex
 from .model import (
     Allocation,
     Bundle,
@@ -172,8 +172,7 @@ def _scaled_envy(
     |i|/|j| times i's utility for j's allocation, minus i's own utility."""
     inst = h.instance
     own_utility = group_utilities(x, h.utilities, inst)
-    nums, den = x.scaled()
-    den *= h.utilities.den
+    nums, den = x.nums, x.den * h.utilities.den
     out = {}
     for dim in inst.dimensions:
         groups = inst.groups_in(dim)
@@ -302,7 +301,10 @@ def ef_round(
     row that becomes tight stays an equality.  Otherwise this is the
     iterative rounder of ``rounding``, without the total-conservation row.
     Agents may start below one bundle, as the greedy stage can leave them,
-    but never above.
+    but never above.  When the rounding leaves a binding agent without a
+    bundle, it runs again with each LP at a vertex that keeps the most mass
+    on binding agents; a binding agent still unserved raises
+    InfeasibleInstanceError.
     """
     inst = h.instance
     ef_condition(h, alpha, delta, require=True)
@@ -310,16 +312,31 @@ def ef_round(
     if problems:
         raise InvalidInstanceError("bad input allocation: " + "; ".join(problems))
 
-    y, _trace = _round_loop(
-        inst,
-        x,
-        alpha,
-        delta,
-        None,
-        group_rows=_envy_rows(h),
-        check=_counting_bound(h, alpha, delta),
-        solve=feasible_vertex,
-    )
+    def rounded(solve, prefer=frozenset()):
+        return _round_loop(
+            inst,
+            x,
+            alpha,
+            delta,
+            None,
+            group_rows=_envy_rows(h),
+            check=_counting_bound(h, alpha, delta),
+            solve=solve,
+            prefer=prefer,
+        )[0]
+
+    y = rounded(feasible_vertex)
+    unserved = y.check_allocation(inst, capacities=False)
+    if unserved:
+        # a first vertex dropped a binding agent that the greedy point left
+        # below one: round again at vertices that keep the most binding mass
+        y = rounded(solve_vertex, inst.binding)
+        unserved = y.check_allocation(inst, capacities=False)
+    if unserved:
+        raise InfeasibleInstanceError(
+            "the greedy point left binding agents below one bundle, and "
+            "rounding did not serve them: " + "; ".join(unserved)
+        )
     return y
 
 

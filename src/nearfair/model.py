@@ -11,12 +11,12 @@ that integrality and tightness tests downstream are decidable.
 ``Fraction`` lives at the edges: utilities and allocation values are taken
 in as rationals, and loads, masses, group utilities and the violations of
 ``check_allocation`` are handed out as rationals.  In between the sums run
-on integers.  An allocation's values are read once as integer numerators
-over their least common denominator (``Allocation.scaled``), and a
-``UtilityModel`` holds its utilities as integer numerators over one
-denominator of its own (``UtilityModel.den``), each (agent, bundle) pair
-read once per model.  A sum is then an integer sum, and one ``Fraction`` is
-built at the end.
+on integers.  An allocation is immutable and reads its values once, as
+integer numerators over their least common denominator
+(``Allocation.nums`` over ``Allocation.den``), and a ``UtilityModel``
+holds its utilities as integer numerators over one denominator of its own
+(``UtilityModel.den``), each (agent, bundle) pair read once per model.  A
+sum is then an integer sum, and one ``Fraction`` is built at the end.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvalidInstanceError
-from .rationals import ONE, ZERO, over_lcm, rat
+from .rationals import ZERO, over_lcm, rat
 
 # ---------------------------------------------------------------------------
 # Bundles
@@ -251,11 +251,15 @@ def pair_index(
     return by_agent, by_resource
 
 
-@dataclass
+@dataclass(frozen=True)
 class Allocation:
-    """Sparse mapping from (agent, bundle) pairs to values in [0, 1]."""
+    """Immutable sparse mapping from (agent, bundle) pairs to values in
+    [0, 1], read once into ``nums``, integer numerators over ``den``, their
+    least common denominator (1 when integral), which every sum reads."""
 
     values: dict[Pair, Fraction] = field(default_factory=dict)
+    nums: dict[Pair, int] = field(init=False, compare=False, repr=False)
+    den: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         values = {}
@@ -265,56 +269,42 @@ class Allocation:
                 if not 0 <= v <= 1:
                     raise InvalidInstanceError(f"allocation value {v} for {e} outside [0,1]")
                 values[e] = v
-        self.values = values
+        nums, den = over_lcm(v.as_integer_ratio() for v in values.values())
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "nums", dict(zip(values, nums)))
+        object.__setattr__(self, "den", den)
 
     def value(self, agent_id: str, bundle: Bundle) -> Fraction:
         return self.values.get((agent_id, bundle), ZERO)
 
     @property
     def integral(self) -> bool:
-        return all(v == 1 for v in self.values.values())
-
-    def scaled(self) -> tuple[dict[Pair, int], int]:
-        """The values as integer numerators over their least common
-        denominator, and that denominator (1 for an integral allocation)."""
-        nums, den = over_lcm(v.as_integer_ratio() for v in self.values.values())
-        return dict(zip(self.values, nums)), den
+        return self.den == 1
 
     def mass(self, instance: Instance) -> Fraction:
         """Demand-weighted total: each entry's value times its agent's demand."""
-        nums, den = self.scaled()
-        return Fraction(sum(instance.agent(a).demand * n for (a, _), n in nums.items()), den)
+        total = sum(instance.agent(a).demand * n for (a, _), n in self.nums.items())
+        return Fraction(total, self.den)
 
     def loads(self) -> dict[str, Fraction]:
         """Load of every resource the support uses, in one pass over it."""
-        counts: dict[str, int] = {}
-        for (_, q), v in self.values.items():
-            if v.denominator != 1:
-                break
-            for r, m in q.items:
-                counts[r] = counts.get(r, 0) + m
-        else:
-            # integral: every value is one, so a load counts units, and the
-            # shared ONE spares building the most common load
-            return {r: ONE if n == 1 else Fraction(n) for r, n in counts.items()}
-        nums, den = self.scaled()
         sums: dict[str, int] = {}
-        for (_, q), n in nums.items():
+        for (_, q), n in self.nums.items():
             for r, m in q.items:
                 sums[r] = sums.get(r, 0) + m * n
-        return {r: Fraction(n, den) for r, n in sums.items()}
+        return {r: Fraction(n, self.den) for r, n in sums.items()}
 
     def resource_usage(self, resource: str) -> Fraction:
         return self.loads().get(resource, ZERO)
 
     def fractional_pairs(self) -> list[Pair]:
-        return sorted(e for e, v in self.values.items() if 0 < v < 1)
+        return sorted(e for e, n in self.nums.items() if n < self.den)
 
     def fractional_agents(self) -> frozenset[str]:
         """Agents with two or more fractionally allocated bundles."""
         counts: dict[str, int] = {}
-        for (a, _), v in self.values.items():
-            if 0 < v < 1:
+        for (a, _), n in self.nums.items():
+            if n < self.den:
                 counts[a] = counts.get(a, 0) + 1
         return frozenset(a for a, n in counts.items() if n >= 2)
 
@@ -327,10 +317,10 @@ class Allocation:
         (rounded outputs deliberately relax that bound, so it is optional).
         """
         problems = []
-        nums, den = self.scaled()
+        den = self.den
         totals = {a.id: 0 for a in instance.agents}
         accepts = instance.acceptability
-        for (a, q), n in nums.items():
+        for (a, q), n in self.nums.items():
             if a not in totals:
                 problems.append(f"unknown agent {a!r} in support")
                 continue
@@ -473,13 +463,12 @@ def group_utilities(
     """Total utility each (dimension, group) of ``group_keys`` derives from
     an allocation, in one pass over it; agents outside the instance count
     for no group."""
-    nums, den = allocation.scaled()
     totals = dict.fromkeys(instance.group_keys(), 0)
-    for (a, q), n in nums.items():
+    for (a, q), n in allocation.nums.items():
         spec = instance._agent_by_id.get(a)
         if spec is not None and spec.groups:
             u = utilities.numerator(a, q) * n
             for key in spec.groups.items():
                 totals[key] += u
-    den *= utilities.den
+    den = allocation.den * utilities.den
     return {key: Fraction(n, den) for key, n in totals.items()}

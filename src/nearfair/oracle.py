@@ -31,7 +31,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import ScaleExceededError
 from .exactlp import LinearProgram, Row
-from .model import Allocation, Bundle, Instance, UtilityModel, enumerate_bundles
+from .model import Allocation, Bundle, Instance, UtilityModel, enumerate_bundles, group_utilities
 from .rationals import ONE, ZERO, over_lcm
 
 MAX_INTEGRAL = 10**6
@@ -356,45 +356,19 @@ def best_deviation(
 ) -> list[tuple[Fraction, Fraction, Fraction]]:
     """Pareto frontier of (max group dev, max resource dev, total dev) over
     all roundings of x.  Componentwise-minimal triples, sorted."""
-    group_keys = [
-        (dim, g) for dim in instance.dimensions for g in instance.groups_in(dim)
-    ]
-    base_groups = {
-        key: sum(
-            (
-                utilities.of(a, q) * v
-                for (a, q), v in x.values.items()
-                if a in instance.group_members(*key)
-            ),
-            ZERO,
-        )
-        for key in group_keys
-    }
+    base_groups = group_utilities(x, utilities, instance)
     base_usage = x.loads()
-    base_mass = sum(
-        (instance.agent(a).demand * v for (a, _), v in x.values.items()), ZERO
-    )
+    base_mass = x.mass(instance)
     triples = set()
     for y in enumerate_roundings(instance, x):
         gdev = ZERO
-        for key in group_keys:
-            uy = sum(
-                (
-                    utilities.of(a, q) * v
-                    for (a, q), v in y.values.items()
-                    if a in instance.group_members(*key)
-                ),
-                ZERO,
-            )
-            gdev = max(gdev, abs(uy - base_groups[key]))
+        for key, u in group_utilities(y, utilities, instance).items():
+            gdev = max(gdev, abs(u - base_groups[key]))
         rdev = ZERO
         loads = y.loads()
         for r, _ in instance.resources:
             rdev = max(rdev, abs(loads.get(r, ZERO) - base_usage.get(r, ZERO)))
-        mass = sum(
-            (instance.agent(a).demand * v for (a, _), v in y.values.items()), ZERO
-        )
-        triples.add((gdev, rdev, abs(mass - base_mass)))
+        triples.add((gdev, rdev, abs(y.mass(instance) - base_mass)))
     frontier = [
         t
         for t in triples

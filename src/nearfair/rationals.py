@@ -7,9 +7,10 @@ sums run on integers instead: ``over_lcm`` writes a list of rationals as
 integer numerators over their least common denominator, so a sum of them
 is an integer sum and one ``Fraction`` built at the end.  The market model
 (``model``), the rounder (``rounding``) and the exact simplex (``exactlp``)
-work that way; the LP builders pass integer data as ints, and the LP stores
-each row and its objective once, as integer numerators over one
-denominator.  The only floats live inside the convex-optimization stage
+work that way: an ``Allocation`` writes its values so once, when it is
+built, and every sum over it reads that form; the LP builders pass
+integer data as ints, and the LP stores each row and its objective once,
+as integer numerators over one denominator.  The only floats live inside the convex-optimization stage
 and the logarithmic objective coefficients of apportionment.  Frank-Wolfe
 keeps its vertices exact and snaps only their float weights to rationals
 with a bounded denominator; the Frank-Wolfe gradient and the log costs are

@@ -365,6 +365,7 @@ def _round_loop(
     group_rows: GroupRows,
     check: Callable[[IterationState, list[Pair]], None],
     solve: Callable[[LinearProgram], VertexSolution],
+    prefer: frozenset[str] = frozenset(),
 ) -> tuple[Allocation, list[IterationState]]:
     """The iterative rounder shared by every pipeline.
 
@@ -373,11 +374,12 @@ def _round_loop(
     ``group_rows``), the resources with a fractional load of at least
     delta + 1 and, unless ``Delta`` is None, the demand-weighted total once
     Delta + 1 agents are left below one; ``solve`` returns a vertex of those
-    rows.  ``check`` is the family's counting bound on each iteration's
-    state, and the measure (|F|, agents left below one, -|sticky rows|) must
-    strictly decrease; it is bounded, so the loop ends.  Returns the rounded
-    mapping and one state per iteration, the last being the one that needed
-    no row.
+    rows, with ``prefer`` one that keeps the most mass on those agents (the
+    LP's objective, which ``solve`` must then minimize).  ``check`` is the
+    family's counting bound on each iteration's state, and the measure (|F|,
+    agents left below one, -|sticky rows|) must strictly decrease; it is
+    bounded, so the loop ends.  Returns the rounded mapping and one state
+    per iteration, the last being the one that needed no row.
     """
     group_keys = instance.group_keys()
     members = {key: tuple(sorted(instance.group_members(*key))) for key in group_keys}
@@ -386,7 +388,7 @@ def _round_loop(
 
     # the current point is x_cur[e] / den: integer numerators over the
     # common denominator of the input, then of each iteration's vertex
-    x_cur, den = x.scaled()
+    x_cur, den = dict(x.nums), x.den
     sticky: set[Hashable] = set()
     trace: list[IterationState] = []
     prev_measure: Optional[tuple[int, int, int]] = None
@@ -456,6 +458,8 @@ def _round_loop(
             rhs = Fraction(sum(demand[e[0]] * x_cur[e] for e in F), den)
             lp.add_constraint(coeffs, "=", rhs)
 
+        if prefer:
+            lp.set_objective({col[e]: -1 for e in F if e[0] in prefer})
         solution = solve(lp)
         if not solution.optimal:
             raise InvariantViolation(

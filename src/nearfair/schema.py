@@ -169,6 +169,8 @@ def parse_ma(doc: dict) -> MAInstance:
         votes = {}
         for entry in block["votes"]:
             key = tuple([str(g) for g in entry["tuple"]])
+            if key in votes:
+                raise SchemaError(f"vote tuple {list(key)} is listed twice")
             votes[key] = int(entry["votes"])
         house = int(block["house"])
         for dim, table in block.get("bounds", {}).items():

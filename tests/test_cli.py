@@ -547,6 +547,7 @@ def _instance_doc(agent=None, **fields):
 
 
 SOLVE_BAD = ["solve", "assignment", "--instance", "{dir}/bad.json", "--delta", "1"]
+CSV_BAD = ["apportion", "--csv", "{dir}/bad.json", "--house", "3"]
 MA_BAD_BOUNDS = {
     "dimensions": ["party", "district"],
     "groups": {"party": ["p1", "p2"], "district": ["d1"]},
@@ -564,8 +565,28 @@ MALFORMED = {
     "dimensions": (_instance_doc(dimensions=5), SOLVE_BAD),
     "usage": (_instance_doc(), SOLVE_BAD[:-1] + ["zz"]),
     "bounds": (MA_BAD_BOUNDS, ["apportion", "--instance", "{dir}/bad.json"]),
-    "csv vote": ("x,d1\np1,x\n", ["apportion", "--csv", "{dir}/bad.json", "--house", "3"]),
-    "csv row": ("x,d1\n\np1,3\n", ["apportion", "--csv", "{dir}/bad.json", "--house", "3"]),
+    "csv vote": ("x,d1\np1,x\n", CSV_BAD),
+    "csv row": ("x,d1\n\np1,3\n", CSV_BAD),
+    "csv repeated party": ("x,d1\nA,3\nA,5\n", CSV_BAD),
+    "csv long row": ("x,d1\nA,3,4\n", CSV_BAD),
+    "csv short row": ("x,d1,d2\nA,3\n", CSV_BAD),
+    "ma repeated dimension": (
+        {
+            "dimensions": ["party", "party"],
+            "groups": {"party": ["p1", "p2"]},
+            "votes": [{"tuple": ["p1", "p1"], "votes": 10}, {"tuple": ["p2", "p2"], "votes": 5}],
+            "house": 4,
+        },
+        ["apportion", "--instance", "{dir}/bad.json"],
+    ),
+    "ma repeated group": (
+        dict(MA_BAD_BOUNDS, groups={"party": ["p1", "p2", "p1"], "district": ["d1"]}, bounds={}),
+        ["apportion", "--instance", "{dir}/bad.json"],
+    ),
+    "ma repeated vote tuple": (
+        dict(MA_BAD_BOUNDS, votes=MA_BAD_BOUNDS["votes"] * 2, bounds={}),
+        ["apportion", "--instance", "{dir}/bad.json"],
+    ),
     "no vote source": ("x,d1\np1,3\n", ["apportion", "--house", "3"]),
     "house with an instance": (
         dict(MA_BAD_BOUNDS, bounds={}),
@@ -718,6 +739,22 @@ def test_solve_envyfree_prints_the_library_result(tmp_path, capsys, a2_values):
         "fractional": serialize_allocation(x)["entries"],
         "envy_ok": True,
     }
+
+
+def test_solve_envyfree_exits_2_when_no_bundle_fits_a_binding_agent(tmp_path, capsys):
+    inst = Instance(
+        [AgentSpec("a1", 2, {"g": "g1"}), AgentSpec("a2", 2, {"g": "g2"})],
+        [("r1", 1)],
+        binding={"a1", "a2"},
+        dimensions=("g",),
+    )
+    u = UtilityModel(additive={"a1": {"r1": 1}, "a2": {"r1": 1}})
+    inst_file = write(tmp_path, "inst.json", serialize_instance(inst, u))
+    code = main(["solve", "envyfree", "--instance", inst_file, "--alpha", "7", "--delta", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "below one bundle" in captured.err and "binding agent 'a1' totals 0 != 1" in captured.err
 
 
 @pytest.mark.parametrize("objective", ["utilitarian", "proportional"])

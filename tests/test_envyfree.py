@@ -14,7 +14,7 @@ from nearfair.envyfree import (
     ef_round,
     greedy_fractional_ef,
 )
-from nearfair.errors import BudgetError, InvalidInstanceError
+from nearfair.errors import BudgetError, InfeasibleInstanceError, InvalidInstanceError
 from nearfair.model import AgentSpec, Allocation, Bundle, Instance, UtilityModel, enumerate_bundles
 
 from generators import ef_budget, random_homogeneous
@@ -167,6 +167,41 @@ def test_ef_round_rejects_over_allocated_agent():
     assert ef_round(h, under, (7,), 3).integral
 
 
+def test_ef_round_serves_binding_agents_the_greedy_point_leaves_below_one():
+    # six binding agents of demand 2; the bundles that fit hold 5.5 of them
+    groups = ("g0", "g1", "g0", "g0", "g0", "g1")
+    agents = [AgentSpec(f"a{i}", 2, {"dim0": g}) for i, g in enumerate(groups)]
+    ids = [a.id for a in agents]
+    inst = Instance(agents, [("r0", 7), ("r1", 4), ("r2", 1)], binding=ids, dimensions=("dim0",))
+    rows = {"g0": {"r0": 3, "r1": 3, "r2": 3}, "g1": {"r0": 3, "r1": 3, "r2": 0}}
+    u = UtilityModel(additive={a.id: rows[a.groups["dim0"]] for a in agents})
+    h = HomogeneousInstance(inst, u)
+    x, _ = greedy_fractional_ef(h)
+    # every agent eats 7/12 of {r0:2} and 1/3 of {r1:2}: 11/12 in total
+    r0, r1 = Bundle.of({"r0": 2}), Bundle.of({"r1": 2})
+    assert x.values == {
+        **{(a, r0): Fraction(7, 12) for a in ids},
+        **{(a, r1): Fraction(1, 3) for a in ids},
+    }
+    y = ef_round(h, x, (4,), 19)
+    assert y.integral and y.check_allocation(inst, capacities=False) == []
+    assert check_ef_deviation(h, y, (4,), 19)["ok"]
+    assert all(e in x.values for e in y.values)
+
+
+def test_ef_round_raises_when_no_bundle_fits_a_binding_agent():
+    agents = [AgentSpec("a1", 2, {"g": "g1"}), AgentSpec("a2", 2, {"g": "g2"})]
+    inst = Instance(agents, [("r1", 1)], binding={"a1", "a2"}, dimensions=("g",))
+    h = HomogeneousInstance(inst, UtilityModel(additive={"a1": {"r1": 1}, "a2": {"r1": 1}}))
+    x, _ = greedy_fractional_ef(h)
+    assert x.values == {}
+    message = "greedy point left binding agents below one bundle"
+    with pytest.raises(InfeasibleInstanceError, match=message) as info:
+        ef_round(h, x, (7,), 7)
+    for a in ("a1", "a2"):
+        assert f"binding agent {a!r} totals 0 != 1" in str(info.value)
+
+
 def test_ef_round_random_end_to_end():
     rng = random.Random(29)
     for _ in range(25):
@@ -176,6 +211,7 @@ def test_ef_round_random_end_to_end():
         y = ef_round(h, x, alpha, delta)
         report = check_ef_deviation(h, y, alpha, delta)
         assert report["ok"], report
+        assert y.check_allocation(h.instance, capacities=False) == []
         # rounding property
         for e, v in x.values.items():
             if v == 1:

@@ -16,8 +16,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from nearfair import envyfree, rounding
-from nearfair.envyfree import HomogeneousInstance, _scaled_envy, greedy_fractional_ef
+from nearfair import envyfree, model, rounding
+from nearfair.envyfree import (
+    HomogeneousInstance,
+    _scaled_envy,
+    check_ef_deviation,
+    ef_round,
+    greedy_fractional_ef,
+)
 from nearfair.exactlp import VertexSolution, feasible_vertex, solve_vertex
 from nearfair.model import (
     AgentSpec,
@@ -29,9 +35,9 @@ from nearfair.model import (
     pair_universe,
 )
 from nearfair.rationals import over_lcm
-from nearfair.rounding import _utility_rows, iterative_round
+from nearfair.rounding import _utility_rows, iterative_round, verify_approximation
 
-from generators import coefficients, minimal_budget, random_homogeneous, rational_lp
+from generators import coefficients, ef_budget, minimal_budget, random_homogeneous, rational_lp
 
 ZERO = Fraction(0)
 # pairwise coprime: small primes, primes around 10^12, and a Mersenne prime
@@ -167,9 +173,15 @@ def test_loads_mass_and_allocation_totals_match_fraction_sums(data):
     pairs = pair_universe(replace(inst, acceptability=None))
     wrong_size = [(a.id, Bundle.of({r: a.demand + 1})) for a in inst.agents for r, _ in inst.resources]
     x = data.draw(allocations(pairs, [STRANGER] + wrong_size[:2]))
-    nums, den = x.scaled()
+    nums, den = x.nums, x.den
     assert {e: Fraction(n, den) for e, n in nums.items()} == x.values
     assert den == math.lcm(*(v.denominator for v in x.values.values()))
+    assert (list(nums.values()), den) == over_lcm(v.as_integer_ratio() for v in x.values.values())
+    assert list(nums) == list(x.values)
+    assert x.integral == all(v == 1 for v in x.values.values())
+    assert x.fractional_pairs() == sorted(e for e, v in x.values.items() if 0 < v < 1)
+    split = [a for (a, _), v in x.values.items() if 0 < v < 1]
+    assert x.fractional_agents() == {a for a in split if split.count(a) >= 2}
     loads = x.loads()
     for r in {r for (_, q) in x.values for r in q.resources()}:
         ref = sum((q.multiplicity(r) * v for (_, q), v in x.values.items()), ZERO)
@@ -223,6 +235,25 @@ def test_scaled_envy_matches_fraction_sums(data):
         envied = sum((ref_utility(u, rep, q) * v for (a, q), v in x.values.items() if a in mem_j), ZERO)
         assert envy == Fraction(len(mem_i), len(mem_j)) * envied - own
     assert len(got) == k * (k - 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certificates_read_each_allocation_once(monkeypatch, seed):
+    """An allocation holds its integer form from construction on: the
+    certificates and the group sums over built allocations derive no
+    common denominator again."""
+    h = random_homogeneous(random.Random(seed))
+    inst, u = h.instance, h.utilities
+    alpha, delta = ef_budget(h)
+    x, _ = greedy_fractional_ef(h)
+    y = ef_round(h, x, alpha, delta)
+    budget = minimal_budget(inst, x)
+    calls = []
+    monkeypatch.setattr(model, "over_lcm", lambda ratios: calls.append(ratios) or over_lcm(ratios))
+    verify_approximation(inst, x, y, u, budget)
+    check_ef_deviation(h, y, alpha, delta)
+    group_utilities(x, u, inst)
+    assert calls == []
 
 
 def rows_hold_at_the_current_point(monkeypatch, module, x: Allocation):
@@ -298,7 +329,7 @@ def test_rounder_rows_match_fraction_sums(market):
     for e in F:
         by_agent.setdefault(e[0], []).append(e)
     members = {key: tuple(sorted(inst.group_members(*key))) for key in inst.group_keys()}
-    nums, den = x.scaled()
+    nums, den = x.nums, x.den
     for key, (_, coeffs, rhs) in zip(members, _utility_rows(u)(members, list(members), by_agent, nums, den)):
         assert coeffs == {e: ref_utility(u, *e) for a in members[key] for e in by_agent.get(a, ())}
         assert rhs == sum((ref_utility(u, *e) * x.values[e] for e in coeffs), ZERO)
@@ -319,7 +350,7 @@ def test_envy_rows_match_fraction_sums(seed):
         by_agent.setdefault(e[0], []).append(e)
     keys = inst.group_keys()
     members = {key: tuple(sorted(inst.group_members(*key))) for key in keys}
-    nums, den = x.scaled()
+    nums, den = x.nums, x.den
     rows = envyfree._envy_rows(h)(members, keys, by_agent, nums, den)
     pairs = {(dim, i, j) for dim, i in keys for d, j in keys if d == dim and j != i}
     assert sorted(key for key, _, _ in rows) == sorted(pairs)

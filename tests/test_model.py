@@ -1,7 +1,7 @@
 """Model layer: bundles, utilities, validation."""
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -159,6 +159,14 @@ def test_allocation_checks():
     over = Allocation({("a1", b): 1, ("a2", Bundle.of({"r2": 1})): 1})
     assert any("capacity" in p for p in over.check_allocation(inst))
     assert over.check_allocation(inst, capacities=False) == []
+
+
+def test_an_allocation_is_immutable():
+    x = Allocation({("a1", Bundle.of({"r1": 1})): Fraction(1, 2)})
+    for f in fields(Allocation):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, f.name, getattr(x, f.name))
+    assert [f.name for f in fields(Allocation)] == ["values", "nums", "den"]
 
 
 def test_allocation_checks_acceptability():
